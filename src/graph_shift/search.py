@@ -5,8 +5,15 @@ approximate translation between anchor vertices (`minimize_s`), and a
 Dijkstra-style search over anchors that chains such steps from a source
 to a target vertex (`best_composition`), keyed by accumulated score.
 
-Candidate assignments inside a greedy round are scored in bulk with numpy;
-the chosen assignment is re-scored with the scalar score function so the
+Candidate assignments inside a greedy round are scored in bulk with numpy.
+The candidate rows of a round are a cached index template into the round's
+options (free targets, then bottom). Each round gathers small integer cost
+tables from the distance table: per block position and option, the
+edge-constraint violation and the deformation against the committed pairs,
+and per pair of block positions, the deformation between their options. A
+row's raw sums are table lookups through the template columns, added to the
+committed sums that carry over from the previous round's chosen row. The
+chosen assignment is re-scored with the scalar score function so the
 reported numbers always agree with the reference implementation.
 """
 
@@ -23,87 +30,107 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph
 from . import mapping as mp
 from .mapping import BOTTOM, Mapping
 from .relax import ScoreBreakdown, ScoreParams, evaluation_pair, pareto_front, score
 
 
-@lru_cache(maxsize=None)
-def _padded_adjacency(g: Graph):
-    a = np.zeros((g.n + 1, g.n + 1), dtype=np.int64)
-    a[1:, 1:] = g.adjacency_matrix()
-    return a
+@lru_cache(maxsize=128)
+def _row_template(npool, length):
+    """Candidate rows of a block as indices into sorted(pool) + [⊥].
 
-
-def _candidate_rows(pool, length):
-    """Ordered selections from pool ∪ {⊥} as an int array; 0 encodes ⊥.
-
-    Concrete targets appear at most once per row; ⊥ may repeat. Rows come
-    out per-position lexicographic with ⊥ ordered last, so downstream
-    argmin ties resolve to the canonical first candidate.
+    Index npool stands for ⊥. Concrete options appear at most once per row;
+    ⊥ may repeat. Rows come out in product order with ⊥ last, so downstream
+    argmin ties resolve to the canonical first candidate. Returns one index
+    column per block position, shape (length, rows), in the smallest dtype
+    that holds npool, and each row's ⊥ count. Both arrays are read-only,
+    because every caller shares them.
     """
-    opts = sorted(pool) + [0]
-    rows = np.array(list(itertools.product(opts, repeat=length)), dtype=np.int64)
-    keep = np.ones(len(rows), dtype=bool)
+    cols = np.indices((npool + 1,) * length, dtype=np.min_scalar_type(npool))
+    cols = cols.reshape(length, -1)
+    keep = np.ones(cols.shape[1], dtype=bool)
     for i in range(length):
         for j in range(i + 1, length):
-            keep &= ~((rows[:, i] == rows[:, j]) & (rows[:, i] > 0))
-    return rows[keep]
+            keep &= (cols[i] != cols[j]) | (cols[i] == npool)
+    cols = cols[:, keep]
+    bottoms = (cols == npool).sum(axis=0, dtype=np.min_scalar_type(length))
+    cols.flags.writeable = False
+    bottoms.flags.writeable = False
+    return cols, bottoms
 
 
-def _pair_gaps(d1, d2, cap):
-    # Distance-table convention: negative means unreachable.
-    both_inf = (d1 < 0) & (d2 < 0)
-    one_inf = (d1 < 0) ^ (d2 < 0)
-    return np.where(both_inf, 0, np.where(one_inf, cap, np.abs(d1 - d2)))
+def _gaps(d1, d2, n):
+    """Capped geodesic gaps between hop counts where -1 means unreachable.
+
+    Unreachable becomes 2n, so min(|d1 - d2|, n) is 0 for two unreachable
+    distances and the cap n for one: finite distances are at most n - 1.
+    """
+    d1 = np.where(d1 < 0, 2 * n, d1)
+    d2 = np.where(d2 < 0, 2 * n, d2)
+    return np.minimum(np.abs(d1 - d2), n)
 
 
-def _score_rows(g, p, assigned, block, rows):
+@dataclass
+class _Committed:
+    """Assignment committed by earlier greedy rounds and its raw score sums.
+
+    Every committed source is in `src` or counted in `raw_loss` (sent to ⊥).
+    """
+
+    src: list  # sources with a concrete image
+    img: list  # their images
+    raw_loss: int
+    raw_ec: int
+    raw_def: int
+
+
+def _score_rows(g, p, done: _Committed, block, pool):
     """Score every candidate row as if its block assignment were committed.
 
-    `assigned` is the partial image so far (bottom included); normalizers
-    use the would-be assigned set, per the greedy round convention.
+    Returns (cols, total, raw_loss, raw_ec, raw_def): the row template of
+    `_row_template(len(pool), len(block))` and one value per row. Raw sums
+    stay int64; `total` uses the same float expression as `score`, with
+    normalizers over the would-be assigned set, per the greedy round
+    convention.
     """
     dist = g.distance_matrix()
-    adj = _padded_adjacency(g)
-    old_src = np.array([v for v, w in sorted(assigned.items()) if w is not BOTTOM], dtype=np.int64)
-    old_img = np.array([assigned[v] for v in old_src], dtype=np.int64)
-    raw_loss_old = sum(1 for w in assigned.values() if w is BOTTOM)
-    raw_ec_old = sum(1 for v, w in zip(old_src, old_img) if not adj[v, w])
-    raw_def_old = 0.0
-    for i in range(len(old_src)):
-        for j in range(i + 1, len(old_src)):
-            raw_def_old += _pair_gaps(
-                dist[old_src[i], old_src[j]], dist[old_img[i], old_img[j]], g.n
-            )
+    npool, length = len(pool), len(block)
+    cols, bottoms = _row_template(npool, length)
+    opts = np.asarray(pool, dtype=np.intp)
+    blk = np.asarray(block, dtype=np.intp)
 
-    m = len(rows)
-    length = len(block)
-    mapped = rows > 0
-    raw_loss = raw_loss_old + (length - mapped.sum(axis=1))
-    raw_ec = np.full(m, raw_ec_old, dtype=np.int64)
-    raw_def = np.full(m, raw_def_old, dtype=np.float64)
-    for j, src in enumerate(block):
-        col = rows[:, j]
-        msk = mapped[:, j]
-        raw_ec += msk & (adj[src, col] == 0)
-        for u, w in zip(old_src, old_img):
-            gaps = _pair_gaps(dist[src, u], dist[col, w], g.n)
-            raw_def += np.where(msk, gaps, 0)
-        for k in range(j + 1, length):
-            both = msk & mapped[:, k]
-            gaps = _pair_gaps(dist[src, block[k]], dist[col, rows[:, k]], g.n)
-            raw_def += np.where(both, gaps, 0)
+    # Per-option tables; the last column (⊥) costs nothing. An option keeps
+    # the edge constraint only at one hop from its source.
+    ec = np.zeros((length, npool + 1), dtype=np.int64)
+    ec[:, :npool] = dist[blk[:, None], opts] != 1
+    deform = np.zeros((length, npool + 1), dtype=np.int64)
+    if done.src:
+        d_src = dist[blk[:, None], done.src]
+        d_img = dist[opts[:, None], done.img]
+        deform[:, :npool] = _gaps(d_src[:, None, :], d_img[None, :, :], g.n).sum(axis=2)
 
-    n1 = len(assigned) + length
-    k_mapped = len(old_src) + mapped.sum(axis=1)
+    raw_ec = done.raw_ec + ec[0][cols[0]]
+    raw_def = done.raw_def + deform[0][cols[0]]
+    if length > 1:
+        d_opts = dist[opts[:, None], opts]
+        pair = np.zeros((npool + 1, npool + 1), dtype=np.int64)
+    for j in range(1, length):
+        raw_ec += ec[j][cols[j]]
+        raw_def += deform[j][cols[j]]
+        for i in range(j):
+            pair[:npool, :npool] = _gaps(dist[block[i], block[j]], d_opts, g.n)
+            raw_def += pair[cols[i], cols[j]]
+
+    lost = bottoms.astype(np.int64)
+    raw_loss = done.raw_loss + lost
+    k_mapped = (len(done.src) + length) - lost
+    n1 = len(done.src) + done.raw_loss + length
     total = p.alpha * raw_loss / n1
     safe_k = np.maximum(k_mapped, 1)
     total = total + np.where(k_mapped > 0, p.beta * raw_ec / safe_k, 0.0)
     safe_pairs = np.maximum(k_mapped * (k_mapped - 1), 1)
     total = total + np.where(k_mapped > 1, p.gamma * 2.0 * raw_def / safe_pairs, 0.0)
-    return total
+    return cols, total, raw_loss, raw_ec, raw_def
 
 
 @dataclass
@@ -122,6 +149,11 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     every arrangement of unused targets (⊥ allowed) for the block and keeps
     the score minimizer over the assigned-so-far set. With k_block = |V1|
     the single round is an exhaustive search.
+
+    A round scores its candidates through `_score_rows`: a cached index
+    template of the rows, per-option cost tables gathered through it, and
+    the raw sums of the committed assignment, carried from the previous
+    round's chosen row.
     """
     V1 = sorted(set(V1))
     if v1 not in V1:
@@ -131,20 +163,25 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
         stats.calls += 1
 
     assigned = {v1: v2}
+    done = _Committed([v1], [v2], 0, int(not g.has_edge(v1, v2)), 0)
     free_src = [v for v in V1 if v != v1]
     used = {v2}
     while free_src:
         block = free_src[: p.k_block]
         pool = sorted(targets - used)
-        rows = _candidate_rows(pool, len(block))
-        totals = _score_rows(g, p, assigned, block, rows)
+        cols, total, raw_loss, raw_ec, raw_def = _score_rows(g, p, done, block, pool)
         if stats is not None:
-            stats.evaluations += len(rows)
-        best = rows[int(np.argmin(totals))]
-        for src, tgt in zip(block, best):
-            assigned[src] = BOTTOM if tgt == 0 else int(tgt)
-            if tgt > 0:
-                used.add(int(tgt))
+            stats.evaluations += len(total)
+        best = int(np.argmin(total))
+        options = pool + [BOTTOM]
+        for src, t in zip(block, cols[:, best]):
+            tgt = options[t]
+            assigned[src] = tgt
+            if tgt is not BOTTOM:
+                used.add(tgt)
+                done.src.append(src)
+                done.img.append(tgt)
+        done.raw_loss, done.raw_ec, done.raw_def = raw_loss[best], raw_ec[best], raw_def[best]
         free_src = free_src[len(block) :]
 
     result = Mapping(V1, sorted(targets), assigned)
@@ -200,7 +237,12 @@ class TranslationTrace:
 
 
 def expand_support(g, support, hops=1):
-    """Support plus every vertex within the given hop count of it."""
+    """Support plus every vertex within the given hop count of it.
+
+    Raises ValueError for a support vertex outside 1..n.
+    """
+    for v in support:
+        g._check_vertex(v)
     out = set(support)
     frontier = set(support)
     for _ in range(hops):

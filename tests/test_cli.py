@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from graph_shift.cli import main
-from graph_shift.graph import Graph, make_complete, make_grid
+from graph_shift.graph import Graph, make_complete, make_grid, make_ring
 from graph_shift.mapping import BOTTOM, full_mapping
 
 
@@ -110,6 +110,15 @@ def test_compose_unreachable_exit_3(tmp_path):
     gp = tmp_path / "d.json"
     Graph(4, [(1, 2), (3, 4)]).save(gp)
     assert run(["compose", str(gp), "--src", "1", "--tgt", "3"]) == 3
+
+
+@pytest.mark.parametrize("command", ["compose", "sweep"])
+@pytest.mark.parametrize("src", ["9", "0", "-1"])
+def test_out_of_range_source_exit_2(tmp_path, capsys, command, src):
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    assert run([command, str(gp), "--src", src, "--tgt", "3"]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_compose_dot_steps(tmp_path):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from graph_shift.euclid import dirac, euclidean_on_torus
-from graph_shift.graph import Graph, make_grid, make_ring, make_torus
+from graph_shift.graph import Graph, make_grid, make_random_geometric, make_ring, make_torus
 from graph_shift.mapping import BOTTOM, Mapping
 from graph_shift.relax import ScoreParams, score
 from graph_shift.search import (
+    DEFAULT_BLOCKS,
+    DEFAULT_WEIGHTS,
     SearchStats,
-    _candidate_rows,
+    _Committed,
+    _row_template,
     _score_rows,
     best_composition,
     expand_support,
@@ -47,26 +50,77 @@ def test_target_added_when_missing():
 
 
 def test_candidate_rows_shape_and_order():
-    rows = _candidate_rows([4, 7], 2)
-    as_tuples = [tuple(r) for r in rows]
-    # concrete targets never repeat, bottom (0) may; bottom sorts last
-    assert (4, 4) not in as_tuples and (0, 0) in as_tuples
-    assert as_tuples[0] == (4, 7)
-    assert as_tuples[-1] == (0, 0)
+    cols, bottoms = _row_template(2, 2)
+    as_tuples = [tuple(int(t) for t in row) for row in cols.T]
+    # option indices into [4, 7, ⊥]: concrete targets never repeat, ⊥ (2)
+    # may, and ⊥ sorts last
+    assert (0, 0) not in as_tuples and (2, 2) in as_tuples
+    assert as_tuples[0] == (0, 1)
+    assert as_tuples[-1] == (2, 2)
+    assert as_tuples == [
+        r for r in itertools.product(range(3), repeat=2) if r[0] != r[1] or r[0] == 2
+    ]
+    assert list(bottoms) == [r.count(2) for r in as_tuples]
+    assert cols.dtype == np.uint8
+    assert not cols.flags.writeable
+
+
+def _committed(g, assigned):
+    """Committed state of a partial assignment, raw sums from the scalar score."""
+    b = score(g, Mapping(set(assigned), set(g.vertices), assigned), P)
+    src = sorted(v for v, w in assigned.items() if w is not BOTTOM)
+    img = [assigned[v] for v in src]
+    return _Committed(src, img, b.raw_loss, b.raw_ec, int(b.raw_def))
+
+
+def _assert_rows_match_score(g, p, assigned, block, pool):
+    cols, totals, raw_loss, raw_ec, raw_def = _score_rows(
+        g, p, _committed(g, assigned), block, pool
+    )
+    options = pool + [BOTTOM]
+    assert cols.shape == (len(block), len(totals))
+    for i, row in enumerate(cols.T):
+        image = dict(assigned)
+        image.update((src, options[t]) for src, t in zip(block, row))
+        ref = score(g, Mapping(set(image), set(g.vertices), image), p)
+        assert totals[i] == ref.total
+        assert (raw_loss[i], raw_ec[i], raw_def[i]) == (ref.raw_loss, ref.raw_ec, ref.raw_def)
 
 
 def test_vectorized_scores_match_reference():
-    g = make_ring(6)
-    assigned = {1: 2, 4: BOTTOM}
-    block = [2, 5]
-    rows = _candidate_rows([3, 5, 6], 2)
-    totals = _score_rows(g, P, assigned, block, rows)
-    for row, got in zip(rows, totals):
-        image = dict(assigned)
-        for src, tgt in zip(block, row):
-            image[src] = None if tgt == 0 else int(tgt)
-        m = Mapping(set(image), set(g.vertices), image)
-        assert got == pytest.approx(score(g, m, P).total)
+    _assert_rows_match_score(make_ring(6), P, {1: 2, 4: BOTTOM}, [2, 5], [3, 5, 6])
+    # Unreachable pairs: two infinite distances count 0, one counts the cap n.
+    g = Graph(7, [(1, 2), (2, 3), (4, 5), (6, 7)])
+    _assert_rows_match_score(
+        g, ScoreParams(0.1, 0.5, 1.0, 3), {1: 4, 6: BOTTOM, 2: 5}, [3, 4, 7], [1, 2, 3, 6, 7]
+    )
+
+
+def test_vectorized_scores_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(4, 9), label="n")
+        r = data.draw(st.sampled_from([0.3, 0.45, 0.7]), label="r")
+        g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
+        order = data.draw(st.permutations(list(g.vertices)), label="sources")
+        length = data.draw(st.sampled_from(DEFAULT_BLOCKS), label="length")
+        n_old = data.draw(st.integers(1, n - 1), label="assigned")
+        old, block = order[:n_old], sorted(order[n_old : n_old + length])
+        hyp.assume(block)
+        targets = data.draw(st.permutations(list(g.vertices)), label="targets")
+        assigned = {}
+        for v, w in zip(old, targets):
+            assigned[v] = BOTTOM if data.draw(st.booleans(), label=f"lose {v}") else w
+        free = sorted(set(targets) - set(assigned.values()))
+        pool = [w for w in free if data.draw(st.booleans(), label=f"offer {w}")]
+        weights = [data.draw(st.sampled_from(DEFAULT_WEIGHTS)) for _ in range(3)]
+        _assert_rows_match_score(g, ScoreParams(*weights, length), assigned, block, pool)
+
+    check()
 
 
 def test_greedy_matches_exhaustive_at_zero_floor():
@@ -161,6 +215,13 @@ def test_localized_sets_rejects_empty_and_warns_disconnected():
         localized_sets(g, [0] * 5)
     with pytest.warns(UserWarning):
         localized_sets(g, [1, 0, 1, 0, 0])
+
+
+def test_expand_support_rejects_out_of_range_vertices():
+    g = make_ring(5)
+    for bad in (0, -1, 6):
+        with pytest.raises(ValueError):
+            expand_support(g, {1, bad}, 1)
 
 
 def test_hops_flag_widens_targets():
