@@ -81,8 +81,21 @@ def graph_to_dot(g, m=None):
     return "\n".join(lines) + "\n"
 
 
+#: Flags each generator kind cannot run without.
+GEN_REQUIRES = {
+    "complete": ("n",),
+    "ring": ("n",),
+    "grid": ("dims",),
+    "torus": ("dims",),
+    "geometric": ("n", "r"),
+}
+
+
 def cmd_gen(args):
     kind = args.kind
+    missing = [f"--{flag}" for flag in GEN_REQUIRES[kind] if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"gen {kind} needs {' and '.join(missing)}")
     if kind == "complete":
         g = make_complete(args.n)
     elif kind == "ring":
@@ -98,7 +111,7 @@ def cmd_gen(args):
 
 
 def cmd_enumerate(args):
-    g = Graph.from_json_dict(json.load(open(args.graph)))
+    g = Graph.load(args.graph)
     f = EnumerationFilter(
         lossless_only=args.lossless,
         max_loss=args.max_loss,
@@ -116,7 +129,7 @@ def cmd_enumerate(args):
 
 
 def cmd_check(args):
-    g = Graph.from_json_dict(json.load(open(args.graph)))
+    g = Graph.load(args.graph)
     m = Mapping.load(args.mapping)
     rep = property_report(g, m)
     if args.format == "dot":
@@ -131,7 +144,7 @@ def _score_params(args):
 
 
 def cmd_compose(args):
-    g = Graph.from_json_dict(json.load(open(args.graph)))
+    g = Graph.load(args.graph)
     support = (
         set(_parse_ints(args.domain_set))
         if args.domain_set
@@ -153,7 +166,7 @@ def cmd_compose(args):
 
 
 def cmd_sweep(args):
-    g = Graph.from_json_dict(json.load(open(args.graph)))
+    g = Graph.load(args.graph)
     support = (
         set(_parse_ints(args.domain_set))
         if args.domain_set

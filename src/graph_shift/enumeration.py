@@ -7,13 +7,14 @@ consistency checked against every previously assigned vertex.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 from typing import Optional
 
-from .mapping import BOTTOM, Mapping, full_mapping, inverse, precedes
+import numpy as np
+
+from .mapping import BOTTOM, full_mapping
 
 
 @dataclass
@@ -122,27 +123,46 @@ def exists_translation_between(g, v1_set, v2_set):
     return found[0] if found else None
 
 
-def _successors(translations):
-    """For each translation, the list of translations it precedes.
+#: Cells of one block of the shared-assignment relation (4 MB in float32).
+_BLOCK_CELLS = 1 << 20
 
-    Successors always have strictly smaller loss, so grouping by loss keeps
-    the pairwise scan away from same-loss pairs.
+
+def _unpreceded(translations, inductive):
+    """Mask of the translations that no lower-loss translation precedes.
+
+    With `inductive`, only lower-loss translations that are themselves kept
+    count. Each translation is a one-hot row over its (vertex, image)
+    assignments, bottom included, so a row product counts shared assignments
+    over the common domain, exactly as `precedes` tests them. Loss levels go
+    in ascending order, a block of rows at a time, so no T x T relation is
+    ever held in memory.
     """
-    by_loss = sorted(translations, key=lambda m: m.loss())
-    losses = [m.loss() for m in by_loss]
-    out = {}
-    for m in translations:
-        cut = bisect.bisect_left(losses, m.loss())
-        out[m.image_tuple()] = [o for o in by_loss[:cut] if precedes(m, o)]
-    return out
+    symbols = {}
+    rows = [[symbols.setdefault(a, len(symbols)) for a in m.items()] for m in translations]
+    onehot = np.zeros((len(rows), len(symbols)), dtype=np.float32)
+    for i, cols in enumerate(rows):
+        onehot[i, cols] = 1.0
+    loss = np.array([m.loss() for m in translations], dtype=np.int64)
+    keep = np.ones(len(rows), dtype=bool)
+    below = np.empty(0, dtype=np.int64)
+    for level in np.unique(loss):
+        idx = np.flatnonzero(loss == level)
+        if below.size:
+            ref = onehot[below].T
+            step = max(1, _BLOCK_CELLS // below.size)
+            for start in range(0, idx.size, step):
+                blk = idx[start : start + step]
+                keep[blk] = ~((onehot[blk] @ ref) > 0).any(axis=1)
+        below = np.concatenate([below, idx[keep[idx]] if inductive else idx])
+    return keep
 
 
 def minimal_translations(g, translations=None):
     """Translations with no strictly-less-lossy comparable successor."""
     if translations is None:
         translations = enumerate_translations(g)
-    succ = _successors(translations)
-    return [m for m in translations if not succ[m.image_tuple()]]
+    keep = _unpreceded(translations, inductive=False)
+    return [m for m, k in zip(translations, keep) if k]
 
 
 def pseudo_minimal_translations(g, translations=None):
@@ -154,12 +174,8 @@ def pseudo_minimal_translations(g, translations=None):
     """
     if translations is None:
         translations = enumerate_translations(g)
-    succ = _successors(translations)
-    pseudo = {}
-    for m in sorted(translations, key=lambda m: m.loss()):
-        key = m.image_tuple()
-        pseudo[key] = all(not pseudo[o.image_tuple()] for o in succ[key])
-    return [m for m in translations if pseudo[m.image_tuple()]]
+    keep = _unpreceded(translations, inductive=True)
+    return [m for m, k in zip(translations, keep) if k]
 
 
 def count_upper_bound(n):
@@ -187,48 +203,17 @@ def count_minimal_upper_bound(n):
 
 def has_perfect_matching(g):
     """Exact backtracking decision; intended for small graphs."""
-    if g.n % 2 == 1:
-        return False
-
-    def match(unmatched):
-        if not unmatched:
-            return True
-        v = min(unmatched)
-        rest = unmatched - {v}
-        for w in sorted(g.neighbors(v)):
-            if w in rest and match(rest - {w}):
-                return True
-        return False
-
-    return match(set(g.vertices))
+    return perfect_matching_translation(g) is not None
 
 
 def has_hamiltonian_cycle(g):
     """Exact backtracking decision; intended for small graphs."""
-    if g.n < 3:
-        return False
-    if any(g.degree(v) < 2 for v in g.vertices):
-        return False
-    start = 1
-    visited = {start}
-
-    def extend(v, count):
-        if count == g.n:
-            return g.has_edge(v, start)
-        for w in sorted(g.neighbors(v)):
-            if w not in visited:
-                visited.add(w)
-                if extend(w, count + 1):
-                    return True
-                visited.discard(w)
-        return False
-
-    return extend(start, 1)
+    return hamiltonian_cycle_translation(g) is not None
 
 
 def perfect_matching_translation(g):
     """Self-inverse lossless translation from a perfect matching, if one exists."""
-    if not has_perfect_matching(g):
+    if g.n % 2 == 1:
         return None
 
     def match(unmatched, pairs):
@@ -239,11 +224,13 @@ def perfect_matching_translation(g):
         for w in sorted(g.neighbors(v)):
             if w in rest:
                 got = match(rest - {w}, pairs + [(v, w)])
-                if got:
+                if got is not None:
                     return got
         return None
 
     pairs = match(set(g.vertices), [])
+    if pairs is None:
+        return None
     image = {}
     for v, w in pairs:
         image[v] = w

@@ -118,7 +118,21 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["n"], [tuple(e) for e in data["edges"]], data.get("coords"))
+        if not isinstance(data, dict):
+            raise ValueError("graph JSON must be an object")
+        n, edges = data["n"], data["edges"]
+        if not _is_int(n):
+            raise ValueError(f"graph order must be an integer, got {n!r}")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+        ):
+            raise ValueError("graph edges must be a list of [u, v] integer pairs")
+        coords = data.get("coords")
+        if coords is not None and not (
+            isinstance(coords, list) and all(isinstance(c, list) for c in coords)
+        ):
+            raise ValueError("graph coords must be null or a list of coordinate lists")
+        return cls(n, [tuple(e) for e in edges], coords)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -139,6 +153,10 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_dims(dims):

@@ -39,6 +39,27 @@ def test_gen_invalid_params_exit_2():
     assert run(["gen", "torus", "--dims", "2,5"]) == 2
 
 
+def _assert_exit_2_one_line(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_complete_without_n_exit_2(capsys):
+    _assert_exit_2_one_line(["gen", "complete"], capsys)
+
+
+@pytest.mark.parametrize("kind", ["grid", "torus"])
+def test_gen_lattice_without_dims_exit_2(kind, capsys):
+    _assert_exit_2_one_line(["gen", kind], capsys)
+
+
+def test_graph_file_with_string_order_exit_2(tmp_path, capsys):
+    gp = tmp_path / "g.json"
+    gp.write_text('{"n": "3", "edges": [], "coords": null}')
+    _assert_exit_2_one_line(["enumerate", str(gp)], capsys)
+
+
 def test_enumerate_lossless_k4(k4_file, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert run(["enumerate", k4_file, "--lossless", "--out", str(out)]) == 0
@@ -156,6 +177,10 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_missing_graph_file_exit_2(tmp_path):
     assert run(["enumerate", str(tmp_path / "nope.json")]) == 2
+
+
+def test_unreadable_graph_file_exit_4(tmp_path):
+    assert run(["enumerate", str(tmp_path)]) == 4
 
 
 def test_console_entry_point():

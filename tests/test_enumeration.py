@@ -19,7 +19,7 @@ from graph_shift.enumeration import (
     pseudo_minimal_translations,
 )
 from graph_shift.graph import Graph, make_complete, make_grid, make_ring
-from graph_shift.mapping import BOTTOM, bottom_map, full_mapping, is_translation
+from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, is_translation, precedes
 
 
 def all_graphs(n):
@@ -171,6 +171,74 @@ def test_grid33_minimal_loss_one():
     assert sorted(m.loss() for m in mins) == [1, 1]
     center = 5  # only vertex of degree 4
     assert all(m(center) is BOTTOM for m in mins)
+
+
+@pytest.mark.parametrize(
+    "g,counts",
+    [(make_grid([2, 4]), (1227, 1, 3)), (make_ring(8), (739, 2, 3))],
+    ids=["grid2x4", "ring8"],
+)
+def test_census_counts(g, counts):
+    ts = enumerate_translations(g)
+    got = (len(ts), len(minimal_translations(g, ts)), len(pseudo_minimal_translations(g, ts)))
+    assert got == counts
+
+
+def _reference_scan(ts, inductive):
+    """Minimal (or pseudo-minimal) translations by pairwise scalar `precedes`."""
+    keep = {}
+    for i in sorted(range(len(ts)), key=lambda i: ts[i].loss()):
+        keep[i] = not any(
+            precedes(ts[i], o) and (not inductive or keep[j])
+            for j, o in enumerate(ts)
+            if o.loss() < ts[i].loss()
+        )
+    return [m for i, m in enumerate(ts) if keep[i]]
+
+
+def _assert_scans_match_reference(g, ts):
+    assert minimal_translations(g, ts) == _reference_scan(ts, inductive=False)
+    assert pseudo_minimal_translations(g, ts) == _reference_scan(ts, inductive=True)
+
+
+def test_minimality_scans_match_precedes_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 6), label="n")
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
+        subset = st.frozensets(st.sampled_from(list(g.vertices)))
+        f = EnumerationFilter(
+            max_loss=data.draw(st.none() | st.integers(0, n), label="max_loss"),
+            restrict_domain=data.draw(st.none() | subset, label="domain"),
+            require_image_set=data.draw(st.none() | subset, label="image set"),
+        )
+        ts = enumerate_translations(g, f)
+        hyp.assume(len(ts) <= 600)
+        _assert_scans_match_reference(g, ts)
+
+    check()
+
+
+def test_minimality_scans_mixed_domains():
+    # Hand-built list: precedence only compares assignments on the common
+    # domain, where a shared bottom counts (c shares 2->⊥ with a, so c is not
+    # minimal but is pseudo-minimal, because d precedes a). c and e have the
+    # same image tuple on different domains and must be told apart.
+    g = make_ring(4)
+    a = Mapping({1, 2, 3}, g.vertices, {1: 2, 2: BOTTOM, 3: 4})
+    b = Mapping({1, 2, 4}, g.vertices, {1: 4, 2: 3, 4: 1})
+    c = Mapping({2, 3}, g.vertices, {2: BOTTOM, 3: BOTTOM})
+    d = Mapping({3, 4}, g.vertices, {3: 4, 4: 1})
+    e = Mapping({1, 4}, g.vertices, {1: BOTTOM, 4: BOTTOM})
+    ts = [c, a, e, b, d]
+    _assert_scans_match_reference(g, ts)
+    assert minimal_translations(g, ts) == [e, b, d]
+    assert pseudo_minimal_translations(g, ts) == [c, e, b, d]
 
 
 def test_min_loss_iterative_deepening():
