@@ -30,6 +30,7 @@ from .mapping import (
     is_translation,
     precedes,
     property_report,
+    snp_violations,
 )
 from .enumeration import (
     EnumerationFilter,
@@ -59,7 +60,6 @@ from .relax import (
     evaluation_pair,
     pareto_front,
     score,
-    snp_violations,
 )
 from .search import (
     SearchStats,

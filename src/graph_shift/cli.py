@@ -197,9 +197,10 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common_out(p):
+    def common_out(p, *formats):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "dot", "csv"], default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("kind", choices=["complete", "ring", "grid", "torus", "geometric"])
@@ -223,7 +224,7 @@ def build_parser():
     p = sub.add_parser("check", help="property report for a mapping on a graph")
     p.add_argument("graph")
     p.add_argument("mapping")
-    common_out(p)
+    common_out(p, "json", "dot")
     p.set_defaults(func=cmd_check)
 
     def search_flags(p):
@@ -240,13 +241,13 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--k", type=int, default=1)
-    common_out(p)
+    common_out(p, "json", "dot")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("sweep", help="parameter sweep with Pareto report")
     p.add_argument("graph")
     search_flags(p)
-    common_out(p)
+    common_out(p, "csv")
     p.set_defaults(func=cmd_sweep)
 
     return ap

@@ -26,8 +26,8 @@ class EnumerationFilter:
 
     def normalized(self, g):
         max_loss = 0 if self.lossless_only else self.max_loss
-        if max_loss is not None and max_loss > g.n:
-            raise ValueError("max_loss cannot exceed the graph order")
+        if max_loss is not None and not 0 <= max_loss <= g.n:
+            raise ValueError("max_loss must lie between 0 and the graph order")
         image_set = frozenset(self.require_image_set) if self.require_image_set is not None else None
         domain = frozenset(self.restrict_domain) if self.restrict_domain is not None else None
         return max_loss, image_set, domain

@@ -7,9 +7,11 @@ or to bottom (no image, encoded as None). Bottom absorbs under composition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .graph import INF
+import numpy as np
+
+from .graph import _is_int
 
 #: Explicit "no image" element.
 BOTTOM = None
@@ -94,7 +96,18 @@ class Mapping:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(data["domain"], data["codomain"], {v: w for v, w in data["image"]})
+        if not isinstance(data, dict):
+            raise ValueError("mapping JSON must be an object")
+        domain, codomain, image = data["domain"], data["codomain"], data["image"]
+        for name, vs in (("domain", domain), ("codomain", codomain)):
+            if not isinstance(vs, list) or not all(map(_is_int, vs)):
+                raise ValueError(f"mapping {name} must be a list of integer vertices")
+        if not isinstance(image, list) or not all(
+            isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and (p[1] is BOTTOM or _is_int(p[1]))
+            for p in image
+        ):
+            raise ValueError("mapping image must be a list of [v, w] pairs, w an integer or null")
+        return cls(domain, codomain, {v: w for v, w in image})
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -120,58 +133,65 @@ def identity_map(g):
     return full_mapping(g, {v: v for v in g.vertices})
 
 
+def _gaps(d1, d2, n):
+    """Capped geodesic gaps between hop counts where -1 means unreachable.
+
+    Unreachable becomes 2n, so min(|d1 - d2|, n) is 0 for two unreachable
+    distances and the cap n for one: finite distances are at most n - 1.
+    """
+    d1 = np.where(d1 < 0, 2 * n, d1)
+    d2 = np.where(d2 < 0, 2 * n, d2)
+    return np.minimum(np.abs(d1 - d2), n)
+
+
+def _pairs(g, m):
+    """Hop counts among the mapped sources and among their images.
+
+    Returns (d_src, d_img, ec_violations): two (k, k) blocks of the distance
+    table over the k mapped sources in ascending order and over their images
+    in the same order, and the number of sources whose image is not one hop
+    away. Raises ValueError for a mapped source or image outside 1..n.
+    """
+    src = sorted(m.mapped)
+    img = [m(v) for v in src]
+    for v in src + img:
+        g._check_vertex(v)
+    dist = g.distance_matrix()
+    s, t = np.asarray(src, dtype=np.intp), np.asarray(img, dtype=np.intp)
+    return dist[np.ix_(s, s)], dist[np.ix_(t, t)], int(np.count_nonzero(dist[s, t] != 1))
+
+
 def check_ec(g, m):
     """Edge-constrained check: every non-bottom image is a neighbor of its source.
 
     Returns (is_ec, violation_count).
     """
-    bad = sum(1 for v in m.mapped if not g.has_edge(v, m(v)))
-    return bad == 0, bad
+    rep = property_report(g, m)
+    return rep.is_ec, rep.ec_violations
 
 
 def check_wnp(g, m):
     """Weak preservation: edges between mapped vertices map to edges."""
-    mapped = sorted(m.mapped)
-    for i, u in enumerate(mapped):
-        for v in mapped[i + 1 :]:
-            if g.has_edge(u, v) and not g.has_edge(m(u), m(v)):
-                return False
-    return True
+    return property_report(g, m).is_wnp
 
 
 def check_snp(g, m):
     """Strong preservation: edge iff image-edge, over pairs of mapped vertices."""
-    mapped = sorted(m.mapped)
-    for i, u in enumerate(mapped):
-        for v in mapped[i + 1 :]:
-            if g.has_edge(u, v) != g.has_edge(m(u), m(v)):
-                return False
-    return True
+    return property_report(g, m).is_snp
 
 
 def check_isometry(g, m):
     """Exact geodesic-distance preservation over pairs of mapped vertices."""
-    mapped = sorted(m.mapped)
-    for i, u in enumerate(mapped):
-        for v in mapped[i + 1 :]:
-            if g.geodesic(u, v) != g.geodesic(m(u), m(v)):
-                return False
-    return True
+    return property_report(g, m).is_isometry
 
 
 def is_translation(g, m):
-    return check_ec(g, m)[0] and check_snp(g, m)
+    return property_report(g, m).is_translation
 
 
 def snp_violations(g, m):
     """Count of mapped vertex pairs whose edge/non-edge status flips."""
-    mapped = sorted(m.mapped)
-    count = 0
-    for i, u in enumerate(mapped):
-        for v in mapped[i + 1 :]:
-            if g.has_edge(u, v) != g.has_edge(m(u), m(v)):
-                count += 1
-    return count
+    return property_report(g, m).snp_violations
 
 
 def deformation(g, m):
@@ -179,20 +199,7 @@ def deformation(g, m):
 
     Two infinite distances count as 0; finite vs infinite is capped at n.
     """
-    mapped = sorted(m.mapped)
-    total = 0
-    for i, u in enumerate(mapped):
-        for v in mapped[i + 1 :]:
-            total += distance_gap(g.geodesic(u, v), g.geodesic(m(u), m(v)), g.n)
-    return total
-
-
-def distance_gap(d1, d2, cap):
-    if d1 == INF and d2 == INF:
-        return 0
-    if d1 == INF or d2 == INF:
-        return cap
-    return abs(d1 - d2)
+    return property_report(g, m).deformation
 
 
 @dataclass(frozen=True)
@@ -205,35 +212,32 @@ class PropertyReport:
     is_isometry: bool
     ec_violations: int
     snp_violations: int
-    deformation: float
+    deformation: int
 
     def to_json_dict(self):
-        return {
-            "loss": self.loss,
-            "is_ec": self.is_ec,
-            "is_wnp": self.is_wnp,
-            "is_snp": self.is_snp,
-            "is_translation": self.is_translation,
-            "is_isometry": self.is_isometry,
-            "ec_violations": self.ec_violations,
-            "snp_violations": self.snp_violations,
-            "deformation": self.deformation,
-        }
+        return asdict(self)
 
 
 def property_report(g, m):
-    ec, ec_bad = check_ec(g, m)
-    snp = check_snp(g, m)
+    """Every predicate of m on g, from one gather of the mapped pairs.
+
+    Fields are Python ints and bools, so reports serialize as plain JSON.
+    """
+    d_src, d_img, ec_bad = _pairs(g, m)
+    edge_src, edge_img = d_src == 1, d_img == 1
+    # Both blocks are symmetric with a zero diagonal, so a count over the
+    # full block sees every unordered pair twice and no vertex with itself.
+    snp_bad = int(np.count_nonzero(edge_src != edge_img)) // 2
     return PropertyReport(
         loss=m.loss(),
-        is_ec=ec,
-        is_wnp=check_wnp(g, m),
-        is_snp=snp,
-        is_translation=ec and snp,
-        is_isometry=check_isometry(g, m),
+        is_ec=ec_bad == 0,
+        is_wnp=not bool((edge_src & ~edge_img).any()),
+        is_snp=snp_bad == 0,
+        is_translation=ec_bad == 0 and snp_bad == 0,
+        is_isometry=bool((d_src == d_img).all()),
         ec_violations=ec_bad,
-        snp_violations=snp_violations(g, m),
-        deformation=deformation(g, m),
+        snp_violations=snp_bad,
+        deformation=int(_gaps(d_src, d_img, g.n).sum()) // 2,
     )
 
 

@@ -54,26 +54,25 @@ def score(g, m, p: ScoreParams) -> ScoreBreakdown:
     The loss ratio is taken over the mapping's domain; the edge-constraint
     ratio over the vertices that keep an image; deformation over pairs of
     those. Degenerate normalizers (no mapped vertices, or a single one)
-    contribute zero rather than dividing by zero.
+    contribute zero rather than dividing by zero. The raw edge-constraint
+    and deformation sums come from the same pair gather as
+    `mapping.property_report`, so the two always agree.
     """
     n1 = len(m.domain)
     if n1 == 0:
         raise ValueError("score needs a nonempty domain")
+    d_src, d_img, raw_ec = mp._pairs(g, m)
     raw_loss = m.loss()
-    raw_ec = mp.check_ec(g, m)[1]
     k = n1 - raw_loss  # mapped vertices
     loss_term = p.alpha * raw_loss / n1
     ec_term = p.beta * raw_ec / k if k > 0 else 0.0
-    raw_def = mp.deformation(g, m) if k > 1 else 0.0
+    # Full-block sums count every unordered pair twice.
+    raw_def = int(mp._gaps(d_src, d_img, g.n).sum()) // 2 if k > 1 else 0.0
     def_term = p.gamma * 2.0 * raw_def / (k * (k - 1)) if k > 1 else 0.0
     return ScoreBreakdown(
         loss_term, ec_term, def_term, loss_term + ec_term + def_term,
         raw_loss, raw_ec, raw_def,
     )
-
-
-def snp_violations(g, m):
-    return mp.snp_violations(g, m)
 
 
 def composition_score(breakdowns):

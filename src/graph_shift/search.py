@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import mapping as mp
-from .mapping import BOTTOM, Mapping
+from .mapping import BOTTOM, Mapping, _gaps
 from .relax import ScoreBreakdown, ScoreParams, evaluation_pair, pareto_front, score
 
 
@@ -57,17 +56,6 @@ def _row_template(npool, length):
     cols.flags.writeable = False
     bottoms.flags.writeable = False
     return cols, bottoms
-
-
-def _gaps(d1, d2, n):
-    """Capped geodesic gaps between hop counts where -1 means unreachable.
-
-    Unreachable becomes 2n, so min(|d1 - d2|, n) is 0 for two unreachable
-    distances and the cap n for one: finite distances are at most n - 1.
-    """
-    d1 = np.where(d1 < 0, 2 * n, d1)
-    d2 = np.where(d2 < 0, 2 * n, d2)
-    return np.minimum(np.abs(d1 - d2), n)
 
 
 @dataclass
@@ -345,14 +333,10 @@ def best_composition(
 
     steps = [(m, score(g, m, p)) for m in chain]
     cumulative = sum(b.total for _, b in steps)
-    if steps:
-        composed = steps[0][0]
-        for m, _ in steps[1:]:
-            composed = mp.compose(m, composed)
-    else:
-        composed = Mapping(V1_init, V1_init, {v: v for v in V1_init})
-    pair = evaluation_pair(g, composed)
-    return TranslationTrace(True, steps, cumulative, pair, p, v_src, v_tgt, seed, graph_ref)
+    trace = TranslationTrace(True, steps, cumulative, None, p, v_src, v_tgt, seed, graph_ref)
+    composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
+    trace.final_pair = evaluation_pair(g, composed)
+    return trace
 
 
 DEFAULT_WEIGHTS = (0.1, 0.5, 1.0)
@@ -384,38 +368,20 @@ class SweepRecord:
     trace: Optional[TranslationTrace] = None
 
 
-def worker_count():
-    raw = os.environ.get("GRAPH_SHIFT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def parameter_sweep(g, x, v_src, v_tgt, grid=None, hops=1, seed=None) -> list:
     """Run best_composition for every parameter cell; flag the Pareto rows.
 
-    Cells run independently (optionally on a small thread pool capped by
-    GRAPH_SHIFT_THREADS); records are returned in grid order regardless.
+    Cells run one after another in grid order, and records come back in
+    that order.
     """
     grid = list(grid) if grid is not None else default_grid()
     V1, _ = localized_sets(g, x)
     if v_src not in V1:
         raise ValueError("v_src must carry signal")
-
-    def run(cell):
-        a, b, c, k = cell
-        p = ScoreParams(a, b, c, k)
-        return best_composition(g, V1, v_src, v_tgt, p, hops=hops, seed=seed)
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run, grid))
-    else:
-        traces = [run(cell) for cell in grid]
+    traces = [
+        best_composition(g, V1, v_src, v_tgt, ScoreParams(a, b, c, k), hops=hops, seed=seed)
+        for a, b, c, k in grid
+    ]
 
     records = []
     for (a, b, c, k), tr in zip(grid, traces):

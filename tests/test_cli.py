@@ -6,7 +6,7 @@ import pytest
 
 from graph_shift.cli import main
 from graph_shift.graph import Graph, make_complete, make_grid, make_ring
-from graph_shift.mapping import BOTTOM, full_mapping
+from graph_shift.mapping import BOTTOM, Mapping, full_mapping
 
 
 def run(argv):
@@ -112,6 +112,41 @@ def test_check_dot_output(k4_file, tmp_path):
     assert "style=dotted" in text   # base edges
     assert "1 -> 2;" in text        # mapping arc
     assert "style=filled" in text   # lost vertices
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("where", ["source", "image"])
+def test_check_out_of_range_mapping_vertex_exit_2(tmp_path, capsys, where, bad):
+    gp, mp = tmp_path / "k3.json", tmp_path / "m.json"
+    make_complete(3).save(gp)
+    if where == "source":
+        m = Mapping({bad, 1, 2}, {1, 2, 3}, {bad: 3, 1: 2, 2: BOTTOM})
+    else:
+        m = Mapping({1, 2, 3}, {1, 2, 3, bad}, {1: 2, 2: bad, 3: BOTTOM})
+    m.save(mp)
+    _assert_exit_2_one_line(["check", str(gp), str(mp)], capsys)
+
+
+def test_check_mapping_file_with_non_list_domain_exit_2(tmp_path, capsys):
+    gp, mp = tmp_path / "k3.json", tmp_path / "m.json"
+    make_complete(3).save(gp)
+    mp.write_text('{"domain": 5, "codomain": [1, 2, 3], "image": []}')
+    _assert_exit_2_one_line(["check", str(gp), str(mp)], capsys)
+
+
+def test_enumerate_negative_max_loss_exit_2(k4_file, capsys):
+    _assert_exit_2_one_line(["enumerate", k4_file, "--max-loss", "-1"], capsys)
+
+
+@pytest.mark.parametrize("command", ["sweep", "enumerate"])
+def test_unhonoured_format_exit_2(k4_file, capsys, command):
+    argv = [command, k4_file, "--format", "dot"]
+    if command == "sweep":
+        argv += ["--src", "1", "--tgt", "2"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_compose_path_graph(tmp_path, capsys):

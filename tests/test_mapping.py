@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -107,6 +108,82 @@ def test_property_report_fields(path4):
     assert rep.loss == 4
     assert rep.is_translation
     assert rep.ec_violations == 0 and rep.snp_violations == 0
+
+
+def _reference_report(g, m):
+    """Scalar oracle: every pair predicate from geodesic and has_edge."""
+    mapped = sorted(m.mapped)
+    pairs = list(itertools.combinations(mapped, 2))
+    ec_bad = sum(1 for v in mapped if not g.has_edge(v, m(v)))
+    flips = sum(1 for u, v in pairs if g.has_edge(u, v) != g.has_edge(m(u), m(v)))
+
+    def gap(u, v):
+        d1, d2 = g.geodesic(u, v), g.geodesic(m(u), m(v))
+        if d1 == d2:
+            return 0
+        return g.n if math.inf in (d1, d2) else abs(d1 - d2)
+
+    return {
+        "loss": m.loss(),
+        "is_ec": ec_bad == 0,
+        "is_wnp": all(g.has_edge(m(u), m(v)) for u, v in pairs if g.has_edge(u, v)),
+        "is_snp": flips == 0,
+        "is_translation": ec_bad == 0 and flips == 0,
+        "is_isometry": all(gap(u, v) == 0 for u, v in pairs),
+        "ec_violations": ec_bad,
+        "snp_violations": flips,
+        "deformation": sum(gap(u, v) for u, v in pairs),
+    }
+
+
+def test_property_report_matches_scalar_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 8), label="n")
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
+        domain = data.draw(st.frozensets(st.sampled_from(list(g.vertices))), label="domain")
+        targets = data.draw(st.permutations(list(g.vertices)), label="targets")
+        image = {
+            v: BOTTOM if data.draw(st.booleans(), label=f"lose {v}") else w
+            for v, w in zip(sorted(domain), targets)
+        }
+        m = Mapping(domain, g.vertices, image)
+        ref = _reference_report(g, m)
+        rep = property_report(g, m).to_json_dict()
+        assert rep == ref
+        for name, value in rep.items():
+            assert type(value) is (bool if name.startswith("is_") else int), name
+        assert check_ec(g, m) == (ref["is_ec"], ref["ec_violations"])
+        assert check_wnp(g, m) is ref["is_wnp"]
+        assert check_snp(g, m) is ref["is_snp"]
+        assert check_isometry(g, m) is ref["is_isometry"]
+        assert is_translation(g, m) is ref["is_translation"]
+        assert snp_violations(g, m) == ref["snp_violations"]
+        assert deformation(g, m) == ref["deformation"]
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"domain": 5, "codomain": [1, 2], "image": []},
+        {"domain": [1], "codomain": "12", "image": [[1, 2]]},
+        {"domain": [1], "codomain": [1, 2], "image": {"1": 2}},
+        {"domain": ["1"], "codomain": [1, 2], "image": [["1", 2]]},
+        {"domain": [1], "codomain": [1, 2], "image": [[1, 2.0]]},
+        {"domain": [1], "codomain": [1, 2], "image": [[1]]},
+        [1, 2],
+    ],
+)
+def test_mapping_json_rejects_wrong_types(data):
+    with pytest.raises(ValueError):
+        Mapping.from_json_dict(data)
 
 
 def test_decompose_partitions_domain():

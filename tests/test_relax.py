@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from graph_shift import snp_violations
 from graph_shift.graph import Graph, make_complete, make_ring
 from graph_shift.mapping import BOTTOM, Mapping, full_mapping
 from graph_shift.relax import (
@@ -10,7 +11,6 @@ from graph_shift.relax import (
     evaluation_pair,
     pareto_front,
     score,
-    snp_violations,
 )
 
 P = ScoreParams(1.0, 0.1, 0.5, 1)

@@ -21,7 +21,6 @@ from graph_shift.search import (
     localized_sets,
     minimize_s,
     parameter_sweep,
-    worker_count,
 )
 
 P = ScoreParams(1.0, 0.1, 0.5, 1)
@@ -243,25 +242,3 @@ def test_parameter_sweep_rejects_zero_weights():
     x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
     with pytest.raises(ValueError):
         parameter_sweep(g, x, 1, 9, grid=[(0.0, 0.0, 0.0, 1)])
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("GRAPH_SHIFT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GRAPH_SHIFT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("GRAPH_SHIFT_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_sweep_results_independent_of_workers(monkeypatch):
-    g = make_grid([3, 3])
-    x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
-    grid = [(1.0, 0.1, 0.5, 1), (0.5, 0.5, 0.5, 2)]
-    monkeypatch.setenv("GRAPH_SHIFT_THREADS", "1")
-    seq = parameter_sweep(g, x, 1, 9, grid=grid)
-    monkeypatch.setenv("GRAPH_SHIFT_THREADS", "2")
-    par = parameter_sweep(g, x, 1, 9, grid=grid)
-    assert [(r.loss_ratio, r.snp_ratio, r.score) for r in seq] == [
-        (r.loss_ratio, r.snp_ratio, r.score) for r in par
-    ]
