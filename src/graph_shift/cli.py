@@ -144,6 +144,8 @@ def _score_params(args):
 
 
 def cmd_compose(args):
+    if args.format == "dot" and not args.out:
+        raise ValueError("--format dot writes one DOT file per step and needs --out")
     g = Graph.load(args.graph)
     support = (
         set(_parse_ints(args.domain_set))
@@ -158,7 +160,7 @@ def cmd_compose(args):
         sys.stderr.write("no composition found\n")
         return EXIT_NO_RESULT
     _emit(args, _dumps(trace.to_json_dict()))
-    if args.format == "dot" and args.out:
+    if args.format == "dot":
         stem = args.out.rsplit(".", 1)[0]
         for i, (m, _) in enumerate(trace.steps, start=1):
             _atomic_write(f"{stem}_step{i}.dot", graph_to_dot(g, m))

@@ -30,6 +30,9 @@ class EnumerationFilter:
             raise ValueError("max_loss must lie between 0 and the graph order")
         image_set = frozenset(self.require_image_set) if self.require_image_set is not None else None
         domain = frozenset(self.restrict_domain) if self.restrict_domain is not None else None
+        for vs in (image_set, domain):
+            for v in vs or ():
+                g._check_vertex(v)
         return max_loss, image_set, domain
 
 

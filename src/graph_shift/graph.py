@@ -35,6 +35,8 @@ class Graph:
             if len(coords) != n:
                 raise ValueError("coords length must equal vertex count")
         self.n = n
+        #: The vertices as one frozenset, shared by every full-domain mapping.
+        self.vertex_set = frozenset(range(1, n + 1))
         self.edges = frozenset(norm)
         self.coords = coords
         self._adj = [set() for _ in range(n + 1)]
@@ -101,13 +103,6 @@ class Graph:
             return set(self._adj[v])
         row = self._distance_table()[v]
         return {w for w in range(1, self.n + 1) if row[w] == h}
-
-    def adjacency_matrix(self):
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u - 1, v - 1] = 1
-            a[v - 1, u - 1] = 1
-        return a
 
     def to_json_dict(self):
         return {

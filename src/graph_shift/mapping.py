@@ -121,7 +121,7 @@ class Mapping:
 
 def full_mapping(g, image):
     """Mapping on the full vertex set of g from a {vertex: image} dict."""
-    return Mapping(g.vertices, g.vertices, image)
+    return Mapping(g.vertex_set, g.vertex_set, image)
 
 
 def bottom_map(g):

@@ -37,7 +37,7 @@ class ScoreBreakdown:
     total: float
     raw_loss: int
     raw_ec: int
-    raw_def: float
+    raw_def: int
 
     def to_json_dict(self):
         return {
@@ -46,6 +46,21 @@ class ScoreBreakdown:
             "def": self.def_term,
             "total": self.total,
         }
+
+
+def _weigh(p, n1, raw_loss, raw_ec, raw_def):
+    """(loss_term, ec_term, def_term, total) from raw sums over n1 sources.
+
+    The same float expression for Python scalars and numpy arrays alike.
+    With k <= 1 mapped vertices the edge-constraint or deformation sum is 0,
+    so clamping its normalizer to 1 (x + (x == 0), as x >= 0) yields 0.0.
+    """
+    k = n1 - raw_loss  # mapped vertices
+    pairs = k * (k - 1)
+    loss_term = p.alpha * raw_loss / n1
+    ec_term = p.beta * raw_ec / (k + (k == 0))
+    def_term = p.gamma * 2.0 * raw_def / (pairs + (pairs == 0))
+    return loss_term, ec_term, def_term, loss_term + ec_term + def_term
 
 
 def score(g, m, p: ScoreParams) -> ScoreBreakdown:
@@ -63,16 +78,9 @@ def score(g, m, p: ScoreParams) -> ScoreBreakdown:
         raise ValueError("score needs a nonempty domain")
     d_src, d_img, raw_ec = mp._pairs(g, m)
     raw_loss = m.loss()
-    k = n1 - raw_loss  # mapped vertices
-    loss_term = p.alpha * raw_loss / n1
-    ec_term = p.beta * raw_ec / k if k > 0 else 0.0
     # Full-block sums count every unordered pair twice.
-    raw_def = int(mp._gaps(d_src, d_img, g.n).sum()) // 2 if k > 1 else 0.0
-    def_term = p.gamma * 2.0 * raw_def / (k * (k - 1)) if k > 1 else 0.0
-    return ScoreBreakdown(
-        loss_term, ec_term, def_term, loss_term + ec_term + def_term,
-        raw_loss, raw_ec, raw_def,
-    )
+    raw_def = int(mp._gaps(d_src, d_img, g.n).sum()) // 2
+    return ScoreBreakdown(*_weigh(p, n1, raw_loss, raw_ec, raw_def), raw_loss, raw_ec, raw_def)
 
 
 def composition_score(breakdowns):
@@ -98,11 +106,9 @@ def pareto_front(points):
     Minimizes both coordinates; keeps duplicates and preserves input order.
     """
     out = []
-    for i, p in enumerate(points):
+    for p in points:
         dominated = False
-        for j, q in enumerate(points):
-            if i == j:
-                continue
+        for q in points:
             if q[0] <= p[0] and q[1] <= p[1] and (q[0] < p[0] or q[1] < p[1]):
                 dominated = True
                 break

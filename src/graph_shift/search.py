@@ -12,9 +12,9 @@ tables from the distance table: per block position and option, the
 edge-constraint violation and the deformation against the committed pairs,
 and per pair of block positions, the deformation between their options. A
 row's raw sums are table lookups through the template columns, added to the
-committed sums that carry over from the previous round's chosen row. The
-chosen assignment is re-scored with the scalar score function so the
-reported numbers always agree with the reference implementation.
+committed sums that carry over from the previous round's chosen row. Rows
+and the finished step are weighed by `relax._weigh`, the expression behind
+`relax.score`, so each candidate is scored once and the numbers agree.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import mapping as mp
 from .mapping import BOTTOM, Mapping, _gaps
-from .relax import ScoreBreakdown, ScoreParams, evaluation_pair, pareto_front, score
+from .relax import ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front, score
 
 
 @lru_cache(maxsize=128)
@@ -77,9 +77,8 @@ def _score_rows(g, p, done: _Committed, block, pool):
 
     Returns (cols, total, raw_loss, raw_ec, raw_def): the row template of
     `_row_template(len(pool), len(block))` and one value per row. Raw sums
-    stay int64; `total` uses the same float expression as `score`, with
-    normalizers over the would-be assigned set, per the greedy round
-    convention.
+    stay int64; `total` is `_weigh` over the would-be assigned set, per the
+    greedy round convention.
     """
     dist = g.distance_matrix()
     npool, length = len(pool), len(block)
@@ -97,28 +96,20 @@ def _score_rows(g, p, done: _Committed, block, pool):
         d_img = dist[opts[:, None], done.img]
         deform[:, :npool] = _gaps(d_src[:, None, :], d_img[None, :, :], g.n).sum(axis=2)
 
-    raw_ec = done.raw_ec + ec[0][cols[0]]
-    raw_def = done.raw_def + deform[0][cols[0]]
+    raw_ec, raw_def = done.raw_ec, done.raw_def
     if length > 1:
         d_opts = dist[opts[:, None], opts]
         pair = np.zeros((npool + 1, npool + 1), dtype=np.int64)
-    for j in range(1, length):
+    for j in range(length):
         raw_ec += ec[j][cols[j]]
         raw_def += deform[j][cols[j]]
         for i in range(j):
             pair[:npool, :npool] = _gaps(dist[block[i], block[j]], d_opts, g.n)
             raw_def += pair[cols[i], cols[j]]
 
-    lost = bottoms.astype(np.int64)
-    raw_loss = done.raw_loss + lost
-    k_mapped = (len(done.src) + length) - lost
+    raw_loss = done.raw_loss + bottoms.astype(np.int64)
     n1 = len(done.src) + done.raw_loss + length
-    total = p.alpha * raw_loss / n1
-    safe_k = np.maximum(k_mapped, 1)
-    total = total + np.where(k_mapped > 0, p.beta * raw_ec / safe_k, 0.0)
-    safe_pairs = np.maximum(k_mapped * (k_mapped - 1), 1)
-    total = total + np.where(k_mapped > 1, p.gamma * 2.0 * raw_def / safe_pairs, 0.0)
-    return cols, total, raw_loss, raw_ec, raw_def
+    return cols, _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1], raw_loss, raw_ec, raw_def
 
 
 @dataclass
@@ -141,7 +132,8 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     A round scores its candidates through `_score_rows`: a cached index
     template of the rows, per-option cost tables gathered through it, and
     the raw sums of the committed assignment, carried from the previous
-    round's chosen row.
+    round's chosen row. The returned score is `_weigh` over the final sums,
+    equal to `relax.score` of the returned mapping.
     """
     V1 = sorted(set(V1))
     if v1 not in V1:
@@ -150,30 +142,25 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     if stats is not None:
         stats.calls += 1
 
-    assigned = {v1: v2}
     done = _Committed([v1], [v2], 0, int(not g.has_edge(v1, v2)), 0)
-    free_src = [v for v in V1 if v != v1]
-    used = {v2}
-    while free_src:
-        block = free_src[: p.k_block]
-        pool = sorted(targets - used)
+    rest = [v for v in V1 if v != v1]
+    for start in range(0, len(rest), p.k_block):
+        block = rest[start : start + p.k_block]
+        pool = sorted(targets.difference(done.img))
         cols, total, raw_loss, raw_ec, raw_def = _score_rows(g, p, done, block, pool)
         if stats is not None:
             stats.evaluations += len(total)
         best = int(np.argmin(total))
-        options = pool + [BOTTOM]
         for src, t in zip(block, cols[:, best]):
-            tgt = options[t]
-            assigned[src] = tgt
-            if tgt is not BOTTOM:
-                used.add(tgt)
+            if t < len(pool):  # index len(pool) is ⊥
                 done.src.append(src)
-                done.img.append(tgt)
+                done.img.append(pool[t])
         done.raw_loss, done.raw_ec, done.raw_def = raw_loss[best], raw_ec[best], raw_def[best]
-        free_src = free_src[len(block) :]
 
-    result = Mapping(V1, sorted(targets), assigned)
-    return result, score(g, result, p).total
+    image = dict.fromkeys([v1] + rest, BOTTOM)
+    image.update(zip(done.src, done.img))
+    total = _weigh(p, len(V1), done.raw_loss, done.raw_ec, done.raw_def)[-1]
+    return Mapping(V1, sorted(targets), image), float(total)
 
 
 @dataclass
@@ -274,18 +261,19 @@ def best_composition(
     v_tgt,
     p: ScoreParams,
     hops=1,
-    localized=True,
     stats: Optional[SearchStats] = None,
     seed=None,
     graph_ref=None,
 ) -> TranslationTrace:
-    """Chain approximate translations from v_src to v_tgt, minimizing total score.
+    """Chain approximate translations from v_src to v_tgt at a low total score.
 
-    Classic Dijkstra over anchor vertices: settling an anchor fixes the best
-    chain reaching it (step scores are non-negative, so accumulated scores
-    are monotone along chains). Each settled anchor expands to the unvisited
-    vertices of its carried support's hop-frontier via minimize_s. Ties in
-    the queue break on (score, vertex index, insertion order).
+    A heuristic over anchors: a Dijkstra queue keyed by accumulated score
+    settles each anchor vertex once, with the support its first chain
+    carries, and expands it to the unvisited vertices of that support's
+    hop-frontier via minimize_s. A step's cost depends on the carried
+    support, so the chain found need not be the cheapest one (a brute-force
+    chain oracle in the tests pins such a gap). Ties in the queue break on
+    (score, vertex index, insertion order).
     """
     V1_init = frozenset(V1_init)
     if v_src not in V1_init:
@@ -308,10 +296,7 @@ def best_composition(
             break
         if step_map is not None:
             support = frozenset(step_map.image_set)
-        if localized:
-            V2 = expand_support(g, support, hops)
-        else:
-            V2 = set(g.vertices)
+        V2 = expand_support(g, support, hops)
         for v2 in sorted(V2 - {v1}):
             if v2 in visited:
                 continue
@@ -332,7 +317,7 @@ def best_composition(
     chain.reverse()
 
     steps = [(m, score(g, m, p)) for m in chain]
-    cumulative = sum(b.total for _, b in steps)
+    cumulative = composition_score(b for _, b in steps)
     trace = TranslationTrace(True, steps, cumulative, None, p, v_src, v_tgt, seed, graph_ref)
     composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
     trace.final_pair = evaluation_pair(g, composed)

@@ -187,6 +187,26 @@ def test_compose_dot_steps(tmp_path):
     assert (tmp_path / "trace_step2.dot").exists()
 
 
+def test_compose_dot_without_out_exit_2(tmp_path, capsys, monkeypatch):
+    gp = tmp_path / "ring5.json"
+    make_ring(5).save(gp)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr("graph_shift.cli.best_composition", no_search)
+    _assert_exit_2_one_line(
+        ["compose", str(gp), "--src", "1", "--tgt", "3", "--format", "dot"], capsys
+    )
+
+
+@pytest.mark.parametrize("flag, vertices", [("--image-set", "1,99"), ("--domain-set", "0,-1")])
+def test_enumerate_out_of_range_vertex_set_exit_2(tmp_path, capsys, flag, vertices):
+    gp = tmp_path / "ring5.json"
+    make_ring(5).save(gp)
+    _assert_exit_2_one_line(["enumerate", str(gp), flag, vertices], capsys)
+
+
 def test_sweep_csv(tmp_path):
     gp = tmp_path / "g.json"
     make_grid([3, 3]).save(gp)

@@ -120,6 +120,12 @@ def test_exists_translation_between_star_negative():
     assert exists_translation_between(g, {2, 3}, {1, 4}) is None
 
 
+@pytest.mark.parametrize("v1_set, v2_set", [({1, 2}, {2, 99}), ({0, 1}, {2, 3})])
+def test_exists_translation_between_rejects_out_of_range_vertex(v1_set, v2_set):
+    with pytest.raises(ValueError, match="out of range"):
+        exists_translation_between(make_ring(5), v1_set, v2_set)
+
+
 def test_minimal_on_k4_is_derangement_set():
     g = make_complete(4)
     mins = minimal_translations(g)

@@ -122,6 +122,32 @@ def test_vectorized_scores_property():
     check()
 
 
+def test_minimize_s_score_equals_scalar_score_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 9), label="n")
+        r = data.draw(st.sampled_from([0.3, 0.45, 0.7]), label="r")
+        g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
+        vertices = list(g.vertices)
+        V1 = data.draw(st.sets(st.sampled_from(vertices), min_size=1, max_size=5), label="V1")
+        v1 = data.draw(st.sampled_from(sorted(V1)), label="v1")
+        V2 = data.draw(
+            st.sampled_from([expand_support(g, V1, 1), set(vertices), set()]), label="V2"
+        )
+        v2 = data.draw(st.sampled_from(vertices), label="v2")
+        k = data.draw(st.integers(1, 3), label="k_block")
+        p = ScoreParams(*[data.draw(st.sampled_from(DEFAULT_WEIGHTS)) for _ in range(3)], k)
+        m, s = minimize_s(v1, v2, g, V1, V2, p)
+        assert type(s) is float
+        assert s == score(g, m, p).total
+
+    check()
+
+
 def test_greedy_matches_exhaustive_at_zero_floor():
     dims = [5, 5]
     g = make_torus(dims)
@@ -182,6 +208,55 @@ def test_trace_scores_are_prefix_monotone_and_consistent():
     assert prefix == sorted(prefix)
     composed = tr.composed()
     assert 9 in composed.image_set  # target reached by the replay
+
+
+def _chain_oracle(g, V1, v_src, v_tgt, p, max_steps=4):
+    """Cheapest chain of at most max_steps best_composition steps, revisits allowed.
+
+    Each step is minimize_s from (anchor, carried support) to a vertex of the
+    support's 1-hop frontier; branches are pruned by the running best, which
+    is sound because step scores are non-negative. Returns (score, anchors).
+    """
+    best = [math.inf, None]
+
+    def walk(v1, support, total, anchors):
+        V2 = expand_support(g, support, 1)
+        for v2 in sorted(V2 - {v1}):
+            m, s = minimize_s(v1, v2, g, sorted(support), V2, p)
+            if total + s >= best[0]:
+                continue
+            if v2 == v_tgt:
+                best[:] = [total + s, anchors + [v2]]
+            elif len(anchors) < max_steps:
+                walk(v2, frozenset(m.image_set), total + s, anchors + [v2])
+
+    walk(v_src, frozenset(V1), 0.0, [v_src])
+    return tuple(best)
+
+
+def test_best_composition_is_a_heuristic_over_anchors():
+    # The search settles 8 through the direct step; the three-step chain
+    # 13 -> 5 -> 1 -> 8 costs less in total, because a step's cost depends
+    # on the support it carries and each anchor is settled only once.
+    g = make_random_geometric(14, 0.4, 26)
+    V1 = expand_support(g, {13}, 1)
+    tr = best_composition(g, V1, 13, 8, P)
+    assert len(tr.steps) == 1
+    assert tr.cumulative_score == pytest.approx(0.07, abs=1e-12)
+    cost, anchors = _chain_oracle(g, V1, 13, 8, P)
+    assert anchors == [13, 5, 1, 8]
+    assert cost == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed, v_tgt", [(3, 8), (5, 5), (9, 5)])
+def test_chain_oracle_never_worse_than_search(seed, v_tgt):
+    g = make_random_geometric(14, 0.4, seed)
+    V1 = expand_support(g, {1}, 1)
+    tr = best_composition(g, V1, 1, v_tgt, P)
+    assert tr.found and len(tr.steps) <= 4
+    cost, anchors = _chain_oracle(g, V1, 1, v_tgt, P)
+    assert anchors[-1] == v_tgt
+    assert cost <= tr.cumulative_score
 
 
 def test_trace_json_deterministic():
