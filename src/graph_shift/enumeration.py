@@ -8,11 +8,9 @@ consistency checked against every previously assigned vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import groupby
 from math import comb, factorial
 from typing import Optional
-
-import numpy as np
 
 from .mapping import BOTTOM, full_mapping
 
@@ -126,37 +124,27 @@ def exists_translation_between(g, v1_set, v2_set):
     return found[0] if found else None
 
 
-#: Cells of one block of the shared-assignment relation (4 MB in float32).
-_BLOCK_CELLS = 1 << 20
-
-
 def _unpreceded(translations, inductive):
     """Mask of the translations that no lower-loss translation precedes.
 
-    With `inductive`, only lower-loss translations that are themselves kept
-    count. Each translation is a one-hot row over its (vertex, image)
-    assignments, bottom included, so a row product counts shared assignments
-    over the common domain, exactly as `precedes` tests them. Loss levels go
-    in ascending order, a block of rows at a time, so no T x T relation is
-    ever held in memory.
+    `precedes` asks only for strictly lower loss and one shared (vertex,
+    image) assignment over the common domain, bottom included. So a
+    translation is preceded iff one of its assignments was already seen at a
+    lower loss level. Levels go in ascending order; each is decided against
+    the set of assignments seen so far, which then takes the items of all the
+    level's translations or, with `inductive`, of its kept ones only.
     """
-    symbols = {}
-    rows = [[symbols.setdefault(a, len(symbols)) for a in m.items()] for m in translations]
-    onehot = np.zeros((len(rows), len(symbols)), dtype=np.float32)
-    for i, cols in enumerate(rows):
-        onehot[i, cols] = 1.0
-    loss = np.array([m.loss() for m in translations], dtype=np.int64)
-    keep = np.ones(len(rows), dtype=bool)
-    below = np.empty(0, dtype=np.int64)
-    for level in np.unique(loss):
-        idx = np.flatnonzero(loss == level)
-        if below.size:
-            ref = onehot[below].T
-            step = max(1, _BLOCK_CELLS // below.size)
-            for start in range(0, idx.size, step):
-                blk = idx[start : start + step]
-                keep[blk] = ~((onehot[blk] @ ref) > 0).any(axis=1)
-        below = np.concatenate([below, idx[keep[idx]] if inductive else idx])
+    loss = [m.loss() for m in translations]
+    keep = [False] * len(translations)
+    seen = set()
+    order = sorted(range(len(loss)), key=loss.__getitem__)
+    for _, level in groupby(order, key=loss.__getitem__):
+        level = list(level)
+        for i in level:
+            keep[i] = seen.isdisjoint(translations[i].items())
+        for i in level:
+            if keep[i] or not inductive:
+                seen.update(translations[i].items())
     return keep
 
 
@@ -266,39 +254,6 @@ def hamiltonian_cycle_translation(g):
         return None
     image = {path[i]: path[(i + 1) % g.n] for i in range(g.n)}
     return full_mapping(g, image)
-
-
-def naive_oracle(g, f=None):
-    """Reference enumerator: every image tuple, filtered. Exponential; tests only."""
-    from itertools import product
-
-    f = f or EnumerationFilter()
-    max_loss, image_set, domain = f.normalized(g)
-    verts = list(g.vertices)
-    found = []
-    for tup in product([BOTTOM] + verts, repeat=g.n):
-        nz = [w for w in tup if w is not BOTTOM]
-        if len(nz) != len(set(nz)):
-            continue
-        m = {v: tup[v - 1] for v in verts}
-        if any(w is not BOTTOM and not g.has_edge(v, w) for v, w in m.items()):
-            continue
-        ok = True
-        for u, v in combinations([v for v in verts if m[v] is not BOTTOM], 2):
-            if g.has_edge(u, v) != g.has_edge(m[u], m[v]):
-                ok = False
-                break
-        if not ok:
-            continue
-        loss = g.n - len(nz)
-        if max_loss is not None and loss > max_loss:
-            continue
-        if domain is not None and any(m[v] is not BOTTOM for v in verts if v not in domain):
-            continue
-        if image_set is not None and set(nz) != set(image_set):
-            continue
-        found.append(full_mapping(g, m))
-    return sorted(found, key=_sort_key(g))
 
 
 def min_loss(g, upper=None):

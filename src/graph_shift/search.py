@@ -214,8 +214,10 @@ class TranslationTrace:
 def expand_support(g, support, hops=1):
     """Support plus every vertex within the given hop count of it.
 
-    Raises ValueError for a support vertex outside 1..n.
+    Raises ValueError for a negative hop count or a support vertex outside 1..n.
     """
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
     for v in support:
         g._check_vertex(v)
     out = set(support)
@@ -227,9 +229,8 @@ def expand_support(g, support, hops=1):
 
 
 def localized_sets(g, x):
-    """Support of a signal and the per-step target-set rule for it.
+    """Support of a signal: the vertices where x is nonzero.
 
-    Returns (V1, expand) where expand(support) adds the 1-hop frontier.
     A disconnected support is allowed but warned about: the search then
     moves each fragment through whatever frontier it happens to share.
     """
@@ -238,7 +239,7 @@ def localized_sets(g, x):
         raise ValueError("signal support is empty")
     if not _induced_connected(g, support):
         warnings.warn("signal support induces a disconnected subgraph")
-    return support, lambda s: expand_support(g, s, 1)
+    return support
 
 
 def _induced_connected(g, vs):
@@ -360,7 +361,7 @@ def parameter_sweep(g, x, v_src, v_tgt, grid=None, hops=1, seed=None) -> list:
     that order.
     """
     grid = list(grid) if grid is not None else default_grid()
-    V1, _ = localized_sets(g, x)
+    V1 = localized_sets(g, x)
     if v_src not in V1:
         raise ValueError("v_src must carry signal")
     traces = [

@@ -34,12 +34,12 @@ from graph_shift.enumeration import (
     count_upper_bound,
     enumerate_translations,
     min_loss,
-    naive_oracle,
 )
 from graph_shift.euclid import dirac, dirac_shift_loss, euclidean_on_grid, euclidean_on_torus
 from graph_shift.relax import ScoreParams, score
 from graph_shift.search import SearchStats, best_composition, expand_support, minimize_s, parameter_sweep
 from graph_shift import cli
+from oracles import naive_oracle
 
 
 def _random_graph(rng, n, p):

@@ -177,6 +177,13 @@ def test_out_of_range_source_exit_2(tmp_path, capsys, command, src):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compose", "sweep"])
+def test_negative_hops_exit_2(tmp_path, capsys, command):
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    _assert_exit_2_one_line([command, str(gp), "--src", "1", "--tgt", "3", "--hops", "-1"], capsys)
+
+
 def test_compose_dot_steps(tmp_path):
     gp = tmp_path / "p.json"
     Graph(3, [(1, 2), (2, 3)]).save(gp)

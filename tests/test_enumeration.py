@@ -14,12 +14,12 @@ from graph_shift.enumeration import (
     has_perfect_matching,
     min_loss,
     minimal_translations,
-    naive_oracle,
     perfect_matching_translation,
     pseudo_minimal_translations,
 )
 from graph_shift.graph import Graph, make_complete, make_grid, make_ring
 from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, is_translation, precedes
+from oracles import naive_oracle
 
 
 def all_graphs(n):
@@ -126,11 +126,15 @@ def test_exists_translation_between_rejects_out_of_range_vertex(v1_set, v2_set):
         exists_translation_between(make_ring(5), v1_set, v2_set)
 
 
-def test_minimal_on_k4_is_derangement_set():
-    g = make_complete(4)
-    mins = minimal_translations(g)
-    assert len(mins) == 9
+@pytest.mark.parametrize("n", range(3, 8))
+def test_minimal_on_complete_graph_is_derangement_set(n):
+    # K7 (63,840 translations, 1,854 minimal) is the scale of the census.
+    g = make_complete(n)
+    ts = enumerate_translations(g)
+    mins = minimal_translations(g, ts)
+    assert len(mins) == count_minimal_upper_bound(n)
     assert all(m.is_lossless() for m in mins)
+    assert pseudo_minimal_translations(g, ts) == mins + [bottom_map(g)]
 
 
 def test_minimal_on_edgeless_is_bottom():

@@ -270,12 +270,12 @@ def test_trace_json_deterministic():
 
 def test_localized_sets_examples():
     g = make_ring(5)
-    V1, expand = localized_sets(g, [1, 0, 0, 0, 0])
+    V1 = localized_sets(g, [1, 0, 0, 0, 0])
     assert V1 == {1}
-    assert len(expand(V1)) == 3
+    assert len(expand_support(g, V1, 1)) == 3
 
-    full, expand_full = localized_sets(g, [1] * 5)
-    assert expand_full(full) == set(g.vertices)
+    full = localized_sets(g, [1] * 5)
+    assert expand_support(g, full, 1) == set(g.vertices)
 
     t = make_torus([5, 5])
     ball = expand_support(t, {13}, 1)
@@ -296,6 +296,13 @@ def test_expand_support_rejects_out_of_range_vertices():
     for bad in (0, -1, 6):
         with pytest.raises(ValueError):
             expand_support(g, {1, bad}, 1)
+
+
+def test_expand_support_rejects_negative_hops():
+    g = make_ring(5)
+    assert expand_support(g, {3}, 0) == {3}
+    with pytest.raises(ValueError, match="hops"):
+        expand_support(g, {3}, -1)
 
 
 def test_hops_flag_widens_targets():
