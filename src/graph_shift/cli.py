@@ -143,15 +143,18 @@ def _score_params(args):
     return ScoreParams(args.alpha, args.beta, args.gamma, args.k)
 
 
+def _support(g, args):
+    """The --domain-set vertices, or --src with its neighbours."""
+    if args.domain_set:
+        return set(_parse_ints(args.domain_set))
+    return expand_support(g, {args.src}, 1)
+
+
 def cmd_compose(args):
     if args.format == "dot" and not args.out:
         raise ValueError("--format dot writes one DOT file per step and needs --out")
     g = Graph.load(args.graph)
-    support = (
-        set(_parse_ints(args.domain_set))
-        if args.domain_set
-        else expand_support(g, {args.src}, 1)
-    )
+    support = _support(g, args)
     trace = best_composition(
         g, support, args.src, args.tgt, _score_params(args),
         hops=args.hops, seed=args.seed, graph_ref=args.graph,
@@ -169,11 +172,7 @@ def cmd_compose(args):
 
 def cmd_sweep(args):
     g = Graph.load(args.graph)
-    support = (
-        set(_parse_ints(args.domain_set))
-        if args.domain_set
-        else expand_support(g, {args.src}, 1)
-    )
+    support = _support(g, args)
     x = [1.0 if v in support else 0.0 for v in g.vertices]
     records = parameter_sweep(g, x, args.src, args.tgt, hops=args.hops, seed=args.seed)
     if not any(r.found for r in records):

@@ -34,20 +34,19 @@ class EnumerationFilter:
         return max_loss, image_set, domain
 
 
-def _search(g, f, first_only=False):
-    """Backtracking over image assignments; yields full-domain translations.
+def _search(g, f):
+    """Backtracking over image assignments: a generator of full-domain translations.
 
-    Vertices are assigned in ascending-degree order (most constrained first
-    under the edge constraint); bottom is tried last so lossless solutions
-    surface first. Consistency against assigned vertices enforces both the
-    edge constraint and the edge-iff-image-edge property.
+    Vertices are assigned in index order, each trying its images in ascending
+    order with bottom last, so translations come sorted by image tuple with
+    bottom after every vertex. Consistency against assigned vertices enforces
+    both the edge constraint and the edge-iff-image-edge property. The filter
+    is validated on the call, before the first translation is drawn.
     """
     max_loss, image_set, domain = f.normalized(g)
-    order = sorted(g.vertices, key=lambda v: (g.degree(v), v))
-    n = len(order)
+    n = g.n
     image = {}
     used = set()
-    results = []
 
     def candidates(v):
         cands = sorted(g.neighbors(v))
@@ -58,10 +57,9 @@ def _search(g, f, first_only=False):
         return cands
 
     def consistent(v, w):
+        nv, nw = g.neighbors(v), g.neighbors(w)
         for u, x in image.items():
-            if x is BOTTOM:
-                continue
-            if g.has_edge(u, v) != g.has_edge(x, w):
+            if x is not BOTTOM and (u in nv) != (x in nw):
                 return False
         return True
 
@@ -75,53 +73,40 @@ def _search(g, f, first_only=False):
                 return False
         return True
 
-    def recurse(depth, bottoms):
-        if depth == n:
-            if image_set is not None and used != image_set:
-                return False
-            results.append(full_mapping(g, dict(image)))
-            return first_only
-        v = order[depth]
+    def recurse(v, bottoms):
+        if v > n:
+            if image_set is None or used == image_set:
+                yield full_mapping(g, dict(image))
+            return
         for w in candidates(v):
             if w in used or not consistent(v, w):
                 continue
             image[v] = w
             used.add(w)
-            if feasible(depth + 1, bottoms) and recurse(depth + 1, bottoms):
-                return True
+            if feasible(v, bottoms):
+                yield from recurse(v + 1, bottoms)
             del image[v]
             used.discard(w)
         image[v] = BOTTOM
-        done = feasible(depth + 1, bottoms + 1) and recurse(depth + 1, bottoms + 1)
+        if feasible(v, bottoms + 1):
+            yield from recurse(v + 1, bottoms + 1)
         del image[v]
-        return done
 
-    recurse(0, 0)
-    return results
-
-
-def _sort_key(g):
-    big = g.n + 1
-
-    def key(m):
-        return tuple(big if w is BOTTOM else w for w in m.image_tuple())
-
-    return key
+    return recurse(1, 0)
 
 
 def enumerate_translations(g, f=None):
-    """All full-domain translations of g satisfying the filter, in a fixed order."""
-    f = f or EnumerationFilter()
-    return sorted(_search(g, f), key=_sort_key(g))
+    """All full-domain translations of g passing the filter, by image tuple, bottom last."""
+    return list(_search(g, f or EnumerationFilter()))
 
 
 def exists_translation_between(g, v1_set, v2_set):
-    """A witness translation with sources in v1_set and image exactly v2_set."""
+    """The first translation, in enumeration order, with sources in v1_set and
+    image exactly v2_set; None when there is none."""
     f = EnumerationFilter(
         require_image_set=frozenset(v2_set), restrict_domain=frozenset(v1_set)
     )
-    found = _search(g, f, first_only=True)
-    return found[0] if found else None
+    return next(_search(g, f), None)
 
 
 def _unpreceded(translations, inductive):
@@ -260,7 +245,6 @@ def min_loss(g, upper=None):
     """Smallest loss over all translations, by iterative-deepening search."""
     upper = g.n if upper is None else upper
     for budget in range(upper + 1):
-        f = EnumerationFilter(max_loss=budget)
-        if _search(g, f, first_only=True):
+        if next(_search(g, EnumerationFilter(max_loss=budget)), None) is not None:
             return budget
     return g.n

@@ -25,31 +25,27 @@ def dirac(d, i, sign=1):
     return tuple(vec)
 
 
-def euclidean_on_torus(dims, delta):
+def _shift(dims, delta, wrap):
+    """Coordinate shift by delta on the torus (wrap) or the grid (bottom outside)."""
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")
-    g = make_torus(dims)
+    g = make_torus(dims) if wrap else make_grid(dims)
     image = {}
     for v in g.vertices:
-        c = index_to_coord(v, dims)
-        shifted = tuple((c[i] - 1 + delta[i]) % dims[i] + 1 for i in range(len(dims)))
-        image[v] = coord_to_index(shifted, dims)
+        shifted = [c + s for c, s in zip(index_to_coord(v, dims), delta)]
+        if wrap:
+            shifted = [(c - 1) % d + 1 for c, d in zip(shifted, dims)]
+        inside = all(1 <= c <= d for c, d in zip(shifted, dims))
+        image[v] = coord_to_index(shifted, dims) if inside else BOTTOM
     return full_mapping(g, image)
+
+
+def euclidean_on_torus(dims, delta):
+    return _shift(dims, delta, wrap=True)
 
 
 def euclidean_on_grid(dims, delta):
-    if len(delta) != len(dims):
-        raise ValueError("delta length must match dims")
-    g = make_grid(dims)
-    image = {}
-    for v in g.vertices:
-        c = index_to_coord(v, dims)
-        shifted = tuple(c[i] + delta[i] for i in range(len(dims)))
-        if all(1 <= shifted[i] <= dims[i] for i in range(len(dims))):
-            image[v] = coord_to_index(shifted, dims)
-        else:
-            image[v] = BOTTOM
-    return full_mapping(g, image)
+    return _shift(dims, delta, wrap=False)
 
 
 def contaminate_torus(g: Graph, dims, v1, image_of_v1):

@@ -39,7 +39,7 @@ class Graph:
         self.vertex_set = frozenset(range(1, n + 1))
         self.edges = frozenset(norm)
         self.coords = coords
-        self._adj = [set() for _ in range(n + 1)]
+        self._adj = {v: set() for v in range(1, n + 1)}
         for u, v in norm:
             self._adj[u].add(v)
             self._adj[v].add(u)
@@ -50,13 +50,17 @@ class Graph:
         return range(1, self.n + 1)
 
     def has_edge(self, u, v):
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
     def neighbors(self, v):
-        return self._adj[v]
+        """Neighbour set of v; raises ValueError for a vertex outside 1..n."""
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}") from None
 
     def degree(self, v):
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def _check_vertex(self, v):
         if not (1 <= v <= self.n):
@@ -189,19 +193,23 @@ def make_complete(n):
     return Graph(n, combinations(range(1, n + 1), 2))
 
 
-def make_grid(dims):
-    """Lattice graph on 1..d[1] x ... x 1..d[D], unit steps along one axis."""
-    dims = _check_dims(dims)
+def _lattice(dims, wrap):
+    """Unit steps along one axis; the successor of the last point wraps iff wrap."""
     n = math.prod(dims)
     coords = [index_to_coord(v, dims) for v in range(1, n + 1)]
     edges = []
     for v, c in enumerate(coords, start=1):
         for i, d in enumerate(dims):
-            if c[i] < d:
+            if wrap or c[i] < d:
                 succ = list(c)
-                succ[i] += 1
+                succ[i] = c[i] % d + 1
                 edges.append((v, coord_to_index(succ, dims)))
     return Graph(n, edges, coords)
+
+
+def make_grid(dims):
+    """Lattice graph on 1..d[1] x ... x 1..d[D], unit steps along one axis."""
+    return _lattice(_check_dims(dims), wrap=False)
 
 
 def make_torus(dims):
@@ -209,15 +217,7 @@ def make_torus(dims):
     dims = _check_dims(dims)
     if any(d < 3 for d in dims):
         raise ValueError("torus dimensions must all be >= 3 to stay a simple graph")
-    n = math.prod(dims)
-    coords = [index_to_coord(v, dims) for v in range(1, n + 1)]
-    edges = []
-    for v, c in enumerate(coords, start=1):
-        for i, d in enumerate(dims):
-            succ = list(c)
-            succ[i] = c[i] % d + 1
-            edges.append((v, coord_to_index(succ, dims)))
-    return Graph(n, edges, coords)
+    return _lattice(dims, wrap=True)
 
 
 def make_ring(n):

@@ -8,6 +8,7 @@ the net mapping but is monotone along a chain of steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import mapping as mp
@@ -21,8 +22,8 @@ class ScoreParams:
     k_block: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("weights must be finite and non-negative")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one weight must be positive")
         if self.k_block < 1:

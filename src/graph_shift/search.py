@@ -277,6 +277,8 @@ def best_composition(
     (score, vertex index, insertion order).
     """
     V1_init = frozenset(V1_init)
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
     if v_src not in V1_init:
         raise ValueError("v_src must belong to the initial support")
     g._check_vertex(v_tgt)

@@ -2,7 +2,7 @@
 
 from itertools import combinations, product
 
-from graph_shift.enumeration import EnumerationFilter, _sort_key
+from graph_shift.enumeration import EnumerationFilter
 from graph_shift.mapping import BOTTOM, full_mapping
 
 
@@ -34,4 +34,5 @@ def naive_oracle(g, f=None):
         if image_set is not None and set(nz) != set(image_set):
             continue
         found.append(full_mapping(g, m))
-    return sorted(found, key=_sort_key(g))
+    big = g.n + 1
+    return sorted(found, key=lambda m: tuple(big if w is BOTTOM else w for w in m.image_tuple()))

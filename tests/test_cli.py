@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -252,3 +254,71 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
+
+
+def test_compose_negative_hops_at_target_exit_2(tmp_path, capsys):
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    _assert_exit_2_one_line(["compose", str(gp), "--src", "1", "--tgt", "1", "--hops", "-1"], capsys)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [["--alpha", "nan"], ["--beta=-inf"], ["--alpha", "inf", "--beta", "0", "--gamma", "0"]],
+)
+def test_compose_non_finite_weight_exit_2(tmp_path, capsys, weights):
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    _assert_exit_2_one_line(["compose", str(gp), "--src", "1", "--tgt", "3", *weights], capsys)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_fuzz_exit_codes(tmp_path):
+    """compose and enumerate keep the 0/2/3/4 exit contract on arbitrary flag values."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    small = st.integers(-2, 7).map(str)
+    weight = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1"])
+
+    def flag(name, values):
+        return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+    compose = st.tuples(
+        st.just(["compose", str(gp)]),
+        small.map(lambda v: [f"--src={v}"]),
+        small.map(lambda v: [f"--tgt={v}"]),
+        flag("--hops", small),
+        flag("--k", small),
+        flag("--alpha", weight),
+        flag("--beta", weight),
+        flag("--gamma", weight),
+    )
+    vertex_set = st.lists(small, max_size=3).map(",".join)
+    enumerate_ = st.tuples(
+        st.just(["enumerate", str(gp)]),
+        flag("--max-loss", small),
+        flag("--image-set", vertex_set),
+        flag("--domain-set", vertex_set),
+        st.sampled_from([[], ["--lossless"], ["--minimal"]]),
+    )
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.one_of(compose, enumerate_).map(lambda parts: sum(parts, [])))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and argv[0] == "compose":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    check()

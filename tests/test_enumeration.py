@@ -17,7 +17,7 @@ from graph_shift.enumeration import (
     perfect_matching_translation,
     pseudo_minimal_translations,
 )
-from graph_shift.graph import Graph, make_complete, make_grid, make_ring
+from graph_shift.graph import Graph, make_complete, make_grid, make_random_geometric, make_ring
 from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, is_translation, precedes
 from oracles import naive_oracle
 
@@ -118,6 +118,24 @@ def test_exists_translation_between_star_negative():
     # star: center 1, leaves 2..4 — two leaves cannot land on center+leaf
     g = Graph(4, [(1, 2), (1, 3), (1, 4)])
     assert exists_translation_between(g, {2, 3}, {1, 4}) is None
+
+
+@pytest.mark.parametrize(
+    "g, sizes",
+    [
+        (make_grid([3, 3]), (3, 2)),
+        (make_random_geometric(7, 0.5, 1), (3, 2)),
+        (make_random_geometric(7, 0.6, 4), (2, 2)),
+        (Graph(6, [(1, 2), (2, 3), (3, 1), (4, 5)]), (3, 3)),
+    ],
+    ids=["grid3x3", "geometric7-1", "geometric7-4", "triangle-and-edge"],
+)
+def test_exists_translation_between_is_first_enumerated(g, sizes):
+    for v1 in itertools.combinations(g.vertices, sizes[0]):
+        for v2 in itertools.combinations(g.vertices, sizes[1]):
+            f = EnumerationFilter(require_image_set=frozenset(v2), restrict_domain=frozenset(v1))
+            found = enumerate_translations(g, f)
+            assert exists_translation_between(g, v1, v2) == (found[0] if found else None)
 
 
 @pytest.mark.parametrize("v1_set, v2_set", [({1, 2}, {2, 99}), ({0, 1}, {2, 3})])

@@ -98,3 +98,11 @@ def test_distance_matrix_symmetry():
     g = make_random_geometric(20, 0.4, seed=1)
     d = g.distance_matrix()
     assert (d[1:, 1:] == d[1:, 1:].T).all()
+
+
+@pytest.mark.parametrize("v", [-1, 0, 6])
+def test_accessors_reject_out_of_range_vertices(v):
+    g = make_ring(5)
+    for access in (g.neighbors, g.degree, lambda u: g.has_edge(u, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            access(v)

@@ -139,3 +139,11 @@ def test_pareto_front_keeps_duplicates_and_order():
     pts = [(0.1, 0.1, 1), (0.1, 0.1, 2)]
     assert pareto_front(pts) == pts
     assert pareto_front([(0.3, 0.4, None)]) == [(0.3, 0.4, None)]
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_weights(weight):
+    for field in ("alpha", "beta", "gamma"):
+        weights = {"alpha": 1.0, "beta": 0.1, "gamma": 0.5, field: weight}
+        with pytest.raises(ValueError, match="finite"):
+            ScoreParams(**weights, k_block=1)

@@ -324,3 +324,9 @@ def test_parameter_sweep_rejects_zero_weights():
     x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
     with pytest.raises(ValueError):
         parameter_sweep(g, x, 1, 9, grid=[(0.0, 0.0, 0.0, 1)])
+
+
+def test_best_composition_rejects_negative_hops_at_target():
+    g = make_ring(5)
+    with pytest.raises(ValueError, match="hops"):
+        best_composition(g, {1, 2}, 1, 1, ScoreParams(), hops=-1)
