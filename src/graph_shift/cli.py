@@ -81,32 +81,22 @@ def graph_to_dot(g, m=None):
     return "\n".join(lines) + "\n"
 
 
-#: Flags each generator kind cannot run without.
-GEN_REQUIRES = {
-    "complete": ("n",),
-    "ring": ("n",),
-    "grid": ("dims",),
-    "torus": ("dims",),
-    "geometric": ("n", "r"),
+#: Each generator kind: the flags it cannot run without, and its builder.
+GENERATORS = {
+    "complete": (("n",), lambda a: make_complete(a.n)),
+    "ring": (("n",), lambda a: make_ring(a.n)),
+    "grid": (("dims",), lambda a: make_grid(_parse_ints(a.dims))),
+    "torus": (("dims",), lambda a: make_torus(_parse_ints(a.dims))),
+    "geometric": (("n", "r"), lambda a: make_random_geometric(a.n, a.r, a.seed)),
 }
 
 
 def cmd_gen(args):
-    kind = args.kind
-    missing = [f"--{flag}" for flag in GEN_REQUIRES[kind] if getattr(args, flag) is None]
+    requires, build = GENERATORS[args.kind]
+    missing = [f"--{flag}" for flag in requires if getattr(args, flag) is None]
     if missing:
-        raise ValueError(f"gen {kind} needs {' and '.join(missing)}")
-    if kind == "complete":
-        g = make_complete(args.n)
-    elif kind == "ring":
-        g = make_ring(args.n)
-    elif kind == "grid":
-        g = make_grid(_parse_ints(args.dims))
-    elif kind == "torus":
-        g = make_torus(_parse_ints(args.dims))
-    else:
-        g = make_random_geometric(args.n, args.r, args.seed)
-    _emit(args, _dumps(g.to_json_dict()))
+        raise ValueError(f"gen {args.kind} needs {' and '.join(missing)}")
+    _emit(args, _dumps(build(args).to_json_dict()))
     return EXIT_OK
 
 
@@ -204,7 +194,7 @@ def build_parser():
             p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("gen", help="generate a graph file")
-    p.add_argument("kind", choices=["complete", "ring", "grid", "torus", "geometric"])
+    p.add_argument("kind", choices=list(GENERATORS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--dims", default=None)
@@ -258,10 +248,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:  # JSONDecodeError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
     except OSError as exc:

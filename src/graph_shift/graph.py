@@ -50,6 +50,7 @@ class Graph:
         return range(1, self.n + 1)
 
     def has_edge(self, u, v):
+        self._check_vertex(v)
         return v in self.neighbors(u)
 
     def neighbors(self, v):
@@ -63,14 +64,16 @@ class Graph:
         return len(self.neighbors(v))
 
     def _check_vertex(self, v):
+        if not _is_int(v):
+            raise ValueError(f"vertex {v!r} is not an integer")
         if not (1 <= v <= self.n):
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
     def _distance_table(self):
-        # Single-writer discipline: first access computes, later accesses read.
         if self._dist is None:
             n = self.n
-            dist = np.full((n + 1, n + 1), -1, dtype=np.int64)
+            unreachable = 2 * n
+            dist = np.full((n + 1, n + 1), unreachable, dtype=np.int64)
             for src in range(1, n + 1):
                 dist[src, src] = 0
                 queue = deque([src])
@@ -79,22 +82,22 @@ class Graph:
                     u = queue.popleft()
                     du = row[u]
                     for w in self._adj[u]:
-                        if row[w] < 0:
+                        if row[w] == unreachable:
                             row[w] = du + 1
                             queue.append(w)
             self._dist = dist
         return self._dist
 
     def distance_matrix(self):
-        """All-pairs hop counts as an (n+1, n+1) int array; -1 means unreachable."""
+        """All-pairs hop counts as an (n+1, n+1) int array; 2n means unreachable."""
         return self._distance_table()
 
     def geodesic(self, u, v):
         """Hop distance between u and v; INF across components."""
         self._check_vertex(u)
         self._check_vertex(v)
-        d = self._distance_table()[u, v]
-        return INF if d < 0 else int(d)
+        d = int(self._distance_table()[u, v])
+        return INF if d == 2 * self.n else d
 
     def neighborhood(self, v, h):
         """Vertices at geodesic distance exactly h from v."""
@@ -103,6 +106,8 @@ class Graph:
             raise ValueError("hop count must be non-negative")
         if h == 0:
             return {v}
+        if h >= self.n:  # finite distances are at most n - 1
+            return set()
         if h == 1:
             return set(self._adj[v])
         row = self._distance_table()[v]
@@ -155,7 +160,7 @@ class Graph:
 
 
 def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_dims(dims):

@@ -134,31 +134,12 @@ def identity_map(g):
 
 
 def _gaps(d1, d2, n):
-    """Capped geodesic gaps between hop counts where -1 means unreachable.
+    """Capped geodesic gaps between hop counts where 2n means unreachable.
 
-    Unreachable becomes 2n, so min(|d1 - d2|, n) is 0 for two unreachable
-    distances and the cap n for one: finite distances are at most n - 1.
+    min(|d1 - d2|, n) is 0 for two unreachable distances and the cap n for
+    one: finite distances are at most n - 1.
     """
-    d1 = np.where(d1 < 0, 2 * n, d1)
-    d2 = np.where(d2 < 0, 2 * n, d2)
     return np.minimum(np.abs(d1 - d2), n)
-
-
-def _pairs(g, m):
-    """Hop counts among the mapped sources and among their images.
-
-    Returns (d_src, d_img, ec_violations): two (k, k) blocks of the distance
-    table over the k mapped sources in ascending order and over their images
-    in the same order, and the number of sources whose image is not one hop
-    away. Raises ValueError for a mapped source or image outside 1..n.
-    """
-    src = sorted(m.mapped)
-    img = [m(v) for v in src]
-    for v in src + img:
-        g._check_vertex(v)
-    dist = g.distance_matrix()
-    s, t = np.asarray(src, dtype=np.intp), np.asarray(img, dtype=np.intp)
-    return dist[np.ix_(s, s)], dist[np.ix_(t, t)], int(np.count_nonzero(dist[s, t] != 1))
 
 
 def check_ec(g, m):
@@ -221,9 +202,19 @@ class PropertyReport:
 def property_report(g, m):
     """Every predicate of m on g, from one gather of the mapped pairs.
 
+    The gather takes two (k, k) blocks of the distance table: over the k
+    mapped sources in ascending order and over their images in the same
+    order. Raises ValueError for a mapped source or image outside 1..n.
     Fields are Python ints and bools, so reports serialize as plain JSON.
     """
-    d_src, d_img, ec_bad = _pairs(g, m)
+    src = sorted(m.mapped)
+    img = [m(v) for v in src]
+    for v in src + img:
+        g._check_vertex(v)
+    dist = g.distance_matrix()
+    s, t = np.asarray(src, dtype=np.intp), np.asarray(img, dtype=np.intp)
+    d_src, d_img = dist[np.ix_(s, s)], dist[np.ix_(t, t)]
+    ec_bad = int(np.count_nonzero(dist[s, t] != 1))
     edge_src, edge_img = d_src == 1, d_img == 1
     # Both blocks are symmetric with a zero diagonal, so a count over the
     # full block sees every unordered pair twice and no vertex with itself.

@@ -70,18 +70,16 @@ def score(g, m, p: ScoreParams) -> ScoreBreakdown:
     The loss ratio is taken over the mapping's domain; the edge-constraint
     ratio over the vertices that keep an image; deformation over pairs of
     those. Degenerate normalizers (no mapped vertices, or a single one)
-    contribute zero rather than dividing by zero. The raw edge-constraint
-    and deformation sums come from the same pair gather as
+    contribute zero rather than dividing by zero. The raw sums are the
+    loss, edge-constraint violations and deformation of
     `mapping.property_report`, so the two always agree.
     """
     n1 = len(m.domain)
     if n1 == 0:
         raise ValueError("score needs a nonempty domain")
-    d_src, d_img, raw_ec = mp._pairs(g, m)
-    raw_loss = m.loss()
-    # Full-block sums count every unordered pair twice.
-    raw_def = int(mp._gaps(d_src, d_img, g.n).sum()) // 2
-    return ScoreBreakdown(*_weigh(p, n1, raw_loss, raw_ec, raw_def), raw_loss, raw_ec, raw_def)
+    rep = mp.property_report(g, m)
+    raw = rep.loss, rep.ec_violations, rep.deformation
+    return ScoreBreakdown(*_weigh(p, n1, *raw), *raw)
 
 
 def composition_score(breakdowns):

@@ -15,6 +15,8 @@ row's raw sums are table lookups through the template columns, added to the
 committed sums that carry over from the previous round's chosen row. Rows
 and the finished step are weighed by `relax._weigh`, the expression behind
 `relax.score`, so each candidate is scored once and the numbers agree.
+Each anchor-queue entry carries its chain of (mapping, breakdown) steps, so
+the chain found is neither walked back nor scored again.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import mapping as mp
 from .mapping import BOTTOM, Mapping, _gaps
-from .relax import ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front, score
+from .relax import ScoreBreakdown, ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front
 
 
 @lru_cache(maxsize=128)
@@ -132,8 +134,9 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     A round scores its candidates through `_score_rows`: a cached index
     template of the rows, per-option cost tables gathered through it, and
     the raw sums of the committed assignment, carried from the previous
-    round's chosen row. The returned score is `_weigh` over the final sums,
-    equal to `relax.score` of the returned mapping.
+    round's chosen row. Returns (mapping, breakdown): the breakdown is
+    `_weigh` over the final sums as Python ints, equal in every field to
+    `relax.score` of the mapping.
     """
     V1 = sorted(set(V1))
     if v1 not in V1:
@@ -159,8 +162,8 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
 
     image = dict.fromkeys([v1] + rest, BOTTOM)
     image.update(zip(done.src, done.img))
-    total = _weigh(p, len(V1), done.raw_loss, done.raw_ec, done.raw_def)[-1]
-    return Mapping(V1, sorted(targets), image), float(total)
+    raw = int(done.raw_loss), int(done.raw_ec), int(done.raw_def)
+    return Mapping(V1, sorted(targets), image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
 
 
 @dataclass
@@ -271,10 +274,12 @@ def best_composition(
     A heuristic over anchors: a Dijkstra queue keyed by accumulated score
     settles each anchor vertex once, with the support its first chain
     carries, and expands it to the unvisited vertices of that support's
-    hop-frontier via minimize_s. A step's cost depends on the carried
-    support, so the chain found need not be the cheapest one (a brute-force
-    chain oracle in the tests pins such a gap). Ties in the queue break on
-    (score, vertex index, insertion order).
+    hop-frontier via minimize_s. Each queue entry carries its chain as the
+    (mapping, breakdown) steps so far; the support is the last step's image
+    set, or V1_init for the empty chain. A step's cost depends on the
+    carried support, so the chain found need not be the cheapest one (a
+    brute-force chain oracle in the tests pins such a gap). Ties in the
+    queue break on (score, vertex index, insertion order).
     """
     V1_init = frozenset(V1_init)
     if hops < 0:
@@ -284,47 +289,28 @@ def best_composition(
     g._check_vertex(v_tgt)
 
     visited = set()
-    predecessors = {}
     counter = itertools.count()
-    queue = [(0.0, v_src, next(counter), None, None, V1_init)]
-    settled_target = False
+    queue = [(0.0, v_src, next(counter), ())]
     while queue:
-        total, v1, _, pred, step_map, support = heapq.heappop(queue)
+        total, v1, _, steps = heapq.heappop(queue)
         if v1 in visited:
             continue
         visited.add(v1)
-        predecessors[v1] = (pred, step_map, total)
         if v1 == v_tgt:
-            settled_target = True
-            break
-        if step_map is not None:
-            support = frozenset(step_map.image_set)
+            cumulative = composition_score(b for _, b in steps)
+            trace = TranslationTrace(True, list(steps), cumulative, None, p, v_src, v_tgt, seed, graph_ref)
+            composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
+            trace.final_pair = evaluation_pair(g, composed)
+            return trace
+        support = sorted(steps[-1][0].image_set if steps else V1_init)
         V2 = expand_support(g, support, hops)
         for v2 in sorted(V2 - {v1}):
             if v2 in visited:
                 continue
-            m, s = minimize_s(v1, v2, g, sorted(support), V2, p, stats=stats)
-            heapq.heappush(queue, (total + s, v2, next(counter), v1, m, support))
+            m, b = minimize_s(v1, v2, g, support, V2, p, stats=stats)
+            heapq.heappush(queue, (total + b.total, v2, next(counter), steps + ((m, b),)))
 
-    if not settled_target:
-        return TranslationTrace(
-            False, [], math.inf, None, p, v_src, v_tgt, seed, graph_ref
-        )
-
-    chain = []
-    v = v_tgt
-    while v != v_src:
-        pred, step_map, _ = predecessors[v]
-        chain.append(step_map)
-        v = pred
-    chain.reverse()
-
-    steps = [(m, score(g, m, p)) for m in chain]
-    cumulative = composition_score(b for _, b in steps)
-    trace = TranslationTrace(True, steps, cumulative, None, p, v_src, v_tgt, seed, graph_ref)
-    composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
-    trace.final_pair = evaluation_pair(g, composed)
-    return trace
+    return TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt, seed, graph_ref)
 
 
 DEFAULT_WEIGHTS = (0.1, 0.5, 1.0)

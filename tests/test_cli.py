@@ -162,6 +162,9 @@ def test_compose_path_graph(tmp_path, capsys):
     assert len(trace["steps"]) == 2
     assert trace["cumulative_score"] == 0
     assert trace["pair"] == {"loss_ratio": 0.0, "snp_ratio": 0.0}
+    # The empty chain's score is the integer sum of no steps.
+    assert run(["compose", str(gp), "--src", "1", "--tgt", "1", "--domain-set", "1"]) == 0
+    assert '"cumulative_score":0,' in capsys.readouterr().out
 
 
 def test_compose_unreachable_exit_3(tmp_path):

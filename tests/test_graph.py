@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from graph_shift.graph import (
@@ -36,6 +37,10 @@ def test_geodesic_and_disconnection():
     assert g.geodesic(1, 2) == 1
     assert g.geodesic(1, 3) == INF
     assert g.geodesic(1, 1) == 0
+    # Unreachable pairs hold the sentinel 2n, which no hop count reaches.
+    d = g.distance_matrix()
+    assert d[1, 3] == d[4, 2] == 8 and d[1, 2] == 1
+    assert g.neighborhood(1, 8) == set()
 
 
 def test_neighborhood_exact_hops():
@@ -103,6 +108,15 @@ def test_distance_matrix_symmetry():
 @pytest.mark.parametrize("v", [-1, 0, 6])
 def test_accessors_reject_out_of_range_vertices(v):
     g = make_ring(5)
-    for access in (g.neighbors, g.degree, lambda u: g.has_edge(u, 4)):
+    for access in (g.neighbors, g.degree, lambda u: g.has_edge(u, 4), lambda u: g.has_edge(1, u)):
         with pytest.raises(ValueError, match="out of range"):
             access(v)
+
+
+@pytest.mark.parametrize("v", [2.5, 2.0, True, "3"])
+def test_geodesic_rejects_non_integer_vertices(v):
+    g = make_ring(5)
+    for access in (lambda u: g.geodesic(1, u), lambda u: g.geodesic(u, 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            access(v)
+    assert g.geodesic(np.int64(1), np.int64(3)) == 2

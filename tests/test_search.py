@@ -32,9 +32,9 @@ def path(n):
 
 def test_single_vertex_support_is_pinned():
     g = path(3)
-    m, s = minimize_s(1, 2, g, [1], {1, 2}, P)
+    m, b = minimize_s(1, 2, g, [1], {1, 2}, P)
     assert m(1) == 2
-    assert s == score(g, m, P).total == 0
+    assert b.total == score(g, m, P).total == 0
 
 
 def test_anchor_must_be_in_support():
@@ -141,9 +141,10 @@ def test_minimize_s_score_equals_scalar_score_property():
         v2 = data.draw(st.sampled_from(vertices), label="v2")
         k = data.draw(st.integers(1, 3), label="k_block")
         p = ScoreParams(*[data.draw(st.sampled_from(DEFAULT_WEIGHTS)) for _ in range(3)], k)
-        m, s = minimize_s(v1, v2, g, V1, V2, p)
-        assert type(s) is float
-        assert s == score(g, m, p).total
+        m, b = minimize_s(v1, v2, g, V1, V2, p)
+        assert type(b.total) is float
+        assert all(type(r) is int for r in (b.raw_loss, b.raw_ec, b.raw_def))
+        assert b == score(g, m, p)
 
     check()
 
@@ -156,12 +157,12 @@ def test_greedy_matches_exhaustive_at_zero_floor():
     V1 = sorted({v1} | g.neighbors(v1))
     V2 = expand_support(g, set(V1), 1)
     v2 = shift(v1)
-    m1, s1 = minimize_s(v1, v2, g, V1, V2, P)
-    assert s1 == 0
+    m1, b1 = minimize_s(v1, v2, g, V1, V2, P)
+    assert b1.total == 0
     assert all(m1(v) == shift(v) for v in V1)
     exhaustive = ScoreParams(P.alpha, P.beta, P.gamma, len(V1))
-    m2, s2 = minimize_s(v1, v2, g, V1, V2, exhaustive)
-    assert s2 == 0
+    m2, b2 = minimize_s(v1, v2, g, V1, V2, exhaustive)
+    assert b2.total == 0
 
 
 def test_k1_evaluation_budget():
@@ -206,6 +207,7 @@ def test_trace_scores_are_prefix_monotone_and_consistent():
     assert tr.cumulative_score == pytest.approx(sum(totals), abs=1e-9)
     prefix = list(itertools.accumulate(totals))
     assert prefix == sorted(prefix)
+    assert all(b == score(g, m, P) for m, b in tr.steps)
     composed = tr.composed()
     assert 9 in composed.image_set  # target reached by the replay
 
@@ -222,13 +224,14 @@ def _chain_oracle(g, V1, v_src, v_tgt, p, max_steps=4):
     def walk(v1, support, total, anchors):
         V2 = expand_support(g, support, 1)
         for v2 in sorted(V2 - {v1}):
-            m, s = minimize_s(v1, v2, g, sorted(support), V2, p)
-            if total + s >= best[0]:
+            m, b = minimize_s(v1, v2, g, sorted(support), V2, p)
+            cost = total + b.total
+            if cost >= best[0]:
                 continue
             if v2 == v_tgt:
-                best[:] = [total + s, anchors + [v2]]
+                best[:] = [cost, anchors + [v2]]
             elif len(anchors) < max_steps:
-                walk(v2, frozenset(m.image_set), total + s, anchors + [v2])
+                walk(v2, frozenset(m.image_set), cost, anchors + [v2])
 
     walk(v_src, frozenset(V1), 0.0, [v_src])
     return tuple(best)
@@ -296,6 +299,9 @@ def test_expand_support_rejects_out_of_range_vertices():
     for bad in (0, -1, 6):
         with pytest.raises(ValueError):
             expand_support(g, {1, bad}, 1)
+    for bad in (2.5, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            expand_support(g, {bad}, 1)
 
 
 def test_expand_support_rejects_negative_hops():
