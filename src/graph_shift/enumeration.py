@@ -49,7 +49,7 @@ def _search(g, f):
     used = set()
 
     def candidates(v):
-        cands = sorted(g.neighbors(v))
+        cands = sorted(g._adj[v])
         if domain is not None and v not in domain:
             cands = []
         if image_set is not None:
@@ -57,7 +57,7 @@ def _search(g, f):
         return cands
 
     def consistent(v, w):
-        nv, nw = g.neighbors(v), g.neighbors(w)
+        nv, nw = g._adj[v], g._adj[w]
         for u, x in image.items():
             if x is not BOTTOM and (u in nv) != (x in nw):
                 return False

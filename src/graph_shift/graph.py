@@ -54,11 +54,13 @@ class Graph:
         return v in self.neighbors(u)
 
     def neighbors(self, v):
-        """Neighbour set of v; raises ValueError for a vertex outside 1..n."""
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}") from None
+        """Neighbour set of v; raises ValueError unless v is an integer in 1..n.
+
+        Internal loops over vertices they already hold validated read
+        `_adj` directly.
+        """
+        self._check_vertex(v)
+        return self._adj[v]
 
     def degree(self, v):
         return len(self.neighbors(v))

@@ -17,6 +17,25 @@ and the finished step are weighed by `relax._weigh`, the expression behind
 `relax.score`, so each candidate is scored once and the numbers agree.
 Each anchor-queue entry carries its chain of (mapping, breakdown) steps, so
 the chain found is neither walked back nor scored again.
+
+A parameter sweep shares greedy rounds across its weight cells. A round's
+raw sums depend only on the committed assignment, the block and the pool;
+the weights enter only through the final argmin. So `parameter_sweep`
+hands `minimize_s` a private round cache keyed by those three. An entry
+keeps each distinct (raw_loss, raw_ec, raw_def) triple of the round with its
+first row, minus every triple that an earlier-first-row triple with the
+same raw_loss bounds in both raw_ec and raw_def (`_argmin_candidates`).
+Within a round the normalizers are fixed and float multiply and add are
+monotone, so for non-negative weights a dropped triple never totals less
+than the one bounding it and is never the first minimum. A later cell
+weighs the kept triples only; `np.argmin` returns the first minimum, and
+the kept triples are in first-row order, so it picks the row that scoring
+every row would pick and outputs stay bit-identical. The cache lives for
+one block size of the sweep: the cells of one k_block share their rounds,
+cells of different k_block almost never do, and dropping the entries
+between groups bounds the memory. Rounds of a one-vertex block are not
+cached: they have only |pool| + 1 rows, nearly all distinct, so an entry
+would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -73,6 +92,10 @@ class _Committed:
     raw_ec: int
     raw_def: int
 
+    def size(self):
+        """Committed sources, mapped or sent to ⊥."""
+        return len(self.src) + self.raw_loss
+
 
 def _score_rows(g, p, done: _Committed, block, pool):
     """Score every candidate row as if its block assignment were committed.
@@ -110,19 +133,57 @@ def _score_rows(g, p, done: _Committed, block, pool):
             raw_def += pair[cols[i], cols[j]]
 
     raw_loss = done.raw_loss + bottoms.astype(np.int64)
-    n1 = len(done.src) + done.raw_loss + length
+    n1 = done.size() + length
     return cols, _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1], raw_loss, raw_ec, raw_def
+
+
+def _argmin_candidates(raw_loss, raw_ec, raw_def):
+    """The rows of a round that an argmin of `_weigh` totals can pick.
+
+    Takes a round's per-row raw sums (int64, non-negative) and returns one
+    array of shape (4, m): raw_loss, raw_ec, raw_def and first row of each
+    kept triple, in first-row order, as int32 where the values fit (half
+    the cache's memory). A triple is kept iff no triple with an earlier
+    first row and the same raw_loss is no larger in both raw_ec and
+    raw_def; for any non-negative weights, the first minimum of the kept
+    triples' totals then sits at the first minimum of all rows'.
+    """
+    loss_base = int(raw_loss.max()) + 1
+    ec_base = int(raw_ec.max()) + 1
+    _, first = np.unique((raw_def * ec_base + raw_ec) * loss_base + raw_loss, return_index=True)
+    first.sort()
+    loss, ec, deform = raw_loss[first], raw_ec[first], raw_def[first]
+
+    # bound[l, e, i]: least raw_def among triples before the i-th with loss
+    # level l and ec level <= e (int64 max where there is none).
+    lo, eo, m = loss - loss.min(), ec - ec.min(), len(first)
+    bound = np.full((lo.max() + 1, eo.max() + 1, m + 1), np.iinfo(np.int64).max)
+    bound[lo, eo, np.arange(1, m + 1)] = deform
+    np.minimum.accumulate(bound, axis=2, out=bound)
+    np.minimum.accumulate(bound, axis=1, out=bound)
+    keep = bound[lo, eo, np.arange(m)] > deform
+    out = np.stack((loss, ec, deform, first))[:, keep]
+    return out.astype(np.int32) if out.max() <= np.iinfo(np.int32).max else out
 
 
 @dataclass
 class SearchStats:
-    """Instrumentation: candidate assignments scored inside minimize_s."""
+    """Instrumentation of minimize_s.
+
+    `evaluations` counts candidate rows considered, `rows_computed` the rows
+    actually scored, and `round_hits` the greedy rounds read from a sweep's
+    round cache instead (their rows count as considered, not computed).
+    """
 
     evaluations: int = 0
     calls: int = 0
+    rows_computed: int = 0
+    round_hits: int = 0
 
 
-def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):
+def minimize_s(
+    v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None, _rounds=None
+):
     """Greedy construction of an approximate translation with v1 ↦ v2.
 
     After pinning v1 ↦ v2, remaining sources are assigned in blocks of
@@ -137,6 +198,12 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     round's chosen row. Returns (mapping, breakdown): the breakdown is
     `_weigh` over the final sums as Python ints, equal in every field to
     `relax.score` of the mapping.
+
+    `_rounds` is a sweep's private round cache (see the module docstring):
+    a dict from the committed sources, images and raw_loss, the block and
+    the pool, packed as int32 bytes, to `_argmin_candidates` of that round.
+    Rounds of one-vertex blocks bypass it. The result is the same with or
+    without it.
     """
     V1 = sorted(set(V1))
     if v1 not in V1:
@@ -150,15 +217,34 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     for start in range(0, len(rest), p.k_block):
         block = rest[start : start + p.k_block]
         pool = sorted(targets.difference(done.img))
-        cols, total, raw_loss, raw_ec, raw_def = _score_rows(g, p, done, block, pool)
+        key = entry = None
+        if _rounds is not None and len(block) > 1:
+            key = np.array(
+                [len(done.src), len(block), *done.src, *done.img, done.raw_loss, *block, *pool],
+                dtype=np.int32,
+            ).tobytes()
+            entry = _rounds.get(key)
+        if entry is None:
+            cols, total, raw_loss, raw_ec, raw_def = _score_rows(g, p, done, block, pool)
+            best = int(np.argmin(total))
+            chosen = raw_loss[best], raw_ec[best], raw_def[best]
+            if key is not None:
+                _rounds[key] = _argmin_candidates(raw_loss, raw_ec, raw_def)
+        else:
+            cols, _ = _row_template(len(pool), len(block))
+            j = int(np.argmin(_weigh(p, done.size() + len(block), *entry[:3])[-1]))
+            best, chosen = entry[3, j], entry[:3, j]
         if stats is not None:
-            stats.evaluations += len(total)
-        best = int(np.argmin(total))
+            stats.evaluations += cols.shape[1]
+            if entry is None:
+                stats.rows_computed += cols.shape[1]
+            else:
+                stats.round_hits += 1
         for src, t in zip(block, cols[:, best]):
             if t < len(pool):  # index len(pool) is ⊥
                 done.src.append(src)
                 done.img.append(pool[t])
-        done.raw_loss, done.raw_ec, done.raw_def = raw_loss[best], raw_ec[best], raw_def[best]
+        done.raw_loss, done.raw_ec, done.raw_def = chosen
 
     image = dict.fromkeys([v1] + rest, BOTTOM)
     image.update(zip(done.src, done.img))
@@ -226,7 +312,7 @@ def expand_support(g, support, hops=1):
     out = set(support)
     frontier = set(support)
     for _ in range(hops):
-        frontier = {w for v in frontier for w in g.neighbors(v)} - out
+        frontier = {w for v in frontier for w in g._adj[v]} - out
         out |= frontier
     return out
 
@@ -251,7 +337,7 @@ def _induced_connected(g, vs):
     stack = [min(vs)]
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for w in g._adj[v]:
             if w in vs and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -268,6 +354,7 @@ def best_composition(
     stats: Optional[SearchStats] = None,
     seed=None,
     graph_ref=None,
+    _rounds=None,
 ) -> TranslationTrace:
     """Chain approximate translations from v_src to v_tgt at a low total score.
 
@@ -279,7 +366,8 @@ def best_composition(
     set, or V1_init for the empty chain. A step's cost depends on the
     carried support, so the chain found need not be the cheapest one (a
     brute-force chain oracle in the tests pins such a gap). Ties in the
-    queue break on (score, vertex index, insertion order).
+    queue break on (score, vertex index, insertion order). `_rounds` is
+    a sweep's private round cache, handed to every minimize_s call.
     """
     V1_init = frozenset(V1_init)
     if hops < 0:
@@ -307,7 +395,7 @@ def best_composition(
         for v2 in sorted(V2 - {v1}):
             if v2 in visited:
                 continue
-            m, b = minimize_s(v1, v2, g, support, V2, p, stats=stats)
+            m, b = minimize_s(v1, v2, g, support, V2, p, stats=stats, _rounds=_rounds)
             heapq.heappush(queue, (total + b.total, v2, next(counter), steps + ((m, b),)))
 
     return TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt, seed, graph_ref)
@@ -342,20 +430,35 @@ class SweepRecord:
     trace: Optional[TranslationTrace] = None
 
 
-def parameter_sweep(g, x, v_src, v_tgt, grid=None, hops=1, seed=None) -> list:
+def parameter_sweep(
+    g, x, v_src, v_tgt, grid=None, hops=1, seed=None, stats: Optional[SearchStats] = None
+) -> list:
     """Run best_composition for every parameter cell; flag the Pareto rows.
 
-    Cells run one after another in grid order, and records come back in
-    that order.
+    Cells are independent. They run grouped by block size k, in order of
+    first appearance and in grid order within a group, and the records come
+    back in grid order. Each group shares one round cache (module
+    docstring): the cells of a k differ only in their weights, which a
+    greedy round reads only through its argmin, so a round scored for one
+    cell is weighed from its cached triples in the others. The cache is
+    dropped when its group ends, so it holds one block size's rounds at a
+    time, and one-vertex rounds are never cached. Every record and trace
+    equals that of a lone best_composition call. `stats`, if given,
+    accumulates over every cell.
     """
     grid = list(grid) if grid is not None else default_grid()
+    params = [ScoreParams(a, b, c, k) for a, b, c, k in grid]
     V1 = localized_sets(g, x)
     if v_src not in V1:
         raise ValueError("v_src must carry signal")
-    traces = [
-        best_composition(g, V1, v_src, v_tgt, ScoreParams(a, b, c, k), hops=hops, seed=seed)
-        for a, b, c, k in grid
-    ]
+    traces = [None] * len(grid)
+    for k in dict.fromkeys(p.k_block for p in params):
+        rounds = {}
+        for i, p in enumerate(params):
+            if p.k_block == k:
+                traces[i] = best_composition(
+                    g, V1, v_src, v_tgt, p, hops=hops, stats=stats, seed=seed, _rounds=rounds
+                )
 
     records = []
     for (a, b, c, k), tr in zip(grid, traces):

@@ -105,18 +105,29 @@ def test_distance_matrix_symmetry():
     assert (d[1:, 1:] == d[1:, 1:].T).all()
 
 
-@pytest.mark.parametrize("v", [-1, 0, 6])
+@pytest.mark.parametrize("v", [-1, 0, 6, True, 2.0])
 def test_accessors_reject_out_of_range_vertices(v):
     g = make_ring(5)
+    # True and 2.0 hash like the vertices 1 and 2, so a bare dict lookup
+    # would accept them
+    message = "out of range" if type(v) is int else "not an integer"
     for access in (g.neighbors, g.degree, lambda u: g.has_edge(u, 4), lambda u: g.has_edge(1, u)):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             access(v)
 
 
 @pytest.mark.parametrize("v", [2.5, 2.0, True, "3"])
 def test_geodesic_rejects_non_integer_vertices(v):
     g = make_ring(5)
-    for access in (lambda u: g.geodesic(1, u), lambda u: g.geodesic(u, 1)):
+    for access in (
+        lambda u: g.geodesic(1, u),
+        lambda u: g.geodesic(u, 1),
+        g.neighbors,
+        g.degree,
+        lambda u: g.has_edge(u, 2),
+        lambda u: g.has_edge(2, u),
+    ):
         with pytest.raises(ValueError, match="not an integer"):
             access(v)
     assert g.geodesic(np.int64(1), np.int64(3)) == 2
+    assert g.neighbors(np.int64(1)) == {2, 5} and g.degree(np.int64(2)) == 2

@@ -8,11 +8,12 @@ import pytest
 from graph_shift.euclid import dirac, euclidean_on_torus
 from graph_shift.graph import Graph, make_grid, make_random_geometric, make_ring, make_torus
 from graph_shift.mapping import BOTTOM, Mapping
-from graph_shift.relax import ScoreParams, score
+from graph_shift.relax import ScoreParams, _weigh, score
 from graph_shift.search import (
     DEFAULT_BLOCKS,
     DEFAULT_WEIGHTS,
     SearchStats,
+    _argmin_candidates,
     _Committed,
     _row_template,
     _score_rows,
@@ -336,3 +337,101 @@ def test_best_composition_rejects_negative_hops_at_target():
     g = make_ring(5)
     with pytest.raises(ValueError, match="hops"):
         best_composition(g, {1, 2}, 1, 1, ScoreParams(), hops=-1)
+
+
+def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
+    """parameter_sweep, with its round cache, against one cache-free call per cell.
+
+    Returns the sweep's stats.
+    """
+    support = expand_support(g, {src}, 1)
+    x = [1.0 if v in support else 0.0 for v in g.vertices]
+    swept, alone = SearchStats(), SearchStats()
+    records = parameter_sweep(g, x, src, tgt, grid=grid, seed=7, stats=swept)
+    assert [(r.alpha, r.beta, r.gamma, r.k) for r in records] == list(grid)
+    for rec, cell in zip(records, grid):
+        tr = best_composition(g, support, src, tgt, ScoreParams(*cell), stats=alone, seed=7)
+        assert rec.trace == tr
+        assert rec.trace.to_json_dict() == tr.to_json_dict()
+        pair = tr.final_pair if tr.found else (None, None)
+        assert (rec.found, rec.loss_ratio, rec.snp_ratio) == (tr.found, *pair)
+        assert (rec.score, rec.steps) == (tr.cumulative_score, len(tr.steps))
+    assert (swept.evaluations, swept.calls) == (alone.evaluations, alone.calls)
+    assert (alone.rows_computed, alone.round_hits) == (alone.evaluations, 0)
+    return swept
+
+
+def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
+    g = make_random_geometric(14, 0.45, 3)
+    grid = [
+        (1.0, 0.1, 0.5, 3),
+        (0.1, 0.5, 1.0, 2),
+        (0.5, 0.5, 0.5, 3),
+        (1.0, 1.0, 0.1, 1),
+        (0.1, 0.1, 0.1, 2),
+        (0.1, 1.0, 1.0, 3),
+    ]
+    stats = _assert_sweep_matches_lone_cells(g, 1, 8, grid)
+    assert stats.round_hits > 0
+    assert stats.rows_computed < stats.evaluations
+
+
+def test_sweep_round_cache_matches_lone_cells_with_zero_weights():
+    # A zero weight makes many rows tie, so the first-row order decides.
+    g = make_random_geometric(14, 0.45, 8)
+    grid = [
+        (0.0, 1.0, 1.0, 2),
+        (1.0, 0.0, 1.0, 2),
+        (1.0, 1.0, 0.0, 2),
+        (0.0, 0.0, 1.0, 3),
+        (0.0, 1.0, 0.0, 3),
+        (1.0, 0.0, 0.0, 3),
+        (0.0, 0.5, 0.0, 2),
+    ]
+    stats = _assert_sweep_matches_lone_cells(g, 1, 11, grid)
+    assert stats.round_hits > 0
+
+
+def test_sweep_round_cache_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    weight = st.sampled_from((0.0,) + DEFAULT_WEIGHTS)
+    cell = st.tuples(weight, weight, weight, st.sampled_from(DEFAULT_BLOCKS)).filter(
+        lambda c: any(c[:3])
+    )
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(6, 11), label="n")
+        r = data.draw(st.sampled_from([0.45, 0.6]), label="r")
+        g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
+        src = data.draw(st.integers(1, n), label="src")
+        tgt = data.draw(st.integers(1, n), label="tgt")
+        grid = data.draw(st.lists(cell, min_size=3, max_size=6), label="grid")
+        _assert_sweep_matches_lone_cells(g, src, tgt, grid)
+
+    check()
+
+
+def test_argmin_candidates_pick_the_first_minimum():
+    rng = np.random.default_rng(5)
+    weights = (0.0, 0.1, 0.5, 1.0)
+    for _ in range(300):
+        rows = int(rng.integers(1, 400))
+        span = int(rng.integers(1, 4))
+        raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, rows)
+        raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, rows)
+        raw_def = rng.integers(0, int(rng.integers(1, 40)), rows)
+        kept = _argmin_candidates(raw_loss, raw_ec, raw_def)
+        first = kept[3]
+        assert (np.diff(first) > 0).all()
+        assert (kept[:3] == np.stack((raw_loss, raw_ec, raw_def))[:, first]).all()
+        n1 = int(raw_loss.max()) + int(rng.integers(0, 3)) + 1
+        for _ in range(4):
+            w = rng.choice(weights, 3) if rng.random() < 0.8 else rng.uniform(0, 2, 3)
+            if not w.any():
+                continue
+            p = ScoreParams(*w)
+            every = np.argmin(_weigh(p, n1, raw_loss, raw_ec, raw_def)[-1])
+            assert first[np.argmin(_weigh(p, n1, *kept[:3])[-1])] == every
