@@ -233,6 +233,10 @@ def make_ring(n):
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
+#: Vertex pairs one row block of `make_random_geometric` compares at once.
+_GEOMETRIC_CELLS = 1 << 18
+
+
 def make_random_geometric(n, radius, seed):
     """n points uniform in the unit square; edge iff Euclidean distance < radius."""
     if n < 1:
@@ -241,9 +245,14 @@ def make_random_geometric(n, radius, seed):
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    # Rows of at most _GEOMETRIC_CELLS pairs at a time, each pair u < v in
+    # row-major order, with the float expression of a pair-by-pair loop.
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if np.hypot(*(pts[u] - pts[v])) < radius:
-                edges.append((u + 1, v + 1))
+    step = max(1, _GEOMETRIC_CELLS // n)
+    for lo in range(0, n, step):
+        u = np.arange(lo, min(lo + step, n))
+        dx, dy = (pts[u, None, axis] - pts[None, :, axis] for axis in (0, 1))
+        close = (np.hypot(dx, dy) < radius) & (u[:, None] < np.arange(n))
+        us, vs = np.nonzero(close)
+        edges.extend(zip((us + lo + 1).tolist(), (vs + 1).tolist()))
     return Graph(n, edges, pts.tolist())

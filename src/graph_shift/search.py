@@ -5,16 +5,28 @@ approximate translation between anchor vertices (`minimize_s`), and a
 Dijkstra-style search over anchors that chains such steps from a source
 to a target vertex (`best_composition`), keyed by accumulated score.
 
-Candidate assignments inside a greedy round are scored in bulk with numpy.
-The candidate rows of a round are a cached index template into the round's
-options (free targets, then bottom). Each round gathers small integer cost
-tables from the distance table: per block position and option, the
-edge-constraint violation and the deformation against the committed pairs,
-and per pair of block positions, the deformation between their options. A
-row's raw sums are table lookups through the template columns, added to the
-committed sums that carry over from the previous round's chosen row. Rows
-and the finished step are weighed by `relax._weigh`, the expression behind
-`relax.score`, so each candidate is scored once and the numbers agree.
+At k_block = 1 a round has one row per unused target plus ⊥, too few for
+per-round numpy overhead to pay off chain by chain. But expanding an anchor
+builds one chain per unvisited v2, and those chains share the support, its
+order and the targets. So `_minimize_batch` runs them together: each round
+is one (chains, options) array over the sorted targets and ⊥, a chain's
+used targets masked to +inf before one `np.argmin` per row. A shared
+edge-constraint table and a per-chain deformation table, grown by the
+pairs each round commits, give the raw sums; `_weigh` turns them into the
+same floats a lone chain gets, and masking keeps the order of the other
+options, so each row picks the option a lone chain picks.
+
+For larger blocks, candidate assignments inside a greedy round are scored
+in bulk with numpy. The candidate rows of a round are a cached index
+template into the round's options (free targets, then bottom). Each round
+gathers small integer cost tables from the distance table: per block
+position and option, the edge-constraint violation and the deformation
+against the committed pairs, and per pair of block positions, the
+deformation between their options. A row's raw sums are table lookups
+through the template columns, added to the committed sums that carry over
+from the previous round's chosen row. Rows and the finished step are
+weighed by `relax._weigh`, the expression behind `relax.score`, so each
+candidate is scored once and the numbers agree.
 Each anchor-queue entry carries its chain of (mapping, breakdown) steps, so
 the chain found is neither walked back nor scored again.
 
@@ -168,17 +180,120 @@ def _argmin_candidates(raw_loss, raw_ec, raw_def):
 
 @dataclass
 class SearchStats:
-    """Instrumentation of minimize_s.
+    """Instrumentation of the greedy steps and the anchor queue.
 
-    `evaluations` counts candidate rows considered, `rows_computed` the rows
-    actually scored, and `round_hits` the greedy rounds read from a sweep's
-    round cache instead (their rows count as considered, not computed).
+    `calls` counts greedy chains built (one per minimize_s call or chain of
+    a batched k=1 expansion), `evaluations` the candidate rows they
+    considered, `rows_computed` the rows actually scored, and `round_hits`
+    the greedy rounds read from a sweep's round cache instead (their rows
+    count as considered, not computed). `pushes`, `stale_pops` and `settled`
+    count best_composition's queue entries pushed, popped for an anchor
+    already settled, and anchors settled.
     """
 
     evaluations: int = 0
     calls: int = 0
     rows_computed: int = 0
     round_hits: int = 0
+    pushes: int = 0
+    stale_pops: int = 0
+    settled: int = 0
+
+
+#: Cells of one batched k=1 deformation table, (chains, sources, options),
+#: above which `_minimize_batch` splits its chains (8 MB of int64).
+_BATCH_CELLS = 1 << 20
+
+
+def _checked_support(g, v1, v2s, V1, V2):
+    """Sorted support and target set; every vertex must be an integer in 1..n."""
+    V1, V2 = set(V1), set(V2)
+    for v in itertools.chain(V1, V2, v2s):
+        g._check_vertex(v)
+    if v1 not in V1:
+        raise ValueError("anchor source must belong to the support")
+    return sorted(V1), V2
+
+
+def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):
+    """minimize_s at k_block = 1 for each v2 in v2s: a list of (mapping, breakdown).
+
+    Every chain pins v1 -> v2 and then assigns the other support vertices
+    one per round, in ascending order, each to the first minimizer over its
+    unused targets (V2 and its own v2) in sorted order, then ⊥. All chains
+    run each round together as the rows of (chains, options) arrays whose
+    columns are the sorted union of the targets and ⊥; a target a chain
+    cannot use is masked to +inf before `np.argmin`, which leaves the order
+    of the others unchanged. The edge-constraint table (sources, options)
+    is shared; the deformation table (chains, sources, options) holds each
+    later source's deformation against a chain's committed pairs and grows
+    by the pairs each round commits. Raw sums are int64 and rows are
+    weighed by `_weigh`, so every chain equals a lone minimize_s call.
+    """
+    V1, V2 = _checked_support(g, v1, v2s, V1, V2)
+    if not v2s:
+        return []
+    rest = [v for v in V1 if v != v1]
+    T = sorted(V2.union(v2s))
+    nt, chains = len(T), np.arange(len(v2s))
+    step = max(1, _BATCH_CELLS // (max(1, len(rest)) * (nt + 1)))
+    if len(v2s) > step:
+        return [
+            out
+            for start in range(0, len(v2s), step)
+            for out in _minimize_batch(v1, v2s[start : start + step], g, V1, V2, p, stats)
+        ]
+
+    dist = g.distance_matrix()
+    tg, rs, pins = (np.array(vs, dtype=np.intp) for vs in (T, rest, v2s))
+    # Option columns: the targets in sorted order, then ⊥ (column nt), which
+    # costs nothing. d_opt's ⊥ row is never read unmasked.
+    ec = np.zeros((len(rest), nt + 1), dtype=np.int64)
+    ec[:, :nt] = dist[rs[:, None], tg] != 1
+    d_opt = np.zeros((nt + 1, nt), dtype=np.int64)
+    d_opt[:nt] = dist[tg[:, None], tg]
+    d_rest = dist[rs[:, None], rs]
+    deform = np.zeros((len(v2s), len(rest), nt + 1), dtype=np.int64)
+    deform[:, :, :nt] = _gaps(dist[rs, v1][None, :, None], dist[pins[:, None], tg][:, None, :], g.n)
+    # A chain may take each target of V2 but its own v2 once; ⊥ always stays open.
+    used = np.tile(np.array([t not in V2 for t in T] + [False]), (len(v2s), 1))
+    used[chains, np.searchsorted(tg, pins)] = True
+    bottom = np.zeros(nt + 1, dtype=np.int64)
+    bottom[nt] = 1
+
+    loss = np.zeros(len(v2s), dtype=np.int64)
+    ec_sum = (dist[v1, pins] != 1).astype(np.int64)
+    def_sum = np.zeros(len(v2s), dtype=np.int64)
+    picks = np.empty((len(v2s), len(rest)), dtype=np.intp)
+    for i in range(len(rest)):
+        raw_loss = loss[:, None] + bottom
+        raw_ec = ec_sum[:, None] + ec[i]
+        raw_def = def_sum[:, None] + deform[:, i]
+        total = _weigh(p, i + 2, raw_loss, raw_ec, raw_def)[-1]
+        total[used] = np.inf
+        best = total.argmin(axis=1)
+        if stats is not None:
+            rows = used.size - int(np.count_nonzero(used))
+            stats.evaluations += rows
+            stats.rows_computed += rows
+        picks[:, i] = best
+        loss, ec_sum, def_sum = raw_loss[chains, best], raw_ec[chains, best], raw_def[chains, best]
+        mapped = best < nt
+        used[chains, best] = mapped
+        if i + 1 < len(rest):
+            gaps = _gaps(d_rest[i + 1 :, i][None, :, None], d_opt[best][:, None, :], g.n)
+            deform[:, i + 1 :, :nt] += gaps * mapped[:, None, None]
+    if stats is not None:
+        stats.calls += len(v2s)
+
+    V2 = frozenset(V2)
+    out = []
+    for v2, row, *raw in zip(v2s, picks.tolist(), loss.tolist(), ec_sum.tolist(), def_sum.tolist()):
+        image = {v1: v2}
+        image.update((s, T[t] if t < nt else BOTTOM) for s, t in zip(rest, row))
+        codomain = V2 if v2 in V2 else V2 | {v2}
+        out.append((Mapping(V1, codomain, image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)))
+    return out
 
 
 def minimize_s(
@@ -189,10 +304,13 @@ def minimize_s(
     After pinning v1 ↦ v2, remaining sources are assigned in blocks of
     p.k_block, smallest vertex indices first; each round exhaustively tries
     every arrangement of unused targets (⊥ allowed) for the block and keeps
-    the score minimizer over the assigned-so-far set. With k_block = |V1|
-    the single round is an exhaustive search.
+    the score minimizer over the assigned-so-far set. With k_block ≥
+    |V1| − 1 the single round is an exhaustive search. Raises ValueError
+    if v1 is not in V1, or if v2 or a vertex of V1 or V2 is not an integer
+    in 1..n.
 
-    A round scores its candidates through `_score_rows`: a cached index
+    At k_block = 1 this is `_minimize_batch` on the one chain. Otherwise a
+    round scores its candidates through `_score_rows`: a cached index
     template of the rows, per-option cost tables gathered through it, and
     the raw sums of the committed assignment, carried from the previous
     round's chosen row. Returns (mapping, breakdown): the breakdown is
@@ -205,10 +323,10 @@ def minimize_s(
     Rounds of one-vertex blocks bypass it. The result is the same with or
     without it.
     """
-    V1 = sorted(set(V1))
-    if v1 not in V1:
-        raise ValueError("anchor source must belong to the support")
-    targets = set(V2) | {v2}
+    if p.k_block == 1:
+        return _minimize_batch(v1, [v2], g, V1, V2, p, stats)[0]
+    V1, targets = _checked_support(g, v1, [v2], V1, V2)
+    targets.add(v2)
     if stats is not None:
         stats.calls += 1
 
@@ -361,13 +479,16 @@ def best_composition(
     A heuristic over anchors: a Dijkstra queue keyed by accumulated score
     settles each anchor vertex once, with the support its first chain
     carries, and expands it to the unvisited vertices of that support's
-    hop-frontier via minimize_s. Each queue entry carries its chain as the
-    (mapping, breakdown) steps so far; the support is the last step's image
-    set, or V1_init for the empty chain. A step's cost depends on the
-    carried support, so the chain found need not be the cheapest one (a
-    brute-force chain oracle in the tests pins such a gap). Ties in the
-    queue break on (score, vertex index, insertion order). `_rounds` is
-    a sweep's private round cache, handed to every minimize_s call.
+    hop-frontier via minimize_s; at k_block = 1 one `_minimize_batch`
+    call builds the steps to all of them. Each queue entry carries its
+    chain as the (mapping, breakdown) steps so far; the support is the last
+    step's image set, or V1_init for the empty chain. A step's cost depends
+    on the carried support, so the chain found need not be the cheapest one
+    (a brute-force chain oracle in the tests pins such a gap). Ties in the
+    queue break on (score, vertex index, insertion order). `stats`, if
+    given, also counts the queue's pushes, stale pops and settled anchors.
+    `_rounds` is a sweep's private round cache, handed to every minimize_s
+    call.
     """
     V1_init = frozenset(V1_init)
     if hops < 0:
@@ -379,11 +500,17 @@ def best_composition(
     visited = set()
     counter = itertools.count()
     queue = [(0.0, v_src, next(counter), ())]
+    if stats is not None:
+        stats.pushes += 1
     while queue:
         total, v1, _, steps = heapq.heappop(queue)
         if v1 in visited:
+            if stats is not None:
+                stats.stale_pops += 1
             continue
         visited.add(v1)
+        if stats is not None:
+            stats.settled += 1
         if v1 == v_tgt:
             cumulative = composition_score(b for _, b in steps)
             trace = TranslationTrace(True, list(steps), cumulative, None, p, v_src, v_tgt, seed, graph_ref)
@@ -392,11 +519,15 @@ def best_composition(
             return trace
         support = sorted(steps[-1][0].image_set if steps else V1_init)
         V2 = expand_support(g, support, hops)
-        for v2 in sorted(V2 - {v1}):
-            if v2 in visited:
-                continue
-            m, b = minimize_s(v1, v2, g, support, V2, p, stats=stats, _rounds=_rounds)
+        v2s = [v2 for v2 in sorted(V2 - {v1}) if v2 not in visited]
+        if p.k_block == 1:
+            found = _minimize_batch(v1, v2s, g, support, V2, p, stats)
+        else:
+            found = (minimize_s(v1, v2, g, support, V2, p, stats, _rounds) for v2 in v2s)
+        for v2, (m, b) in zip(v2s, found):
             heapq.heappush(queue, (total + b.total, v2, next(counter), steps + ((m, b),)))
+        if stats is not None:
+            stats.pushes += len(v2s)
 
     return TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt, seed, graph_ref)
 

@@ -2,8 +2,11 @@
 
 from itertools import combinations, product
 
+import numpy as np
+
 from graph_shift.enumeration import EnumerationFilter
-from graph_shift.mapping import BOTTOM, full_mapping
+from graph_shift.mapping import BOTTOM, Mapping, full_mapping
+from graph_shift.relax import score
 
 
 def naive_oracle(g, f=None):
@@ -36,3 +39,39 @@ def naive_oracle(g, f=None):
         found.append(full_mapping(g, m))
     big = g.n + 1
     return sorted(found, key=lambda m: tuple(big if w is BOTTOM else w for w in m.image_tuple()))
+
+
+def greedy_k1_reference(g, v1, v2, V1, V2, p):
+    """minimize_s at k_block = 1 by scalar scoring: (mapping, breakdown, rows tried).
+
+    Pins v1 -> v2, then gives each other support vertex, in ascending
+    order, the first strict minimizer of `relax.score` of the assigned-so-far
+    mapping over its unused targets (V2 and v2) in sorted order, then ⊥.
+    """
+    targets = set(V2) | {v2}
+    image = {v1: v2}
+    rows = 0
+    for s in sorted(set(V1) - {v1}):
+        pool = sorted(targets - set(image.values()))
+        best = None
+        for w in pool + [BOTTOM]:
+            image[s] = w
+            total = score(g, Mapping(image, targets, image), p).total
+            rows += 1
+            if best is None or total < best[0]:
+                best = (total, w)
+        image[s] = best[1]
+    m = Mapping(V1, targets, image)
+    return m, score(g, m, p), rows
+
+
+def geometric_edges_reference(n, radius, seed):
+    """(edges, coords) of make_random_geometric by the pair-by-pair loop."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(n, 2))
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if np.hypot(*(pts[u] - pts[v])) < radius:
+                edges.append((u + 1, v + 1))
+    return edges, pts.tolist()

@@ -17,7 +17,14 @@ from graph_shift.enumeration import (
     perfect_matching_translation,
     pseudo_minimal_translations,
 )
-from graph_shift.graph import Graph, make_complete, make_grid, make_random_geometric, make_ring
+from graph_shift.graph import (
+    Graph,
+    make_complete,
+    make_grid,
+    make_random_geometric,
+    make_ring,
+    make_torus,
+)
 from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, is_translation, precedes
 from oracles import naive_oracle
 
@@ -292,3 +299,48 @@ def test_hamiltonian_cycle():
     g = make_ring(5)
     rot = hamiltonian_cycle_translation(g)
     assert is_translation(g, rot)
+
+
+def _vf2_lossless_translations(g):
+    """Image tuples of the automorphisms that move every vertex to a neighbour, sorted."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    autos = nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter()
+    vs = list(g.vertices)
+    return sorted(tuple(a[v] for v in vs) for a in autos if all(g.has_edge(v, a[v]) for v in vs))
+
+
+def _random_graphs(count, seed):
+    """Graphs on 6-8 vertices: relabelled circulants, which have lossless
+    translations, alternating with G(n, 1/2) graphs, which mostly have none."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(6, 8)
+        if i % 2:
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        else:
+            jumps = [s for s in range(1, n // 2 + 1) if rng.random() < 0.5] or [1]
+            jumps = jumps[:-1] if len(jumps) == n // 2 else jumps  # not complete
+            label = rng.sample(range(1, n + 1), n)
+            edges = {(label[u], label[(u + s) % n]) for u in range(n) for s in jumps}
+        yield Graph(n, edges)
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        [make_torus([5, 5])],
+        [make_torus([4, 4])],
+        [make_ring(7)],
+        [make_complete(6)],
+        [make_grid([2, 4])],
+        list(_random_graphs(30, 17)),
+    ],
+    ids=["torus5x5", "torus4x4", "ring7", "complete6", "grid2x4", "random30"],
+)
+def test_lossless_enumeration_matches_vf2_automorphisms(graphs):
+    for g in graphs:
+        found = enumerate_translations(g, EnumerationFilter(lossless_only=True))
+        assert [m.image_tuple() for m in found] == _vf2_lossless_translations(g)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import graph_shift.graph as graph_module
 from graph_shift.graph import (
     Graph,
     INF,
@@ -14,6 +15,7 @@ from graph_shift.graph import (
     make_ring,
     make_torus,
 )
+from oracles import geometric_edges_reference
 
 
 def test_complete_graph_basics():
@@ -87,6 +89,28 @@ def test_geometric_graph_deterministic():
     assert a.coords == b.coords
     c = make_random_geometric(30, 0.3, seed=6)
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "n, radius, seeds, cells",
+    [
+        (24, 0.35, [11], None),  # the benchmark sweep's graph
+        (100, 0.15, [3, *range(100, 116)], None),  # the benchmark compose pool
+        (300, 0.1, [0, 1], None),
+        (40, 0.25, range(5), 90),  # row blocks of two rows
+        (1, 0.5, [0], None),
+    ],
+    ids=["bench-sweep", "bench-compose", "n300", "row-blocks", "n1"],
+)
+def test_geometric_graph_matches_pair_loop(monkeypatch, n, radius, seeds, cells):
+    if cells is not None:
+        monkeypatch.setattr(graph_module, "_GEOMETRIC_CELLS", cells)
+    for seed in seeds:
+        edges, coords = geometric_edges_reference(n, radius, seed)
+        g = make_random_geometric(n, radius, seed)
+        assert g.edges == frozenset(edges)
+        assert g.coords == [tuple(c) for c in coords]
+        assert all(type(u) is int and type(v) is int for u, v in g.edges)
 
 
 def test_json_roundtrip(tmp_path):

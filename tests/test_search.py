@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import graph_shift.search as search_module
 from graph_shift.euclid import dirac, euclidean_on_torus
 from graph_shift.graph import Graph, make_grid, make_random_geometric, make_ring, make_torus
 from graph_shift.mapping import BOTTOM, Mapping
@@ -15,6 +16,7 @@ from graph_shift.search import (
     SearchStats,
     _argmin_candidates,
     _Committed,
+    _minimize_batch,
     _row_template,
     _score_rows,
     best_composition,
@@ -23,6 +25,7 @@ from graph_shift.search import (
     minimize_s,
     parameter_sweep,
 )
+from oracles import greedy_k1_reference
 
 P = ScoreParams(1.0, 0.1, 0.5, 1)
 
@@ -47,6 +50,78 @@ def test_target_added_when_missing():
     g = path(3)
     m, _ = minimize_s(1, 3, g, [1], {1, 2}, P)
     assert m(1) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "V1, V2, v2",
+    [([1, -2], [2, 3], 2), ([1, 6], [2, 3], 2), ([1, 3], [2, -1], 2), ([1, 3], [2, 0], 2),
+     ([1, 3], [2, 3], -1), ([1, 3], [2, 3], 6), ([1, 3], [2, 3], 2.0), ([1, 3], [2, 2.5], 2)],
+)
+def test_minimize_s_rejects_out_of_range_vertices(V1, V2, v2, k):
+    # Negative vertices used to be wrapped by numpy indexing: on the 5-ring
+    # V1 = [1, -2] gave Mapping(-2->3, 1->2).
+    with pytest.raises(ValueError):
+        minimize_s(1, v2, make_ring(5), V1, V2, ScoreParams(k_block=k))
+
+
+def test_minimize_batch_rejects_one_bad_target():
+    g = make_ring(5)
+    with pytest.raises(ValueError):
+        _minimize_batch(1, [2, 3, -1], g, [1, 3], [2, 3], P)
+
+
+def test_minimize_batch_matches_scalar_greedy_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    weight = st.sampled_from((0.0,) + DEFAULT_WEIGHTS)
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(6, 12), label="n")
+        r = data.draw(st.sampled_from([0.2, 0.35, 0.5]), label="r")  # 0.2: mostly disconnected
+        g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
+        vertices = list(g.vertices)
+        V1 = data.draw(st.sets(st.sampled_from(vertices), min_size=1, max_size=7), label="V1")
+        v1 = data.draw(st.sampled_from(sorted(V1)), label="v1")
+        V2 = data.draw(
+            st.sampled_from([expand_support(g, V1, 1), expand_support(g, V1, 2), set(vertices)])
+            | st.sets(st.sampled_from(vertices)),
+            label="V2",
+        )
+        v2s = data.draw(
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=n, unique=True), label="v2s"
+        )
+        weights = data.draw(st.tuples(weight, weight, weight).filter(any), label="weights")
+        p = ScoreParams(*weights, 1)
+
+        stats = SearchStats()
+        batch = _minimize_batch(v1, v2s, g, V1, V2, p, stats)
+        rows = 0
+        for v2, (m, b) in zip(v2s, batch, strict=True):
+            ref_m, ref_b, ref_rows = greedy_k1_reference(g, v1, v2, V1, V2, p)
+            assert (m, b) == (ref_m, ref_b)
+            assert m(v1) == v2 and v2 in m.codomain  # a v2 outside V2 is added
+            rows += ref_rows
+        assert (stats.calls, stats.evaluations, stats.rows_computed) == (len(v2s), rows, rows)
+        # Chains do not see each other's used targets.
+        assert [_minimize_batch(v1, [v2], g, V1, V2, p)[0] for v2 in v2s] == batch
+
+    check()
+
+
+def test_minimize_batch_splits_chains_over_its_cell_budget(monkeypatch):
+    g = make_random_geometric(12, 0.4, 2)
+    V1 = expand_support(g, {1}, 1)
+    V2 = expand_support(g, V1, 1)
+    v2s = sorted(V2 - {1})
+    whole, split = SearchStats(), SearchStats()
+    expected = _minimize_batch(1, v2s, g, V1, V2, P, whole)
+    # Two chains of (|V1| - 1) sources and |V2| + 1 options fit the budget.
+    monkeypatch.setattr(search_module, "_BATCH_CELLS", 2 * len(V1) * (len(V2) + 1))
+    assert _minimize_batch(1, v2s, g, V1, V2, P, split) == expected
+    assert split == whole
 
 
 def test_candidate_rows_shape_and_order():
@@ -185,6 +260,19 @@ def test_best_composition_two_unit_moves():
     assert [m.image_tuple() for m, _ in tr.steps] == [(2,), (3,)]
     assert tr.composed()(1) == 3
     assert tr.final_pair == (0.0, 0.0)
+
+
+def test_best_composition_counts_its_queue():
+    stats = SearchStats()
+    best_composition(path(3), {1}, 1, 3, P, stats=stats)
+    # The start entry, then 1 pushes 2 and 2 pushes 3 (1 is visited); all settle.
+    assert (stats.pushes, stats.settled, stats.stale_pops, stats.calls) == (3, 3, 0, 2)
+    g = make_grid([3, 3])
+    stats = SearchStats()
+    tr = best_composition(g, {1, 2, 4}, 1, 9, P, stats=stats)
+    assert tr == best_composition(g, {1, 2, 4}, 1, 9, P)
+    assert stats.pushes == stats.calls + 1 and stats.stale_pops > 0
+    assert stats.settled + stats.stale_pops <= stats.pushes
 
 
 def test_best_composition_trivial_target():
