@@ -1,8 +1,10 @@
 """Exhaustive search for translations: enumeration, witnesses, minimality.
 
-The core is a backtracking solver over full-domain assignments with the
-edge constraint built into the candidate sets and strong-neighborhood
-consistency checked against every previously assigned vertex.
+The core, `_search`, is one depth-first backtracking loop on an explicit
+stack over full-domain assignments, with the edge constraint built into the
+candidate sets and strong-neighborhood consistency checked against every
+vertex mapped so far. It builds each translation with `Mapping._trusted`,
+skipping the checks of `Mapping(...)` that the search has already proved.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import groupby
 from math import comb, factorial
 from typing import Optional
 
-from .mapping import BOTTOM, full_mapping
+from .mapping import BOTTOM, Mapping, full_mapping
 
 
 @dataclass
@@ -37,62 +39,63 @@ class EnumerationFilter:
 def _search(g, f):
     """Backtracking over image assignments: a generator of full-domain translations.
 
-    Vertices are assigned in index order, each trying its images in ascending
-    order with bottom last, so translations come sorted by image tuple with
-    bottom after every vertex. Consistency against assigned vertices enforces
-    both the edge constraint and the edge-iff-image-edge property. The filter
-    is validated on the call, before the first translation is drawn.
+    One depth-first loop over an explicit stack of option iterators, one per
+    assigned vertex. Vertices are assigned in index order, each trying its
+    images in ascending order with bottom last, so translations come sorted
+    by image tuple with bottom after every vertex. Consistency against the
+    mapped vertices enforces both the edge constraint and the
+    edge-iff-image-edge property. A vertex may take bottom only while the
+    bottoms stay within max_loss and the unassigned vertices can still cover
+    every required image. Each leaf is built by `Mapping._trusted`, sharing
+    g.vertex_set as domain and codomain, since the search has proved it a
+    translation. The filter is validated on the call, before the first
+    translation is drawn.
     """
     max_loss, image_set, domain = f.normalized(g)
-    n = g.n
-    image = {}
-    used = set()
+    n, adj, V = g.n, g._adj, g.vertex_set
+    # Before vertex v is assigned, v - 1 - len(pairs) vertices hold bottom and
+    # each mapped one holds a distinct required image, so the rest of
+    # image_set still fits in the unassigned vertices iff the bottoms stay
+    # within n - |image_set|. Only a bottom can break that, or max_loss.
+    cap = min(n if max_loss is None else max_loss, n - len(image_set or ()))
+    options = [()] * (n + 2)  # per vertex: its allowed images ascending, then bottom
+    for v in g.vertices:
+        free = domain is None or v in domain
+        options[v] = [w for w in sorted(adj[v]) if free and (image_set is None or w in image_set)] + [BOTTOM]
 
-    def candidates(v):
-        cands = sorted(g._adj[v])
-        if domain is not None and v not in domain:
-            cands = []
-        if image_set is not None:
-            cands = [w for w in cands if w in image_set]
-        return cands
-
-    def consistent(v, w):
-        nv, nw = g._adj[v], g._adj[w]
-        for u, x in image.items():
-            if x is not BOTTOM and (u in nv) != (x in nw):
-                return False
-        return True
-
-    def feasible(depth, bottoms):
-        if max_loss is not None and bottoms > max_loss:
-            return False
-        if image_set is not None:
-            # Every required image must still be reachable by an unassigned vertex.
-            missing = len(image_set - used)
-            if missing > n - depth:
-                return False
-        return True
-
-    def recurse(v, bottoms):
-        if v > n:
-            if image_set is None or used == image_set:
-                yield full_mapping(g, dict(image))
-            return
-        for w in candidates(v):
-            if w in used or not consistent(v, w):
+    def walk():
+        image = dict.fromkeys(g.vertices)
+        pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
+        stack = [iter(options[1])]
+        while stack:
+            v = len(stack)
+            if pairs and pairs[-1][0] == v:
+                used.remove(pairs.pop()[1])
+            if v > n:
+                yield Mapping._trusted(V, V, dict(image))
+                stack.pop()
+                continue
+            nv = adj[v]
+            for w in stack[-1]:
+                if w is BOTTOM:
+                    if v - 1 - len(pairs) < cap:
+                        break
+                elif w not in used:
+                    nw = adj[w]
+                    for u, x in pairs:
+                        if (u in nv) != (x in nw):
+                            break
+                    else:
+                        pairs.append((v, w))
+                        used.add(w)
+                        break
+            else:
+                stack.pop()
                 continue
             image[v] = w
-            used.add(w)
-            if feasible(v, bottoms):
-                yield from recurse(v + 1, bottoms)
-            del image[v]
-            used.discard(w)
-        image[v] = BOTTOM
-        if feasible(v, bottoms + 1):
-            yield from recurse(v + 1, bottoms + 1)
-        del image[v]
+            stack.append(iter(options[v + 1]))
 
-    return recurse(1, 0)
+    return walk()
 
 
 def enumerate_translations(g, f=None):

@@ -39,6 +39,19 @@ class Mapping:
         self.codomain = codomain
         self._image = image
 
+    @classmethod
+    def _trusted(cls, domain, codomain, image):
+        """A mapping from parts already known to be valid, without the checks.
+
+        The caller guarantees that domain and codomain are frozensets, that
+        image's keys are exactly the domain, and that its non-bottom values
+        are distinct vertices of the codomain. The image dict is kept, not
+        copied, so the caller must not change it afterwards.
+        """
+        m = cls.__new__(cls)
+        m.domain, m.codomain, m._image = domain, codomain, image
+        return m
+
     def __call__(self, v):
         """Image of v; vertices outside the domain and bottom map to bottom."""
         if v is BOTTOM or v not in self._image:
@@ -204,13 +217,14 @@ def property_report(g, m):
 
     The gather takes two (k, k) blocks of the distance table: over the k
     mapped sources in ascending order and over their images in the same
-    order. Raises ValueError for a mapped source or image outside 1..n.
-    Fields are Python ints and bools, so reports serialize as plain JSON.
+    order. Raises ValueError for any domain or codomain vertex outside
+    1..n, mapped or not. Fields are Python ints and bools, so reports
+    serialize as plain JSON.
     """
+    for v in m.domain | m.codomain:
+        g._check_vertex(v)
     src = sorted(m.mapped)
     img = [m(v) for v in src]
-    for v in src + img:
-        g._check_vertex(v)
     dist = g.distance_matrix()
     s, t = np.asarray(src, dtype=np.intp), np.asarray(img, dtype=np.intp)
     d_src, d_img = dist[np.ix_(s, s)], dist[np.ix_(t, t)]

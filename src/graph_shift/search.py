@@ -286,13 +286,14 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     if stats is not None:
         stats.calls += len(v2s)
 
-    V2 = frozenset(V2)
+    domain, V2 = frozenset(V1), frozenset(V2)
     out = []
     for v2, row, *raw in zip(v2s, picks.tolist(), loss.tolist(), ec_sum.tolist(), def_sum.tolist()):
         image = {v1: v2}
         image.update((s, T[t] if t < nt else BOTTOM) for s, t in zip(rest, row))
         codomain = V2 if v2 in V2 else V2 | {v2}
-        out.append((Mapping(V1, codomain, image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)))
+        m = Mapping._trusted(domain, codomain, image)
+        out.append((m, ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)))
     return out
 
 
@@ -367,7 +368,8 @@ def minimize_s(
     image = dict.fromkeys([v1] + rest, BOTTOM)
     image.update(zip(done.src, done.img))
     raw = int(done.raw_loss), int(done.raw_ec), int(done.raw_def)
-    return Mapping(V1, sorted(targets), image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
+    m = Mapping._trusted(frozenset(V1), frozenset(targets), image)
+    return m, ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -85,6 +86,32 @@ def test_enumerate_minimal_grid33(tmp_path, capsys):
     assert 1 in losses
 
 
+#: Graph, flags and the sha256 of `graph-shift enumerate` stdout, pinned
+#: from the recursive enumerator before it became an explicit-stack loop:
+#: the canonical order (image tuple ascending, bottom last) and every byte.
+ENUMERATE_PINS = {
+    "grid3x3": (make_grid([3, 3]), [],
+                "5377916b133bbfbd19aab67ea6a644d64e8a86b67c4490c5e6e52927df20c716"),
+    "ring8": (make_ring(8), [],
+              "5ed026cfa5b4d8898dfc3795f808bd7f6cdf2b76e88f3ccc89fe92a6ca658703"),
+    "complete6": (make_complete(6), [],
+                  "93519e664e5cab179da26b50912f6aec77ad01986f94fe8857276ed656fea447"),
+    "grid3x3-max-loss-2": (make_grid([3, 3]), ["--max-loss", "2"],
+                           "06f1cc430aef2f51fa2a163edf32dd99bb264ec16f8e0fa45b942689d962e1ab"),
+    "grid3x3-image-domain": (make_grid([3, 3]), ["--image-set", "2,4,5,6", "--domain-set", "1,2,3,5,7"],
+                             "f72ac07eef0663a563eeb81dc63cbbcefe8e631346d378cacdfe55bc5d1a6b27"),
+}
+
+
+@pytest.mark.parametrize("case", list(ENUMERATE_PINS))
+def test_enumerate_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    g, flags, digest = ENUMERATE_PINS[case]
+    gp = tmp_path / "g.json"
+    g.save(gp)
+    assert run(["enumerate", str(gp), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_enumerate_edgeless_single_bottom(tmp_path, capsys):
     gp = tmp_path / "g.json"
     Graph(2, []).save(gp)
@@ -117,14 +144,16 @@ def test_check_dot_output(k4_file, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
-@pytest.mark.parametrize("where", ["source", "image"])
+@pytest.mark.parametrize("where", ["source", "image", "lost source", "unused codomain"])
 def test_check_out_of_range_mapping_vertex_exit_2(tmp_path, capsys, where, bad):
     gp, mp = tmp_path / "k3.json", tmp_path / "m.json"
     make_complete(3).save(gp)
-    if where == "source":
-        m = Mapping({bad, 1, 2}, {1, 2, 3}, {bad: 3, 1: 2, 2: BOTTOM})
-    else:
-        m = Mapping({1, 2, 3}, {1, 2, 3, bad}, {1: 2, 2: bad, 3: BOTTOM})
+    m = {
+        "source": Mapping({bad, 1, 2}, {1, 2, 3}, {bad: 3, 1: 2, 2: BOTTOM}),
+        "image": Mapping({1, 2, 3}, {1, 2, 3, bad}, {1: 2, 2: bad, 3: BOTTOM}),
+        "lost source": Mapping({bad, 1, 2}, {1, 2, 3}, {bad: BOTTOM, 1: 2, 2: 3}),
+        "unused codomain": Mapping({1, 2, 3}, {1, 2, 3, bad}, {1: 2, 2: 3, 3: BOTTOM}),
+    }[where]
     m.save(mp)
     _assert_exit_2_one_line(["check", str(gp), str(mp)], capsys)
 

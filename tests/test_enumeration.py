@@ -219,6 +219,21 @@ def test_census_counts(g, counts):
     assert got == counts
 
 
+def _draw_graph_and_filter(data, st):
+    """A random graph on 1-6 vertices and a random filter over its vertices,
+    the empty required image set drawn on purpose."""
+    n = data.draw(st.integers(1, 6), label="n")
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
+    subset = st.frozensets(st.sampled_from(list(g.vertices)))
+    f = EnumerationFilter(
+        max_loss=data.draw(st.none() | st.integers(0, n), label="max_loss"),
+        restrict_domain=data.draw(st.none() | subset, label="domain"),
+        require_image_set=data.draw(st.none() | st.just(frozenset()) | subset, label="image set"),
+    )
+    return g, f
+
+
 def _reference_scan(ts, inductive):
     """Minimal (or pseudo-minimal) translations by pairwise scalar `precedes`."""
     keep = {}
@@ -243,15 +258,7 @@ def test_minimality_scans_match_precedes_property():
     @hyp.settings(max_examples=60, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        n = data.draw(st.integers(1, 6), label="n")
-        pairs = itertools.combinations(range(1, n + 1), 2)
-        g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
-        subset = st.frozensets(st.sampled_from(list(g.vertices)))
-        f = EnumerationFilter(
-            max_loss=data.draw(st.none() | st.integers(0, n), label="max_loss"),
-            restrict_domain=data.draw(st.none() | subset, label="domain"),
-            require_image_set=data.draw(st.none() | subset, label="image set"),
-        )
+        g, f = _draw_graph_and_filter(data, st)
         ts = enumerate_translations(g, f)
         hyp.assume(len(ts) <= 600)
         _assert_scans_match_reference(g, ts)
@@ -344,3 +351,44 @@ def test_lossless_enumeration_matches_vf2_automorphisms(graphs):
     for g in graphs:
         found = enumerate_translations(g, EnumerationFilter(lossless_only=True))
         assert [m.image_tuple() for m in found] == _vf2_lossless_translations(g)
+
+
+def _assert_same_as_validated(ts):
+    """Each trusted-built translation equals, and hashes as, the validated build."""
+    for m in ts:
+        checked = Mapping(m.domain, m.codomain, dict(m.items()))
+        assert m == checked and hash(m) == hash(checked)
+
+
+def test_filtered_enumeration_matches_naive_oracle_in_order():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        g, f = _draw_graph_and_filter(data, st)
+        ts = enumerate_translations(g, f)
+        assert ts == naive_oracle(g, f)
+        _assert_same_as_validated(ts)
+        v1 = f.restrict_domain if f.restrict_domain is not None else g.vertex_set
+        v2 = f.require_image_set if f.require_image_set is not None else frozenset()
+        witness = naive_oracle(g, EnumerationFilter(require_image_set=v2, restrict_domain=v1))
+        assert exists_translation_between(g, v1, v2) == (witness[0] if witness else None)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "g, lossless",
+    [
+        (make_grid([3, 3]), False),
+        (make_grid([2, 4]), False),
+        (make_ring(8), False),
+        (make_complete(7), False),
+        (make_torus([5, 5]), True),
+    ],
+    ids=["grid3x3", "grid2x4", "ring8", "complete7", "torus5x5-lossless"],
+)
+def test_census_translations_equal_their_validated_builds(g, lossless):
+    _assert_same_as_validated(enumerate_translations(g, EnumerationFilter(lossless_only=lossless)))
