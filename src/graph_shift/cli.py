@@ -105,8 +105,8 @@ def cmd_enumerate(args):
     f = EnumerationFilter(
         lossless_only=args.lossless,
         max_loss=args.max_loss,
-        require_image_set=frozenset(_parse_ints(args.image_set)) if args.image_set else None,
-        restrict_domain=frozenset(_parse_ints(args.domain_set)) if args.domain_set else None,
+        require_image_set=None if args.image_set is None else frozenset(_parse_ints(args.image_set)),
+        restrict_domain=None if args.domain_set is None else frozenset(_parse_ints(args.domain_set)),
     )
     found = enumerate_translations(g, f)
     if args.minimal:
@@ -134,8 +134,8 @@ def _score_params(args):
 
 
 def _support(g, args):
-    """The --domain-set vertices, or --src with its neighbours."""
-    if args.domain_set:
+    """The --domain-set vertices (an empty set too), or --src with its neighbours."""
+    if args.domain_set is not None:
         return set(_parse_ints(args.domain_set))
     return expand_support(g, {args.src}, 1)
 
@@ -154,7 +154,7 @@ def cmd_compose(args):
         return EXIT_NO_RESULT
     _emit(args, _dumps(trace.to_json_dict()))
     if args.format == "dot":
-        stem = args.out.rsplit(".", 1)[0]
+        stem = os.path.splitext(args.out)[0]
         for i, (m, _) in enumerate(trace.steps, start=1):
             _atomic_write(f"{stem}_step{i}.dot", graph_to_dot(g, m))
     return EXIT_OK

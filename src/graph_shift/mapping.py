@@ -120,7 +120,10 @@ class Mapping:
             for p in image
         ):
             raise ValueError("mapping image must be a list of [v, w] pairs, w an integer or null")
-        return cls(domain, codomain, {v: w for v, w in image})
+        pairs = dict(image)
+        if len(pairs) != len(image):
+            raise ValueError("mapping image gives a source vertex more than one image")
+        return cls(domain, codomain, pairs)
 
     def save(self, path):
         with open(path, "w") as fh:

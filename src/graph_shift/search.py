@@ -4,50 +4,39 @@ Two layers: a greedy K-block assignment heuristic that builds one
 approximate translation between anchor vertices (`minimize_s`), and a
 Dijkstra-style search over anchors that chains such steps from a source
 to a target vertex (`best_composition`), keyed by accumulated score.
-
-At k_block = 1 a round has one row per unused target plus ⊥, too few for
-per-round numpy overhead to pay off chain by chain. But expanding an anchor
-builds one chain per unvisited v2, and those chains share the support, its
-order and the targets. So `_minimize_batch` runs them together: each round
-is one (chains, options) array over the sorted targets and ⊥, a chain's
-used targets masked to +inf before one `np.argmin` per row. A shared
-edge-constraint table and a per-chain deformation table, grown by the
-pairs each round commits, give the raw sums; `_weigh` turns them into the
-same floats a lone chain gets, and masking keeps the order of the other
-options, so each row picks the option a lone chain picks.
-
-For larger blocks, candidate assignments inside a greedy round are scored
-in bulk with numpy. The candidate rows of a round are a cached index
-template into the round's options (free targets, then bottom). Each round
-gathers small integer cost tables from the distance table: per block
-position and option, the edge-constraint violation and the deformation
-against the committed pairs, and per pair of block positions, the
-deformation between their options. A row's raw sums are table lookups
-through the template columns, added to the committed sums that carry over
-from the previous round's chosen row. Rows and the finished step are
-weighed by `relax._weigh`, the expression behind `relax.score`, so each
-candidate is scored once and the numbers agree.
 Each anchor-queue entry carries its chain of (mapping, breakdown) steps, so
 the chain found is neither walked back nor scored again.
 
-A parameter sweep shares greedy rounds across its weight cells. A round's
-raw sums depend only on the committed assignment, the block and the pool;
-the weights enter only through the final argmin. So `parameter_sweep`
-hands `minimize_s` a private round cache keyed by those three. An entry
-keeps each distinct (raw_loss, raw_ec, raw_def) triple of the round with its
+One kernel, `_minimize_batch`, builds every greedy step. Expanding an
+anchor builds one chain per unvisited v2, and the chains share the
+support, its order and the targets, so they run together. A round assigns
+a block of L sources; its rows are the flat product of L option axes over
+the sorted targets, then ⊥. Raw sums broadcast three integer tables from
+the distance table: each position's edge constraint (shared by the
+chains), its deformation against the chain's committed pairs (per chain),
+and the deformation between two block positions (shared). Rows where a
+chain reuses a target, or two positions take the same one, are masked to
++inf; masking keeps product order, so one `np.argmin` per chain picks the
+first minimizer of its own candidates. `relax._weigh`, the expression
+behind `relax.score`, weighs rows and steps, so the numbers agree.
+
+A parameter sweep shares rounds across its weight cells: a round's raw
+sums depend on the chain's committed assignment, the block and the
+targets, and the weights enter only through the argmin. So
+`parameter_sweep` hands the kernel a round cache keyed per chain by those.
+An entry keeps each distinct (raw_loss, raw_ec, raw_def) triple with its
 first row, minus every triple that an earlier-first-row triple with the
 same raw_loss bounds in both raw_ec and raw_def (`_argmin_candidates`).
 Within a round the normalizers are fixed and float multiply and add are
-monotone, so for non-negative weights a dropped triple never totals less
-than the one bounding it and is never the first minimum. A later cell
-weighs the kept triples only; `np.argmin` returns the first minimum, and
-the kept triples are in first-row order, so it picks the row that scoring
-every row would pick and outputs stay bit-identical. The cache lives for
-one block size of the sweep: the cells of one k_block share their rounds,
-cells of different k_block almost never do, and dropping the entries
-between groups bounds the memory. Rounds of a one-vertex block are not
-cached: they have only |pool| + 1 rows, nearly all distinct, so an entry
-would cost more than it saves.
+monotone, so for non-negative weights a dropped triple is never the first
+minimum, and the kept triples, in first-row order, pick the row that
+scoring every row picks: outputs stay bit-identical. Only the chains that
+miss are scored. The cache lives for one block size of the sweep (cells of
+different k_block almost never share rounds), which bounds its memory.
+Only rounds of `_CACHED_BLOCK` (three) or more sources use it: a one-vertex
+round has |targets| + 1 rows, nearly all distinct, and a two-vertex round
+is scored densely for every chain at once faster than its hits are weighed
+chain by chain; from three vertices the dense rows outgrow that.
 """
 
 from __future__ import annotations
@@ -56,7 +45,7 @@ import heapq
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -67,86 +56,36 @@ from .mapping import BOTTOM, Mapping, _gaps
 from .relax import ScoreBreakdown, ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front
 
 
-@lru_cache(maxsize=128)
-def _row_template(npool, length):
-    """Candidate rows of a block as indices into sorted(pool) + [⊥].
+@lru_cache(maxsize=32)
+def _product_masks(nopt, length):
+    """⊥ count and repeated-target flag of each row of a round's option product.
 
-    Index npool stands for ⊥. Concrete options appear at most once per row;
-    ⊥ may repeat. Rows come out in product order with ⊥ last, so downstream
-    argmin ties resolve to the canonical first candidate. Returns one index
-    column per block position, shape (length, rows), in the smallest dtype
-    that holds npool, and each row's ⊥ count. Both arrays are read-only,
-    because every caller shares them.
+    Rows are the C-order product of `length` axes of `nopt` options, the
+    last of which is ⊥; a row repeats a target where two positions take the
+    same option other than ⊥. Returns both per row, flat, in the smallest
+    dtypes, read-only because every caller shares them.
     """
-    cols = np.indices((npool + 1,) * length, dtype=np.min_scalar_type(npool))
-    cols = cols.reshape(length, -1)
-    keep = np.ones(cols.shape[1], dtype=bool)
-    for i in range(length):
-        for j in range(i + 1, length):
-            keep &= (cols[i] != cols[j]) | (cols[i] == npool)
-    cols = cols[:, keep]
-    bottoms = (cols == npool).sum(axis=0, dtype=np.min_scalar_type(length))
-    cols.flags.writeable = False
-    bottoms.flags.writeable = False
-    return cols, bottoms
+    cols = np.indices((nopt,) * length, dtype=np.min_scalar_type(nopt)).reshape(length, -1)
+    bottom = cols == nopt - 1
+    repeat = np.zeros(cols.shape[1], dtype=bool)
+    for i, j in itertools.combinations(range(length), 2):
+        repeat |= (cols[i] == cols[j]) & ~bottom[i]
+    bottoms = bottom.sum(axis=0, dtype=np.min_scalar_type(length))
+    bottoms.flags.writeable = repeat.flags.writeable = False
+    return bottoms, repeat
 
 
-@dataclass
-class _Committed:
-    """Assignment committed by earlier greedy rounds and its raw score sums.
+def _outer(tables, op):
+    """`op` over the product of option axes, table j on axis j, flat in C order.
 
-    Every committed source is in `src` or counted in `raw_loss` (sent to ⊥).
+    Each table is (..., options); the result broadcasts their leading axes
+    and has one column per row of the product.
     """
-
-    src: list  # sources with a concrete image
-    img: list  # their images
-    raw_loss: int
-    raw_ec: int
-    raw_def: int
-
-    def size(self):
-        """Committed sources, mapped or sent to ⊥."""
-        return len(self.src) + self.raw_loss
-
-
-def _score_rows(g, p, done: _Committed, block, pool):
-    """Score every candidate row as if its block assignment were committed.
-
-    Returns (cols, total, raw_loss, raw_ec, raw_def): the row template of
-    `_row_template(len(pool), len(block))` and one value per row. Raw sums
-    stay int64; `total` is `_weigh` over the would-be assigned set, per the
-    greedy round convention.
-    """
-    dist = g.distance_matrix()
-    npool, length = len(pool), len(block)
-    cols, bottoms = _row_template(npool, length)
-    opts = np.asarray(pool, dtype=np.intp)
-    blk = np.asarray(block, dtype=np.intp)
-
-    # Per-option tables; the last column (⊥) costs nothing. An option keeps
-    # the edge constraint only at one hop from its source.
-    ec = np.zeros((length, npool + 1), dtype=np.int64)
-    ec[:, :npool] = dist[blk[:, None], opts] != 1
-    deform = np.zeros((length, npool + 1), dtype=np.int64)
-    if done.src:
-        d_src = dist[blk[:, None], done.src]
-        d_img = dist[opts[:, None], done.img]
-        deform[:, :npool] = _gaps(d_src[:, None, :], d_img[None, :, :], g.n).sum(axis=2)
-
-    raw_ec, raw_def = done.raw_ec, done.raw_def
-    if length > 1:
-        d_opts = dist[opts[:, None], opts]
-        pair = np.zeros((npool + 1, npool + 1), dtype=np.int64)
-    for j in range(length):
-        raw_ec += ec[j][cols[j]]
-        raw_def += deform[j][cols[j]]
-        for i in range(j):
-            pair[:npool, :npool] = _gaps(dist[block[i], block[j]], d_opts, g.n)
-            raw_def += pair[cols[i], cols[j]]
-
-    raw_loss = done.raw_loss + bottoms.astype(np.int64)
-    n1 = done.size() + length
-    return cols, _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1], raw_loss, raw_ec, raw_def
+    out = tables[0]
+    for t in tables[1:]:
+        out = op(out[..., :, None], t[..., None, :])
+        out = out.reshape(*out.shape[:-2], -1)
+    return out
 
 
 def _argmin_candidates(raw_loss, raw_ec, raw_def):
@@ -182,13 +121,14 @@ def _argmin_candidates(raw_loss, raw_ec, raw_def):
 class SearchStats:
     """Instrumentation of the greedy steps and the anchor queue.
 
-    `calls` counts greedy chains built (one per minimize_s call or chain of
-    a batched k=1 expansion), `evaluations` the candidate rows they
-    considered, `rows_computed` the rows actually scored, and `round_hits`
-    the greedy rounds read from a sweep's round cache instead (their rows
-    count as considered, not computed). `pushes`, `stale_pops` and `settled`
-    count best_composition's queue entries pushed, popped for an anchor
-    already settled, and anchors settled.
+    `calls` counts greedy chains built (one per v2 the kernel is given),
+    `evaluations` the candidate rows their rounds considered (a chain's
+    masked rows are not candidates), `rows_computed` the candidate rows
+    actually scored, and `round_hits` the chains' rounds read from a
+    sweep's round cache instead (rounds of `_CACHED_BLOCK` or more
+    sources; their rows count as considered, not computed). `pushes`,
+    `stale_pops` and `settled` count best_composition's queue entries
+    pushed, popped for an anchor already settled, and anchors settled.
     """
 
     evaluations: int = 0
@@ -200,9 +140,13 @@ class SearchStats:
     settled: int = 0
 
 
-#: Cells of one batched k=1 deformation table, (chains, sources, options),
-#: above which `_minimize_batch` splits its chains (8 MB of int64).
-_BATCH_CELLS = 1 << 20
+#: Cells of one kernel chunk, chains × (targets + 1)^L for the widest round
+#: (or chains × sources × (targets + 1) for the deformation table, if
+#: larger), above which `_minimize_batch` splits its chains. Each cell
+#: holds about ten 8-byte temporaries; the bound keeps a sweep's peak RSS.
+_BATCH_CELLS = 1 << 15
+#: Rounds of at least this many sources go through a sweep's round cache.
+_CACHED_BLOCK = 3
 
 
 def _checked_support(g, v1, v2s, V1, V2):
@@ -215,37 +159,36 @@ def _checked_support(g, v1, v2s, V1, V2):
     return sorted(V1), V2
 
 
-def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):
-    """minimize_s at k_block = 1 for each v2 in v2s: a list of (mapping, breakdown).
+def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None, rounds=None):
+    """minimize_s for each v2 in v2s: a list of (mapping, breakdown).
 
     Every chain pins v1 -> v2 and then assigns the other support vertices
-    one per round, in ascending order, each to the first minimizer over its
-    unused targets (V2 and its own v2) in sorted order, then ⊥. All chains
-    run each round together as the rows of (chains, options) arrays whose
-    columns are the sorted union of the targets and ⊥; a target a chain
-    cannot use is masked to +inf before `np.argmin`, which leaves the order
-    of the others unchanged. The edge-constraint table (sources, options)
-    is shared; the deformation table (chains, sources, options) holds each
-    later source's deformation against a chain's committed pairs and grows
-    by the pairs each round commits. Raw sums are int64 and rows are
-    weighed by `_weigh`, so every chain equals a lone minimize_s call.
+    in ascending order, up to p.k_block per round, each block to the first
+    minimizer over arrangements of its unused targets (V2 and its own v2)
+    and ⊥ (module docstring); each equals a lone minimize_s call. `rounds`
+    is a sweep's round cache: a dict from a chain's round (anchor, block,
+    targets, committed sources, pin, picks and used targets, as bytes) to
+    `_argmin_candidates` of its rows, by flat product index. The result is
+    the same without it.
     """
     V1, V2 = _checked_support(g, v1, v2s, V1, V2)
     if not v2s:
         return []
     rest = [v for v in V1 if v != v1]
     T = sorted(V2.union(v2s))
-    nt, chains = len(T), np.arange(len(v2s))
-    step = max(1, _BATCH_CELLS // (max(1, len(rest)) * (nt + 1)))
-    if len(v2s) > step:
+    nt, nc = len(T), len(v2s)
+    widest = max(1, min(p.k_block, len(rest)))
+    step = max(1, _BATCH_CELLS // ((nt + 1) * max(len(rest), (nt + 1) ** (widest - 1))))
+    if nc > step:
         return [
             out
-            for start in range(0, len(v2s), step)
-            for out in _minimize_batch(v1, v2s[start : start + step], g, V1, V2, p, stats)
+            for start in range(0, nc, step)
+            for out in _minimize_batch(v1, v2s[start : start + step], g, V1, V2, p, stats, rounds)
         ]
 
     dist = g.distance_matrix()
     tg, rs, pins = (np.array(vs, dtype=np.intp) for vs in (T, rest, v2s))
+    chains = np.arange(nc)
     # Option columns: the targets in sorted order, then ⊥ (column nt), which
     # costs nothing. d_opt's ⊥ row is never read unmasked.
     ec = np.zeros((len(rest), nt + 1), dtype=np.int64)
@@ -253,123 +196,116 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     d_opt = np.zeros((nt + 1, nt), dtype=np.int64)
     d_opt[:nt] = dist[tg[:, None], tg]
     d_rest = dist[rs[:, None], rs]
-    deform = np.zeros((len(v2s), len(rest), nt + 1), dtype=np.int64)
-    deform[:, :, :nt] = _gaps(dist[rs, v1][None, :, None], dist[pins[:, None], tg][:, None, :], g.n)
+    deform = np.zeros((len(rest), nc, nt + 1), dtype=np.int64)
+    deform[:, :, :nt] = _gaps(dist[rs, v1][:, None, None], dist[pins[:, None], tg], g.n)
     # A chain may take each target of V2 but its own v2 once; ⊥ always stays open.
-    used = np.tile(np.array([t not in V2 for t in T] + [False]), (len(v2s), 1))
+    used = np.zeros((nc, nt + 1), dtype=bool)
+    used[:, :nt] = [t not in V2 for t in T]
     used[chains, np.searchsorted(tg, pins)] = True
-    bottom = np.zeros(nt + 1, dtype=np.int64)
-    bottom[nt] = 1
 
-    loss = np.zeros(len(v2s), dtype=np.int64)
+    loss = np.zeros(nc, dtype=np.int64)
     ec_sum = (dist[v1, pins] != 1).astype(np.int64)
-    def_sum = np.zeros(len(v2s), dtype=np.int64)
-    picks = np.empty((len(v2s), len(rest)), dtype=np.intp)
-    for i in range(len(rest)):
-        raw_loss = loss[:, None] + bottom
-        raw_ec = ec_sum[:, None] + ec[i]
-        raw_def = def_sum[:, None] + deform[:, i]
-        total = _weigh(p, i + 2, raw_loss, raw_ec, raw_def)[-1]
-        total[used] = np.inf
-        best = total.argmin(axis=1)
+    def_sum = np.zeros(nc, dtype=np.int64)
+    picks = np.empty((len(rest), nc), dtype=np.intp)
+    best = np.empty(nc, dtype=np.intp)
+    for start in range(0, len(rest), p.k_block):
+        L = min(p.k_block, len(rest) - start)
+        n1, shape = start + L + 1, (nt + 1,) * L
         if stats is not None:
-            rows = used.size - int(np.count_nonzero(used))
-            stats.evaluations += rows
-            stats.rows_computed += rows
-        picks[:, i] = best
-        loss, ec_sum, def_sum = raw_loss[chains, best], raw_ec[chains, best], raw_def[chains, best]
-        mapped = best < nt
-        used[chains, best] = mapped
-        if i + 1 < len(rest):
-            gaps = _gaps(d_rest[i + 1 :, i][None, :, None], d_opt[best][:, None, :], g.n)
-            deform[:, i + 1 :, :nt] += gaps * mapped[:, None, None]
-    if stats is not None:
-        stats.calls += len(v2s)
+            # A chain's candidates: j of the L sources on distinct free targets, the rest on ⊥.
+            free = nt - np.count_nonzero(used, axis=1)
+            rows = sum(math.comb(L, j) * math.prod(free - i for i in range(j)) for j in range(L + 1))
+            stats.evaluations += int(rows.sum())
 
-    domain, V2 = frozenset(V1), frozenset(V2)
+        todo = slice(None)
+        cached = rounds is not None and L >= _CACHED_BLOCK
+        if cached:
+            head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
+            state = np.vstack((pins, picks[:start])).T.astype(np.int32)
+            keys = [head + s.tobytes() + u.tobytes() for s, u in zip(state, used)]
+            todo = []
+            for c, key in enumerate(keys):
+                entry = rounds.get(key)
+                if entry is None:
+                    todo.append(c)
+                    continue
+                j = int(np.argmin(_weigh(p, n1, *entry[:3])[-1]))
+                best[c], loss[c], ec_sum[c], def_sum[c] = entry[3, j], *entry[:3, j]
+            if stats is not None:
+                stats.round_hits += nc - len(todo)
+            todo = np.array(todo, dtype=np.intp)
+
+        if not cached or len(todo):
+            if stats is not None:
+                stats.rows_computed += int(rows[todo].sum())
+            # Raw sums: a chain's committed sums plus, at L = 1, the source's
+            # own tables, else their product and the deformation within the block.
+            raw_ec = ec_sum[todo, None] + ec[start]
+            raw_def = def_sum[todo, None] + deform[start, todo]
+            bad = used[todo]
+            if L > 1:
+                raw_ec = _outer([raw_ec, *ec[start + 1 : start + L]], np.add)
+                raw_def = _outer([raw_def, *deform[start + 1 : start + L, todo]], np.add)
+                bad = _outer([bad] * L, np.logical_or)
+                bad |= _product_masks(nt + 1, L)[1]
+                between = np.zeros(shape, dtype=np.int64)
+                for i, j in itertools.combinations(range(L), 2):
+                    pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
+                    pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
+                    between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
+                raw_def += between.ravel()
+            raw_loss = loss[todo, None] + _product_masks(nt + 1, L)[0]
+            total = _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1]
+            total[bad] = np.inf
+            pick = total.argmin(axis=1)
+            r = chains[: len(pick)]
+            best[todo] = pick
+            loss[todo], ec_sum[todo], def_sum[todo] = raw_loss[r, pick], raw_ec[r, pick], raw_def[r, pick]
+            if cached:
+                for i, c in enumerate(todo):
+                    flat = np.flatnonzero(~bad[i])
+                    entry = _argmin_candidates(raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat])
+                    entry[3] = flat[entry[3]]
+                    rounds[keys[c]] = entry
+
+        opts = np.unravel_index(best, shape) if L > 1 else (best,)
+        for j, o in enumerate(opts, start):
+            picks[j] = o
+            mapped = o < nt
+            used[chains, o] = mapped
+            if start + L < len(rest):
+                gaps = _gaps(d_rest[start + L :, j, None, None], d_opt[o], g.n)
+                deform[start + L :, :, :nt] += gaps * mapped[:, None]
+    if stats is not None:
+        stats.calls += nc
+
+    domain, V2, options = frozenset(V1), frozenset(V2), T + [BOTTOM]
     out = []
-    for v2, row, *raw in zip(v2s, picks.tolist(), loss.tolist(), ec_sum.tolist(), def_sum.tolist()):
+    for v2, row, *raw in zip(v2s, picks.T.tolist(), loss.tolist(), ec_sum.tolist(), def_sum.tolist()):
         image = {v1: v2}
-        image.update((s, T[t] if t < nt else BOTTOM) for s, t in zip(rest, row))
+        image.update(zip(rest, map(options.__getitem__, row)))
         codomain = V2 if v2 in V2 else V2 | {v2}
         m = Mapping._trusted(domain, codomain, image)
         out.append((m, ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)))
     return out
 
 
-def minimize_s(
-    v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None, _rounds=None
-):
+def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):
     """Greedy construction of an approximate translation with v1 ↦ v2.
 
     After pinning v1 ↦ v2, remaining sources are assigned in blocks of
     p.k_block, smallest vertex indices first; each round exhaustively tries
     every arrangement of unused targets (⊥ allowed) for the block and keeps
-    the score minimizer over the assigned-so-far set. With k_block ≥
+    the first score minimizer over the assigned-so-far set. With k_block ≥
     |V1| − 1 the single round is an exhaustive search. Raises ValueError
     if v1 is not in V1, or if v2 or a vertex of V1 or V2 is not an integer
     in 1..n.
 
-    At k_block = 1 this is `_minimize_batch` on the one chain. Otherwise a
-    round scores its candidates through `_score_rows`: a cached index
-    template of the rows, per-option cost tables gathered through it, and
-    the raw sums of the committed assignment, carried from the previous
-    round's chosen row. Returns (mapping, breakdown): the breakdown is
-    `_weigh` over the final sums as Python ints, equal in every field to
-    `relax.score` of the mapping.
-
-    `_rounds` is a sweep's private round cache (see the module docstring):
-    a dict from the committed sources, images and raw_loss, the block and
-    the pool, packed as int32 bytes, to `_argmin_candidates` of that round.
-    Rounds of one-vertex blocks bypass it. The result is the same with or
-    without it.
+    This is the greedy kernel `_minimize_batch` on one chain. Returns
+    (mapping, breakdown): the breakdown is `_weigh` over the final raw sums
+    as Python ints, equal in every field to `relax.score` of the mapping.
     """
-    if p.k_block == 1:
-        return _minimize_batch(v1, [v2], g, V1, V2, p, stats)[0]
-    V1, targets = _checked_support(g, v1, [v2], V1, V2)
-    targets.add(v2)
-    if stats is not None:
-        stats.calls += 1
-
-    done = _Committed([v1], [v2], 0, int(not g.has_edge(v1, v2)), 0)
-    rest = [v for v in V1 if v != v1]
-    for start in range(0, len(rest), p.k_block):
-        block = rest[start : start + p.k_block]
-        pool = sorted(targets.difference(done.img))
-        key = entry = None
-        if _rounds is not None and len(block) > 1:
-            key = np.array(
-                [len(done.src), len(block), *done.src, *done.img, done.raw_loss, *block, *pool],
-                dtype=np.int32,
-            ).tobytes()
-            entry = _rounds.get(key)
-        if entry is None:
-            cols, total, raw_loss, raw_ec, raw_def = _score_rows(g, p, done, block, pool)
-            best = int(np.argmin(total))
-            chosen = raw_loss[best], raw_ec[best], raw_def[best]
-            if key is not None:
-                _rounds[key] = _argmin_candidates(raw_loss, raw_ec, raw_def)
-        else:
-            cols, _ = _row_template(len(pool), len(block))
-            j = int(np.argmin(_weigh(p, done.size() + len(block), *entry[:3])[-1]))
-            best, chosen = entry[3, j], entry[:3, j]
-        if stats is not None:
-            stats.evaluations += cols.shape[1]
-            if entry is None:
-                stats.rows_computed += cols.shape[1]
-            else:
-                stats.round_hits += 1
-        for src, t in zip(block, cols[:, best]):
-            if t < len(pool):  # index len(pool) is ⊥
-                done.src.append(src)
-                done.img.append(pool[t])
-        done.raw_loss, done.raw_ec, done.raw_def = chosen
-
-    image = dict.fromkeys([v1] + rest, BOTTOM)
-    image.update(zip(done.src, done.img))
-    raw = int(done.raw_loss), int(done.raw_ec), int(done.raw_def)
-    m = Mapping._trusted(frozenset(V1), frozenset(targets), image)
-    return m, ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
+    return _minimize_batch(v1, [v2], g, V1, V2, p, stats)[0]
 
 
 @dataclass
@@ -481,15 +417,15 @@ def best_composition(
     A heuristic over anchors: a Dijkstra queue keyed by accumulated score
     settles each anchor vertex once, with the support its first chain
     carries, and expands it to the unvisited vertices of that support's
-    hop-frontier via minimize_s; at k_block = 1 one `_minimize_batch`
-    call builds the steps to all of them. Each queue entry carries its
+    hop-frontier; one call of the greedy kernel `_minimize_batch` builds
+    the steps to all of them, at every k_block. Each queue entry carries its
     chain as the (mapping, breakdown) steps so far; the support is the last
     step's image set, or V1_init for the empty chain. A step's cost depends
     on the carried support, so the chain found need not be the cheapest one
     (a brute-force chain oracle in the tests pins such a gap). Ties in the
     queue break on (score, vertex index, insertion order). `stats`, if
     given, also counts the queue's pushes, stale pops and settled anchors.
-    `_rounds` is a sweep's private round cache, handed to every minimize_s
+    `_rounds` is a sweep's private round cache, handed to every kernel
     call.
     """
     V1_init = frozenset(V1_init)
@@ -522,10 +458,7 @@ def best_composition(
         support = sorted(steps[-1][0].image_set if steps else V1_init)
         V2 = expand_support(g, support, hops)
         v2s = [v2 for v2 in sorted(V2 - {v1}) if v2 not in visited]
-        if p.k_block == 1:
-            found = _minimize_batch(v1, v2s, g, support, V2, p, stats)
-        else:
-            found = (minimize_s(v1, v2, g, support, V2, p, stats, _rounds) for v2 in v2s)
+        found = _minimize_batch(v1, v2s, g, support, V2, p, stats, _rounds)
         for v2, (m, b) in zip(v2s, found):
             heapq.heappush(queue, (total + b.total, v2, next(counter), steps + ((m, b),)))
         if stats is not None:
@@ -575,9 +508,9 @@ def parameter_sweep(
     greedy round reads only through its argmin, so a round scored for one
     cell is weighed from its cached triples in the others. The cache is
     dropped when its group ends, so it holds one block size's rounds at a
-    time, and one-vertex rounds are never cached. Every record and trace
-    equals that of a lone best_composition call. `stats`, if given,
-    accumulates over every cell.
+    time, and rounds of fewer than three sources are never cached. Every
+    record and trace equals that of a lone best_composition call. `stats`,
+    if given, accumulates over every cell.
     """
     grid = list(grid) if grid is not None else default_grid()
     params = [ScoreParams(a, b, c, k) for a, b, c, k in grid]

@@ -41,26 +41,33 @@ def naive_oracle(g, f=None):
     return sorted(found, key=lambda m: tuple(big if w is BOTTOM else w for w in m.image_tuple()))
 
 
-def greedy_k1_reference(g, v1, v2, V1, V2, p):
-    """minimize_s at k_block = 1 by scalar scoring: (mapping, breakdown, rows tried).
+def greedy_reference(g, v1, v2, V1, V2, p):
+    """minimize_s by scalar scoring: (mapping, breakdown, rows tried).
 
-    Pins v1 -> v2, then gives each other support vertex, in ascending
-    order, the first strict minimizer of `relax.score` of the assigned-so-far
-    mapping over its unused targets (V2 and v2) in sorted order, then ⊥.
+    Pins v1 -> v2, then takes the other support vertices in ascending order,
+    p.k_block at a time. A block tries every arrangement of the unused
+    targets (V2 and v2) and ⊥, in product order over the sorted targets then
+    ⊥, each target at most once, and keeps the first strict minimizer of
+    `relax.score` of the assigned-so-far mapping.
     """
     targets = set(V2) | {v2}
     image = {v1: v2}
+    rest = sorted(set(V1) - {v1})
     rows = 0
-    for s in sorted(set(V1) - {v1}):
-        pool = sorted(targets - set(image.values()))
+    for start in range(0, len(rest), p.k_block):
+        block = rest[start : start + p.k_block]
+        options = sorted(targets - set(image.values())) + [BOTTOM]
         best = None
-        for w in pool + [BOTTOM]:
-            image[s] = w
+        for row in product(options, repeat=len(block)):
+            mapped = [w for w in row if w is not BOTTOM]
+            if len(mapped) != len(set(mapped)):
+                continue
+            image.update(zip(block, row))
             total = score(g, Mapping(image, targets, image), p).total
             rows += 1
             if best is None or total < best[0]:
-                best = (total, w)
-        image[s] = best[1]
+                best = (total, row)
+        image.update(zip(block, best[1]))
     m = Mapping(V1, targets, image)
     return m, score(g, m, p), rows
 

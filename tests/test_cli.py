@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from graph_shift.cli import main
+from graph_shift.enumeration import EnumerationFilter, enumerate_translations
 from graph_shift.graph import Graph, make_complete, make_grid, make_ring
 from graph_shift.mapping import BOTTOM, Mapping, full_mapping
 
@@ -226,6 +227,14 @@ def test_compose_dot_steps(tmp_path):
                 "--format", "dot", "--out", str(out)]) == 0
     assert (tmp_path / "trace_step1.dot").exists()
     assert (tmp_path / "trace_step2.dot").exists()
+    # A dot in a directory name is not an extension: the steps go next to --out.
+    (tmp_path / "a.b").mkdir()
+    assert run(["compose", str(gp), "--src", "1", "--tgt", "3", "--domain-set", "1",
+                "--format", "dot", "--out", str(tmp_path / "a.b" / "trace")]) == 0
+    assert sorted(f.name for f in (tmp_path / "a.b").iterdir()) == [
+        "trace", "trace_step1.dot", "trace_step2.dot"
+    ]
+    assert not list(tmp_path.glob("a_step*"))
 
 
 def test_compose_dot_without_out_exit_2(tmp_path, capsys, monkeypatch):
@@ -246,6 +255,33 @@ def test_enumerate_out_of_range_vertex_set_exit_2(tmp_path, capsys, flag, vertic
     gp = tmp_path / "ring5.json"
     make_ring(5).save(gp)
     _assert_exit_2_one_line(["enumerate", str(gp), flag, vertices], capsys)
+
+
+@pytest.mark.parametrize("flag, field", [("--image-set", "require_image_set"), ("--domain-set", "restrict_domain")])
+def test_enumerate_empty_vertex_set_is_a_filter(tmp_path, capsys, flag, field):
+    # An empty set is a filter, not an absent flag: only the all-bottom map passes.
+    gp = tmp_path / "ring4.json"
+    make_ring(4).save(gp)
+    assert run(["enumerate", str(gp), flag, ""]) == 0
+    expected = enumerate_translations(make_ring(4), EnumerationFilter(**{field: frozenset()}))
+    assert json.loads(capsys.readouterr().err)["count"] == len(expected) == 1
+
+
+@pytest.mark.parametrize("command", ["compose", "sweep"])
+def test_empty_domain_set_exit_2(tmp_path, capsys, command):
+    # An empty support does not fall back to --src and its neighbours.
+    gp = tmp_path / "ring5.json"
+    make_ring(5).save(gp)
+    _assert_exit_2_one_line([command, str(gp), "--src", "1", "--tgt", "3", "--domain-set", ""], capsys)
+
+
+def test_check_mapping_with_repeated_source_exit_2(tmp_path, capsys):
+    # Source 1 has two images; keeping the last one made this a 5-ring translation.
+    gp, mp = tmp_path / "ring5.json", tmp_path / "m.json"
+    make_ring(5).save(gp)
+    image = [[1, 3], [1, 2], [2, 3], [3, 4], [4, 5], [5, 1]]
+    mp.write_text(json.dumps({"domain": [1, 2, 3, 4, 5], "codomain": [1, 2, 3, 4, 5], "image": image}))
+    _assert_exit_2_one_line(["check", str(gp), str(mp)], capsys)
 
 
 def test_sweep_csv(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,24 +9,22 @@ import pytest
 import graph_shift.search as search_module
 from graph_shift.euclid import dirac, euclidean_on_torus
 from graph_shift.graph import Graph, make_grid, make_random_geometric, make_ring, make_torus
-from graph_shift.mapping import BOTTOM, Mapping
 from graph_shift.relax import ScoreParams, _weigh, score
 from graph_shift.search import (
     DEFAULT_BLOCKS,
     DEFAULT_WEIGHTS,
     SearchStats,
     _argmin_candidates,
-    _Committed,
+    _CACHED_BLOCK,
     _minimize_batch,
-    _row_template,
-    _score_rows,
+    _product_masks,
     best_composition,
     expand_support,
     localized_sets,
     minimize_s,
     parameter_sweep,
 )
-from oracles import greedy_k1_reference
+from oracles import greedy_reference
 
 P = ScoreParams(1.0, 0.1, 0.5, 1)
 
@@ -75,11 +74,15 @@ def test_minimize_batch_matches_scalar_greedy_property():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     weight = st.sampled_from((0.0,) + DEFAULT_WEIGHTS)
+    weights = st.tuples(weight, weight, weight).filter(any)
 
     @hyp.settings(max_examples=60, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        n = data.draw(st.integers(6, 12), label="n")
+        k = data.draw(st.sampled_from(DEFAULT_BLOCKS), label="k_block")
+        # A scalar round of k sources scores up to (targets + 1)^k rows, so
+        # larger blocks draw smaller instances.
+        n = data.draw(st.integers(6, 12 if k == 1 else 9), label="n")
         r = data.draw(st.sampled_from([0.2, 0.35, 0.5]), label="r")  # 0.2: mostly disconnected
         g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
         vertices = list(g.vertices)
@@ -91,22 +94,41 @@ def test_minimize_batch_matches_scalar_greedy_property():
             label="V2",
         )
         v2s = data.draw(
-            st.lists(st.sampled_from(vertices), min_size=1, max_size=n, unique=True), label="v2s"
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=n if k == 1 else 3, unique=True),
+            label="v2s",
         )
-        weights = data.draw(st.tuples(weight, weight, weight).filter(any), label="weights")
-        p = ScoreParams(*weights, 1)
+        p = ScoreParams(*data.draw(weights, label="weights"), k)
 
         stats = SearchStats()
         batch = _minimize_batch(v1, v2s, g, V1, V2, p, stats)
         rows = 0
         for v2, (m, b) in zip(v2s, batch, strict=True):
-            ref_m, ref_b, ref_rows = greedy_k1_reference(g, v1, v2, V1, V2, p)
+            ref_m, ref_b, ref_rows = greedy_reference(g, v1, v2, V1, V2, p)
             assert (m, b) == (ref_m, ref_b)
             assert m(v1) == v2 and v2 in m.codomain  # a v2 outside V2 is added
             rows += ref_rows
         assert (stats.calls, stats.evaluations, stats.rows_computed) == (len(v2s), rows, rows)
+        assert stats.round_hits == 0
         # Chains do not see each other's used targets.
         assert [_minimize_batch(v1, [v2], g, V1, V2, p)[0] for v2 in v2s] == batch
+
+        # A sweep's round cache, filled under p (every round misses), read
+        # again under p (every round of _CACHED_BLOCK or more sources hits)
+        # and under other weights (the first such round hits; later ones
+        # hit where the picks before them agree). Each equals the kernel
+        # without a cache.
+        sources = len(V1) - 1
+        cached = len(v2s) * sum(min(k, sources - s) >= _CACHED_BLOCK for s in range(0, sources, k))
+        first = len(v2s) if min(k, sources) >= _CACHED_BLOCK else 0
+        reweighed = ScoreParams(*data.draw(weights, label="reweigh"), k)
+        rounds = {}
+        for q, hits in ((p, {0}), (p, {cached}), (reweighed, range(first, cached + 1))):
+            plain, reused = SearchStats(), SearchStats()
+            expected = _minimize_batch(v1, v2s, g, V1, V2, q, plain)
+            assert _minimize_batch(v1, v2s, g, V1, V2, q, reused, rounds) == expected
+            assert (reused.calls, reused.evaluations) == (plain.calls, plain.evaluations)
+            assert reused.round_hits in hits
+            assert (reused.rows_computed < plain.rows_computed) == bool(reused.round_hits)
 
     check()
 
@@ -116,86 +138,39 @@ def test_minimize_batch_splits_chains_over_its_cell_budget(monkeypatch):
     V1 = expand_support(g, {1}, 1)
     V2 = expand_support(g, V1, 1)
     v2s = sorted(V2 - {1})
-    whole, split = SearchStats(), SearchStats()
-    expected = _minimize_batch(1, v2s, g, V1, V2, P, whole)
-    # Two chains of (|V1| - 1) sources and |V2| + 1 options fit the budget.
-    monkeypatch.setattr(search_module, "_BATCH_CELLS", 2 * len(V1) * (len(V2) + 1))
-    assert _minimize_batch(1, v2s, g, V1, V2, P, split) == expected
-    assert split == whole
+    kernel = search_module._minimize_batch
+    for k, cache in itertools.product(DEFAULT_BLOCKS, (False, True)):
+        p = dataclasses.replace(P, k_block=k)
+        whole = SearchStats()
+        expected = kernel(1, v2s, g, V1, V2, p, whole, {} if cache else None)
+        # One chain's cells: its widest round, or its deformation table.
+        widest = min(k, len(V1) - 1)
+        cells = (len(V2) + 1) * max(len(V1) - 1, (len(V2) + 1) ** (widest - 1))
+        for chunk in (1, 2):
+            calls = []
+            monkeypatch.setattr(search_module, "_BATCH_CELLS", chunk * cells)
+            monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
+            split = SearchStats()
+            assert kernel(1, v2s, g, V1, V2, p, split, {} if cache else None) == expected
+            assert split == whole
+            assert len(calls) == -(-len(v2s) // chunk)
+            monkeypatch.undo()
 
 
 def test_candidate_rows_shape_and_order():
-    cols, bottoms = _row_template(2, 2)
-    as_tuples = [tuple(int(t) for t in row) for row in cols.T]
-    # option indices into [4, 7, ⊥]: concrete targets never repeat, ⊥ (2)
-    # may, and ⊥ sorts last
-    assert (0, 0) not in as_tuples and (2, 2) in as_tuples
-    assert as_tuples[0] == (0, 1)
-    assert as_tuples[-1] == (2, 2)
-    assert as_tuples == [
-        r for r in itertools.product(range(3), repeat=2) if r[0] != r[1] or r[0] == 2
+    bottoms, repeat = _product_masks(3, 2)
+    rows = list(itertools.product(range(3), repeat=2))
+    # Options [4, 7, ⊥]: rows in product order with ⊥ (2) last; a concrete
+    # target may not repeat within a row, ⊥ may.
+    assert [row for row, bad in zip(rows, repeat) if not bad] == [
+        row for row in rows if row[0] != row[1] or row[0] == 2
     ]
-    assert list(bottoms) == [r.count(2) for r in as_tuples]
-    assert cols.dtype == np.uint8
-    assert not cols.flags.writeable
-
-
-def _committed(g, assigned):
-    """Committed state of a partial assignment, raw sums from the scalar score."""
-    b = score(g, Mapping(set(assigned), set(g.vertices), assigned), P)
-    src = sorted(v for v, w in assigned.items() if w is not BOTTOM)
-    img = [assigned[v] for v in src]
-    return _Committed(src, img, b.raw_loss, b.raw_ec, int(b.raw_def))
-
-
-def _assert_rows_match_score(g, p, assigned, block, pool):
-    cols, totals, raw_loss, raw_ec, raw_def = _score_rows(
-        g, p, _committed(g, assigned), block, pool
-    )
-    options = pool + [BOTTOM]
-    assert cols.shape == (len(block), len(totals))
-    for i, row in enumerate(cols.T):
-        image = dict(assigned)
-        image.update((src, options[t]) for src, t in zip(block, row))
-        ref = score(g, Mapping(set(image), set(g.vertices), image), p)
-        assert totals[i] == ref.total
-        assert (raw_loss[i], raw_ec[i], raw_def[i]) == (ref.raw_loss, ref.raw_ec, ref.raw_def)
-
-
-def test_vectorized_scores_match_reference():
-    _assert_rows_match_score(make_ring(6), P, {1: 2, 4: BOTTOM}, [2, 5], [3, 5, 6])
-    # Unreachable pairs: two infinite distances count 0, one counts the cap n.
-    g = Graph(7, [(1, 2), (2, 3), (4, 5), (6, 7)])
-    _assert_rows_match_score(
-        g, ScoreParams(0.1, 0.5, 1.0, 3), {1: 4, 6: BOTTOM, 2: 5}, [3, 4, 7], [1, 2, 3, 6, 7]
-    )
-
-
-def test_vectorized_scores_property():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @hyp.settings(max_examples=60, deadline=None)
-    @hyp.given(st.data())
-    def check(data):
-        n = data.draw(st.integers(4, 9), label="n")
-        r = data.draw(st.sampled_from([0.3, 0.45, 0.7]), label="r")
-        g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
-        order = data.draw(st.permutations(list(g.vertices)), label="sources")
-        length = data.draw(st.sampled_from(DEFAULT_BLOCKS), label="length")
-        n_old = data.draw(st.integers(1, n - 1), label="assigned")
-        old, block = order[:n_old], sorted(order[n_old : n_old + length])
-        hyp.assume(block)
-        targets = data.draw(st.permutations(list(g.vertices)), label="targets")
-        assigned = {}
-        for v, w in zip(old, targets):
-            assigned[v] = BOTTOM if data.draw(st.booleans(), label=f"lose {v}") else w
-        free = sorted(set(targets) - set(assigned.values()))
-        pool = [w for w in free if data.draw(st.booleans(), label=f"offer {w}")]
-        weights = [data.draw(st.sampled_from(DEFAULT_WEIGHTS)) for _ in range(3)]
-        _assert_rows_match_score(g, ScoreParams(*weights, length), assigned, block, pool)
-
-    check()
+    assert list(bottoms) == [row.count(2) for row in rows]
+    assert tuple(int(i) for i in np.unravel_index(5, (3, 3))) == rows[5]
+    assert (bottoms.dtype, repeat.dtype) == (np.uint8, np.bool_)
+    assert not bottoms.flags.writeable and not repeat.flags.writeable
+    # Three sources over three targets: 1 + 3·3 + 3·6 + 6 rows keep their targets distinct.
+    assert np.count_nonzero(~_product_masks(4, 3)[1]) == 34
 
 
 def test_minimize_s_score_equals_scalar_score_property():
