@@ -241,7 +241,7 @@ def make_random_geometric(n, radius, seed):
     """n points uniform in the unit square; edge iff Euclidean distance < radius."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, 2))

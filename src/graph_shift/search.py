@@ -24,19 +24,18 @@ A parameter sweep shares rounds across its weight cells: a round's raw
 sums depend on the chain's committed assignment, the block and the
 targets, and the weights enter only through the argmin. So
 `parameter_sweep` hands the kernel a round cache keyed per chain by those.
-An entry keeps each distinct (raw_loss, raw_ec, raw_def) triple with its
-first row, minus every triple that an earlier-first-row triple with the
-same raw_loss bounds in both raw_ec and raw_def (`_argmin_candidates`).
-Within a round the normalizers are fixed and float multiply and add are
-monotone, so for non-negative weights a dropped triple is never the first
-minimum, and the kept triples, in first-row order, pick the row that
-scoring every row picks: outputs stay bit-identical. Only the chains that
-miss are scored. The cache lives for one block size of the sweep (cells of
-different k_block almost never share rounds), which bounds its memory.
-Only rounds of `_CACHED_BLOCK` (three) or more sources use it: a one-vertex
-round has |targets| + 1 rows, nearly all distinct, and a two-vertex round
-is scored densely for every chain at once faster than its hits are weighed
-chain by chain; from three vertices the dense rows outgrow that.
+An entry keeps each distinct (raw_loss, raw_ec, raw_def) triple of the
+round's candidates with its first row, in first-row order
+(`_distinct_rows`). A row's total is a function of its triple, so for any
+weights the first minimum over the entry sits at the first minimum over
+all rows: outputs stay bit-identical. The chains that miss are scored to
+fill their entries, and then every chain of the round, hit or miss, is
+weighed from its entry in one `_weigh` call. The cache lives for one
+block size of the sweep (cells of different k_block almost never share
+rounds), which bounds its memory. Only rounds of `_CACHED_BLOCK` (three)
+or more sources use it: a one-vertex round has |targets| + 1 rows, nearly
+all distinct, and a two-vertex round is weighed densely for every chain
+faster than it is cached; from three vertices the dense rows outgrow that.
 """
 
 from __future__ import annotations
@@ -88,32 +87,19 @@ def _outer(tables, op):
     return out
 
 
-def _argmin_candidates(raw_loss, raw_ec, raw_def):
-    """The rows of a round that an argmin of `_weigh` totals can pick.
+def _distinct_rows(raw_loss, raw_ec, raw_def, rows):
+    """A round's distinct raw-sum triples, each with the first of `rows` that has it.
 
-    Takes a round's per-row raw sums (int64, non-negative) and returns one
-    array of shape (4, m): raw_loss, raw_ec, raw_def and first row of each
-    kept triple, in first-row order, as int32 where the values fit (half
-    the cache's memory). A triple is kept iff no triple with an earlier
-    first row and the same raw_loss is no larger in both raw_ec and
-    raw_def; for any non-negative weights, the first minimum of the kept
-    triples' totals then sits at the first minimum of all rows'.
+    Takes the raw sums (non-negative) of a round's candidate rows and their
+    row indices, ascending. Returns one array of shape (4, m): raw_loss,
+    raw_ec, raw_def and first row of each distinct triple, in first-row
+    order, as int32 where the values fit (half the cache's memory).
     """
     loss_base = int(raw_loss.max()) + 1
     ec_base = int(raw_ec.max()) + 1
     _, first = np.unique((raw_def * ec_base + raw_ec) * loss_base + raw_loss, return_index=True)
     first.sort()
-    loss, ec, deform = raw_loss[first], raw_ec[first], raw_def[first]
-
-    # bound[l, e, i]: least raw_def among triples before the i-th with loss
-    # level l and ec level <= e (int64 max where there is none).
-    lo, eo, m = loss - loss.min(), ec - ec.min(), len(first)
-    bound = np.full((lo.max() + 1, eo.max() + 1, m + 1), np.iinfo(np.int64).max)
-    bound[lo, eo, np.arange(1, m + 1)] = deform
-    np.minimum.accumulate(bound, axis=2, out=bound)
-    np.minimum.accumulate(bound, axis=1, out=bound)
-    keep = bound[lo, eo, np.arange(m)] > deform
-    out = np.stack((loss, ec, deform, first))[:, keep]
+    out = np.stack((raw_loss[first], raw_ec[first], raw_def[first], rows[first]))
     return out.astype(np.int32) if out.max() <= np.iinfo(np.int32).max else out
 
 
@@ -124,8 +110,8 @@ class SearchStats:
     `calls` counts greedy chains built (one per v2 the kernel is given),
     `evaluations` the candidate rows their rounds considered (a chain's
     masked rows are not candidates), `rows_computed` the candidate rows
-    actually scored, and `round_hits` the chains' rounds read from a
-    sweep's round cache instead (rounds of `_CACHED_BLOCK` or more
+    whose raw sums were built, and `round_hits` the chains' rounds read
+    from a sweep's round cache instead (rounds of `_CACHED_BLOCK` or more
     sources; their rows count as considered, not computed). `pushes`,
     `stale_pops` and `settled` count best_composition's queue entries
     pushed, popped for an anchor already settled, and anchors settled.
@@ -149,29 +135,20 @@ _BATCH_CELLS = 1 << 15
 _CACHED_BLOCK = 3
 
 
-def _checked_support(g, v1, v2s, V1, V2):
-    """Sorted support and target set; every vertex must be an integer in 1..n."""
-    V1, V2 = set(V1), set(V2)
-    for v in itertools.chain(V1, V2, v2s):
-        g._check_vertex(v)
-    if v1 not in V1:
-        raise ValueError("anchor source must belong to the support")
-    return sorted(V1), V2
-
-
 def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None, rounds=None):
     """minimize_s for each v2 in v2s: a list of (mapping, breakdown).
 
     Every chain pins v1 -> v2 and then assigns the other support vertices
     in ascending order, up to p.k_block per round, each block to the first
     minimizer over arrangements of its unused targets (V2 and its own v2)
-    and ⊥ (module docstring); each equals a lone minimize_s call. `rounds`
-    is a sweep's round cache: a dict from a chain's round (anchor, block,
+    and ⊥ (module docstring); each equals a lone minimize_s call. The
+    caller guarantees valid vertices: V1 is the sorted support and holds
+    v1, V2 is the target set, and v2s are vertices of g. `rounds` is a
+    sweep's round cache: a dict from a chain's round (anchor, block,
     targets, committed sources, pin, picks and used targets, as bytes) to
-    `_argmin_candidates` of its rows, by flat product index. The result is
-    the same without it.
+    `_distinct_rows` of its candidates, by flat product index. The result
+    is the same without it.
     """
-    V1, V2 = _checked_support(g, v1, v2s, V1, V2)
     if not v2s:
         return []
     rest = [v for v in V1 if v != v1]
@@ -207,7 +184,6 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     ec_sum = (dist[v1, pins] != 1).astype(np.int64)
     def_sum = np.zeros(nc, dtype=np.int64)
     picks = np.empty((len(rest), nc), dtype=np.intp)
-    best = np.empty(nc, dtype=np.intp)
     for start in range(0, len(rest), p.k_block):
         L = min(p.k_block, len(rest) - start)
         n1, shape = start + L + 1, (nt + 1,) * L
@@ -223,17 +199,10 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
             head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
             state = np.vstack((pins, picks[:start])).T.astype(np.int32)
             keys = [head + s.tobytes() + u.tobytes() for s, u in zip(state, used)]
-            todo = []
-            for c, key in enumerate(keys):
-                entry = rounds.get(key)
-                if entry is None:
-                    todo.append(c)
-                    continue
-                j = int(np.argmin(_weigh(p, n1, *entry[:3])[-1]))
-                best[c], loss[c], ec_sum[c], def_sum[c] = entry[3, j], *entry[:3, j]
+            entries = [rounds.get(key) for key in keys]
+            todo = np.flatnonzero([entry is None for entry in entries])
             if stats is not None:
                 stats.round_hits += nc - len(todo)
-            todo = np.array(todo, dtype=np.intp)
 
         if not cached or len(todo):
             if stats is not None:
@@ -255,18 +224,27 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
                     between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
                 raw_def += between.ravel()
             raw_loss = loss[todo, None] + _product_masks(nt + 1, L)[0]
-            total = _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1]
-            total[bad] = np.inf
-            pick = total.argmin(axis=1)
-            r = chains[: len(pick)]
-            best[todo] = pick
-            loss[todo], ec_sum[todo], def_sum[todo] = raw_loss[r, pick], raw_ec[r, pick], raw_def[r, pick]
             if cached:
                 for i, c in enumerate(todo):
                     flat = np.flatnonzero(~bad[i])
-                    entry = _argmin_candidates(raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat])
-                    entry[3] = flat[entry[3]]
-                    rounds[keys[c]] = entry
+                    entries[c] = rounds[keys[c]] = _distinct_rows(
+                        raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat], flat
+                    )
+            else:
+                total = _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1]
+                total[bad] = np.inf
+                best = total.argmin(axis=1)
+                loss, ec_sum, def_sum = raw_loss[chains, best], raw_ec[chains, best], raw_def[chains, best]
+
+        if cached:
+            # Every chain's entry, weighed at once; a stable sort by (chain,
+            # total) puts each chain's first minimum first in its group.
+            sizes = np.array([entry.shape[1] for entry in entries])
+            pool = np.concatenate(entries, axis=1)
+            order = np.lexsort((_weigh(p, n1, *pool[:3])[-1], np.repeat(chains, sizes)))
+            first = order[np.cumsum(sizes) - sizes]
+            best = pool[3, first]
+            loss[:], ec_sum[:], def_sum[:] = pool[:3, first]
 
         opts = np.unravel_index(best, shape) if L > 1 else (best,)
         for j, o in enumerate(opts, start):
@@ -305,7 +283,12 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     (mapping, breakdown): the breakdown is `_weigh` over the final raw sums
     as Python ints, equal in every field to `relax.score` of the mapping.
     """
-    return _minimize_batch(v1, [v2], g, V1, V2, p, stats)[0]
+    V1, V2 = set(V1), set(V2)
+    for v in itertools.chain(V1, V2, (v1, v2)):
+        g._check_vertex(v)
+    if v1 not in V1:
+        raise ValueError("anchor source must belong to the support")
+    return _minimize_batch(v1, [v2], g, sorted(V1), V2, p, stats)[0]
 
 
 @dataclass
@@ -378,7 +361,10 @@ def localized_sets(g, x):
 
     A disconnected support is allowed but warned about: the search then
     moves each fragment through whatever frontier it happens to share.
+    Raises ValueError unless x has one entry per vertex, one of them nonzero.
     """
+    if len(x) != g.n:
+        raise ValueError(f"signal has {len(x)} entries for {g.n} vertices")
     support = {v for v in g.vertices if x[v - 1] != 0}
     if not support:
         raise ValueError("signal support is empty")
@@ -456,7 +442,7 @@ def best_composition(
             trace.final_pair = evaluation_pair(g, composed)
             return trace
         support = sorted(steps[-1][0].image_set if steps else V1_init)
-        V2 = expand_support(g, support, hops)
+        V2 = expand_support(g, support, hops)  # validates the support for the kernel
         v2s = [v2 for v2 in sorted(V2 - {v1}) if v2 not in visited]
         found = _minimize_batch(v1, v2s, g, support, V2, p, stats, _rounds)
         for v2, (m, b) in zip(v2s, found):
@@ -505,8 +491,8 @@ def parameter_sweep(
     first appearance and in grid order within a group, and the records come
     back in grid order. Each group shares one round cache (module
     docstring): the cells of a k differ only in their weights, which a
-    greedy round reads only through its argmin, so a round scored for one
-    cell is weighed from its cached triples in the others. The cache is
+    greedy round reads only through its argmin, so the distinct raw sums
+    a round builds for one cell are weighed again in the others. The cache is
     dropped when its group ends, so it holds one block size's rounds at a
     time, and rounds of fewer than three sources are never cached. Every
     record and trace equals that of a lone best_composition call. `stats`,

@@ -39,6 +39,11 @@ def test_gen_geometric_deterministic(tmp_path):
     assert json.loads(a.read_text())["n"] == 50
 
 
+@pytest.mark.parametrize("radius", ["0", "nan"])
+def test_gen_geometric_non_positive_radius_exit_2(radius, capsys):
+    _assert_exit_2_one_line(["gen", "geometric", "--n", "5", "--r", radius], capsys)
+
+
 def test_gen_invalid_params_exit_2():
     assert run(["gen", "torus", "--dims", "2,5"]) == 2
 

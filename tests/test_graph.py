@@ -91,6 +91,13 @@ def test_geometric_graph_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.5, float("nan")])
+def test_geometric_graph_rejects_non_positive_radius(radius):
+    # NaN compares False against 0, so `radius <= 0` let it through as an edgeless graph.
+    with pytest.raises(ValueError, match="radius"):
+        make_random_geometric(5, radius, seed=0)
+
+
 @pytest.mark.parametrize(
     "n, radius, seeds, cells",
     [

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from graph_shift.search import (
     DEFAULT_BLOCKS,
     DEFAULT_WEIGHTS,
     SearchStats,
-    _argmin_candidates,
     _CACHED_BLOCK,
+    _distinct_rows,
     _minimize_batch,
     _product_masks,
     best_composition,
@@ -64,12 +65,6 @@ def test_minimize_s_rejects_out_of_range_vertices(V1, V2, v2, k):
         minimize_s(1, v2, make_ring(5), V1, V2, ScoreParams(k_block=k))
 
 
-def test_minimize_batch_rejects_one_bad_target():
-    g = make_ring(5)
-    with pytest.raises(ValueError):
-        _minimize_batch(1, [2, 3, -1], g, [1, 3], [2, 3], P)
-
-
 def test_minimize_batch_matches_scalar_greedy_property():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -98,9 +93,10 @@ def test_minimize_batch_matches_scalar_greedy_property():
             label="v2s",
         )
         p = ScoreParams(*data.draw(weights, label="weights"), k)
+        support = sorted(V1)
 
         stats = SearchStats()
-        batch = _minimize_batch(v1, v2s, g, V1, V2, p, stats)
+        batch = _minimize_batch(v1, v2s, g, support, V2, p, stats)
         rows = 0
         for v2, (m, b) in zip(v2s, batch, strict=True):
             ref_m, ref_b, ref_rows = greedy_reference(g, v1, v2, V1, V2, p)
@@ -110,7 +106,7 @@ def test_minimize_batch_matches_scalar_greedy_property():
         assert (stats.calls, stats.evaluations, stats.rows_computed) == (len(v2s), rows, rows)
         assert stats.round_hits == 0
         # Chains do not see each other's used targets.
-        assert [_minimize_batch(v1, [v2], g, V1, V2, p)[0] for v2 in v2s] == batch
+        assert [_minimize_batch(v1, [v2], g, support, V2, p)[0] for v2 in v2s] == batch
 
         # A sweep's round cache, filled under p (every round misses), read
         # again under p (every round of _CACHED_BLOCK or more sources hits)
@@ -124,8 +120,8 @@ def test_minimize_batch_matches_scalar_greedy_property():
         rounds = {}
         for q, hits in ((p, {0}), (p, {cached}), (reweighed, range(first, cached + 1))):
             plain, reused = SearchStats(), SearchStats()
-            expected = _minimize_batch(v1, v2s, g, V1, V2, q, plain)
-            assert _minimize_batch(v1, v2s, g, V1, V2, q, reused, rounds) == expected
+            expected = _minimize_batch(v1, v2s, g, support, V2, q, plain)
+            assert _minimize_batch(v1, v2s, g, support, V2, q, reused, rounds) == expected
             assert (reused.calls, reused.evaluations) == (plain.calls, plain.evaluations)
             assert reused.round_hits in hits
             assert (reused.rows_computed < plain.rows_computed) == bool(reused.round_hits)
@@ -135,7 +131,7 @@ def test_minimize_batch_matches_scalar_greedy_property():
 
 def test_minimize_batch_splits_chains_over_its_cell_budget(monkeypatch):
     g = make_random_geometric(12, 0.4, 2)
-    V1 = expand_support(g, {1}, 1)
+    V1 = sorted(expand_support(g, {1}, 1))
     V2 = expand_support(g, V1, 1)
     v2s = sorted(V2 - {1})
     kernel = search_module._minimize_batch
@@ -358,6 +354,15 @@ def test_localized_sets_rejects_empty_and_warns_disconnected():
         localized_sets(g, [1, 0, 1, 0, 0])
 
 
+@pytest.mark.parametrize("x", [[1, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 1]])
+def test_localized_sets_rejects_a_signal_of_the_wrong_length(x):
+    g = make_ring(5)
+    with pytest.raises(ValueError, match="entries for 5 vertices"):
+        localized_sets(g, x)
+    with pytest.raises(ValueError, match="entries for 5 vertices"):
+        parameter_sweep(g, x, 1, 3, grid=[(1.0, 0.1, 0.5, 1)])
+
+
 def test_expand_support_rejects_out_of_range_vertices():
     g = make_ring(5)
     for bad in (0, -1, 6):
@@ -477,24 +482,46 @@ def test_sweep_round_cache_property():
     check()
 
 
-def test_argmin_candidates_pick_the_first_minimum():
+def test_distinct_rows_pick_the_first_minimum():
     rng = np.random.default_rng(5)
-    weights = (0.0, 0.1, 0.5, 1.0)
     for _ in range(300):
-        rows = int(rng.integers(1, 400))
+        size = int(rng.integers(1, 400))
         span = int(rng.integers(1, 4))
-        raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, rows)
-        raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, rows)
-        raw_def = rng.integers(0, int(rng.integers(1, 40)), rows)
-        kept = _argmin_candidates(raw_loss, raw_ec, raw_def)
-        first = kept[3]
+        raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, size)
+        raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, size)
+        raw_def = rng.integers(0, int(rng.integers(1, 40)), size)
+        rows = np.sort(rng.choice(3 * size, size, replace=False))
+        kept = _distinct_rows(raw_loss, raw_ec, raw_def, rows)
+        assert kept.dtype == np.int32
+        # Every triple once, at its first row, in first-row order.
+        first = np.searchsorted(rows, kept[3])
         assert (np.diff(first) > 0).all()
+        triples = list(zip(raw_loss.tolist(), raw_ec.tolist(), raw_def.tolist()))
+        assert [triples.index(t) for t in dict.fromkeys(triples)] == first.tolist()
         assert (kept[:3] == np.stack((raw_loss, raw_ec, raw_def))[:, first]).all()
         n1 = int(raw_loss.max()) + int(rng.integers(0, 3)) + 1
         for _ in range(4):
-            w = rng.choice(weights, 3) if rng.random() < 0.8 else rng.uniform(0, 2, 3)
-            if not w.any():
-                continue
-            p = ScoreParams(*w)
-            every = np.argmin(_weigh(p, n1, raw_loss, raw_ec, raw_def)[-1])
-            assert first[np.argmin(_weigh(p, n1, *kept[:3])[-1])] == every
+            # _weigh reads only the weights, so any real ones do, negative too.
+            w = types.SimpleNamespace(**dict(zip(("alpha", "beta", "gamma"), rng.normal(0, 1, 3))))
+            if rng.random() < 0.5:
+                setattr(w, rng.choice(["alpha", "beta", "gamma"]), 0.0)
+            every = np.argmin(_weigh(w, n1, raw_loss, raw_ec, raw_def)[-1])
+            assert kept[3, np.argmin(_weigh(w, n1, *kept[:3])[-1])] == rows[every]
+
+
+def test_minimize_batch_mixes_cached_and_missed_chains_in_one_round():
+    g = make_random_geometric(16, 0.35, 2)
+    V1 = sorted(expand_support(g, {5}, 1))
+    V2 = expand_support(g, V1, 1)
+    v2s = sorted(V2 - {5})
+    assert len(V1) - 1 >= 2 * _CACHED_BLOCK and len(v2s) >= 4  # two cached rounds per chain
+    subset = v2s[::2]
+    for weights in ((1.0, 0.1, 0.5), (0.0, 1.0, 0.0)):
+        p = ScoreParams(*weights, _CACHED_BLOCK)
+        rounds = {}
+        _minimize_batch(5, subset, g, V1, V2, p, None, rounds)
+        filled = len(rounds)
+        assert filled == len(subset) * ((len(V1) - 1) // _CACHED_BLOCK)
+        stats = SearchStats()
+        assert _minimize_batch(5, v2s, g, V1, V2, p, stats, rounds) == _minimize_batch(5, v2s, g, V1, V2, p)
+        assert stats.round_hits == filled
