@@ -17,20 +17,13 @@ from .mapping import (
     PropertyReport,
     apply_to_signal,
     bottom_map,
-    check_ec,
-    check_isometry,
-    check_snp,
-    check_wnp,
     compose,
     decompose,
-    deformation,
     full_mapping,
     identity_map,
     inverse,
-    is_translation,
     precedes,
     property_report,
-    snp_violations,
 )
 from .enumeration import (
     EnumerationFilter,
@@ -38,8 +31,6 @@ from .enumeration import (
     count_upper_bound,
     enumerate_translations,
     exists_translation_between,
-    has_hamiltonian_cycle,
-    has_perfect_matching,
     min_loss,
     minimal_translations,
     pseudo_minimal_translations,

@@ -129,10 +129,6 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def _score_params(args):
-    return ScoreParams(args.alpha, args.beta, args.gamma, args.k)
-
-
 def _support(g, args):
     """The --domain-set vertices (an empty set too), or --src with its neighbours."""
     if args.domain_set is not None:
@@ -146,7 +142,7 @@ def cmd_compose(args):
     g = Graph.load(args.graph)
     support = _support(g, args)
     trace = best_composition(
-        g, support, args.src, args.tgt, _score_params(args),
+        g, support, args.src, args.tgt, ScoreParams(args.alpha, args.beta, args.gamma, args.k),
         hops=args.hops, seed=args.seed, graph_ref=args.graph,
     )
     if not trace.found:
@@ -164,18 +160,17 @@ def cmd_sweep(args):
     g = Graph.load(args.graph)
     support = _support(g, args)
     x = [1.0 if v in support else 0.0 for v in g.vertices]
-    records = parameter_sweep(g, x, args.src, args.tgt, hops=args.hops, seed=args.seed)
-    if not any(r.found for r in records):
+    cells = parameter_sweep(g, x, args.src, args.tgt, hops=args.hops, seed=args.seed)
+    if not any(trace.found for trace, _ in cells):
         sys.stderr.write("no composition found\n")
         return EXIT_NO_RESULT
-    header = "alpha,beta,gamma,K,loss_ratio,snp_ratio,score,steps,pareto"
-    rows = [header]
-    for r in records:
-        lr = "" if r.loss_ratio is None else repr(r.loss_ratio)
-        sr = "" if r.snp_ratio is None else repr(r.snp_ratio)
+    rows = ["alpha,beta,gamma,K,loss_ratio,snp_ratio,score,steps,pareto"]
+    for trace, on_front in cells:
+        p = trace.params
+        pair = "," if trace.final_pair is None else ",".join(map(repr, trace.final_pair))
         rows.append(
-            f"{r.alpha!r},{r.beta!r},{r.gamma!r},{r.k},{lr},{sr},"
-            f"{r.score!r},{r.steps},{int(r.pareto)}"
+            f"{p.alpha!r},{p.beta!r},{p.gamma!r},{p.k_block},{pair},"
+            f"{trace.cumulative_score!r},{len(trace.steps)},{int(on_front)}"
         )
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK

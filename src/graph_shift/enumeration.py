@@ -25,6 +25,8 @@ class EnumerationFilter:
     restrict_domain: Optional[frozenset] = None
 
     def normalized(self, g):
+        if self.lossless_only and self.max_loss not in (None, 0):
+            raise ValueError("lossless_only conflicts with a max_loss other than 0")
         max_loss = 0 if self.lossless_only else self.max_loss
         if max_loss is not None and not 0 <= max_loss <= g.n:
             raise ValueError("max_loss must lie between 0 and the graph order")
@@ -180,18 +182,11 @@ def count_minimal_upper_bound(n):
     return sum((-1) ** j * factorial(n) // factorial(j) for j in range(n + 1))
 
 
-def has_perfect_matching(g):
-    """Exact backtracking decision; intended for small graphs."""
-    return perfect_matching_translation(g) is not None
-
-
-def has_hamiltonian_cycle(g):
-    """Exact backtracking decision; intended for small graphs."""
-    return hamiltonian_cycle_translation(g) is not None
-
-
 def perfect_matching_translation(g):
-    """Self-inverse lossless translation from a perfect matching, if one exists."""
+    """Self-inverse lossless map along a perfect matching's edges, or None if none exists.
+
+    Edge-constrained, but not always a translation: on the path 1-2-3-4 the
+    edge 2-3 goes to the non-edge 1-4."""
     if g.n % 2 == 1:
         return None
 
@@ -218,7 +213,10 @@ def perfect_matching_translation(g):
 
 
 def hamiltonian_cycle_translation(g):
-    """Lossless translation advancing every vertex along a Hamiltonian cycle."""
+    """Lossless map advancing every vertex along a Hamiltonian cycle, or None if none exists.
+
+    Edge-constrained, but not always a translation: a chord of the cycle can
+    go to a non-edge."""
     if g.n < 3 or any(g.degree(v) < 2 for v in g.vertices):
         return None
     start = 1
@@ -245,9 +243,12 @@ def hamiltonian_cycle_translation(g):
 
 
 def min_loss(g, upper=None):
-    """Smallest loss over all translations, by iterative-deepening search."""
+    """Smallest loss over all translations, by iterative-deepening search.
+
+    None when no translation has loss at most `upper` (default n, which the
+    bottom map reaches)."""
     upper = g.n if upper is None else upper
     for budget in range(upper + 1):
         if next(_search(g, EnumerationFilter(max_loss=budget)), None) is not None:
             return budget
-    return g.n
+    return None

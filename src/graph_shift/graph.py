@@ -146,8 +146,7 @@ class Graph:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_load_json(path))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -159,6 +158,15 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _load_json(path):
+    """The value of a JSON file; ValueError for one nested too deeply to parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _is_int(x):

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import _is_int
+from .graph import _is_int, _load_json
 
 #: Explicit "no image" element.
 BOTTOM = None
@@ -131,8 +131,7 @@ class Mapping:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_load_json(path))
 
 
 def full_mapping(g, image):
@@ -158,49 +157,16 @@ def _gaps(d1, d2, n):
     return np.minimum(np.abs(d1 - d2), n)
 
 
-def check_ec(g, m):
-    """Edge-constrained check: every non-bottom image is a neighbor of its source.
-
-    Returns (is_ec, violation_count).
-    """
-    rep = property_report(g, m)
-    return rep.is_ec, rep.ec_violations
-
-
-def check_wnp(g, m):
-    """Weak preservation: edges between mapped vertices map to edges."""
-    return property_report(g, m).is_wnp
-
-
-def check_snp(g, m):
-    """Strong preservation: edge iff image-edge, over pairs of mapped vertices."""
-    return property_report(g, m).is_snp
-
-
-def check_isometry(g, m):
-    """Exact geodesic-distance preservation over pairs of mapped vertices."""
-    return property_report(g, m).is_isometry
-
-
-def is_translation(g, m):
-    return property_report(g, m).is_translation
-
-
-def snp_violations(g, m):
-    """Count of mapped vertex pairs whose edge/non-edge status flips."""
-    return property_report(g, m).snp_violations
-
-
-def deformation(g, m):
-    """Summed absolute change of pairwise geodesic distances over mapped pairs.
-
-    Two infinite distances count as 0; finite vs infinite is capped at n.
-    """
-    return property_report(g, m).deformation
-
-
 @dataclass(frozen=True)
 class PropertyReport:
+    """Predicates of a mapping over its mapped vertices and their pairs.
+
+    is_ec: every image is a neighbour; is_wnp: edges map to edges; is_snp:
+    edge iff image edge (`snp_violations` counts the flips); is_isometry:
+    every geodesic distance kept. A translation is ec and snp. `deformation`
+    sums the distance gaps; one infinite distance makes a gap of n, two none.
+    """
+
     loss: int
     is_ec: bool
     is_wnp: bool

@@ -95,7 +95,7 @@ def evaluation_pair(g, composed):
     k = n1 - composed.loss()
     if k <= 1:
         return loss_ratio, 0.0
-    snp_ratio = 2.0 * mp.snp_violations(g, composed) / (k * (k - 1))
+    snp_ratio = 2.0 * mp.property_report(g, composed).snp_violations / (k * (k - 1))
     return loss_ratio, snp_ratio
 
 

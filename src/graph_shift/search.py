@@ -457,48 +457,26 @@ DEFAULT_WEIGHTS = (0.1, 0.5, 1.0)
 DEFAULT_BLOCKS = (1, 2, 3)
 
 
-def default_grid():
-    return [
-        (a, b, c, k)
-        for a in DEFAULT_WEIGHTS
-        for b in DEFAULT_WEIGHTS
-        for c in DEFAULT_WEIGHTS
-        for k in DEFAULT_BLOCKS
-    ]
-
-
-@dataclass
-class SweepRecord:
-    alpha: float
-    beta: float
-    gamma: float
-    k: int
-    found: bool
-    loss_ratio: Optional[float]
-    snp_ratio: Optional[float]
-    score: float
-    steps: int
-    pareto: bool = False
-    trace: Optional[TranslationTrace] = None
-
-
 def parameter_sweep(
     g, x, v_src, v_tgt, grid=None, hops=1, seed=None, stats: Optional[SearchStats] = None
 ) -> list:
-    """Run best_composition for every parameter cell; flag the Pareto rows.
+    """Run best_composition for every parameter cell, with its Pareto flag.
 
-    Cells are independent. They run grouped by block size k, in order of
-    first appearance and in grid order within a group, and the records come
-    back in grid order. Each group shares one round cache (module
-    docstring): the cells of a k differ only in their weights, which a
-    greedy round reads only through its argmin, so the distinct raw sums
-    a round builds for one cell are weighed again in the others. The cache is
-    dropped when its group ends, so it holds one block size's rounds at a
-    time, and rounds of fewer than three sources are never cached. Every
-    record and trace equals that of a lone best_composition call. `stats`,
-    if given, accumulates over every cell.
+    Returns one (trace, on_front) pair per cell, in grid order; on_front
+    says that the trace found a chain whose final (loss ratio, snp ratio)
+    pair no other cell's pair dominates. The default grid is the 81 cells
+    of DEFAULT_WEIGHTS cubed by DEFAULT_BLOCKS, k varying fastest. Cells
+    are independent. They run grouped by block size k, in order of first
+    appearance and in grid order within a group. Each group shares one
+    round cache (module docstring): the cells of a k differ only in their
+    weights, which a greedy round reads only through its argmin, so the
+    distinct raw sums a round builds for one cell are weighed again in the
+    others. The cache is dropped when its group ends, so it holds one block
+    size's rounds at a time, and rounds of fewer than three sources are
+    never cached. Every trace equals that of a lone best_composition call.
+    `stats`, if given, accumulates over every cell.
     """
-    grid = list(grid) if grid is not None else default_grid()
+    grid = list(itertools.product(*[DEFAULT_WEIGHTS] * 3, DEFAULT_BLOCKS) if grid is None else grid)
     params = [ScoreParams(a, b, c, k) for a, b, c, k in grid]
     V1 = localized_sets(g, x)
     if v_src not in V1:
@@ -512,16 +490,6 @@ def parameter_sweep(
                     g, V1, v_src, v_tgt, p, hops=hops, stats=stats, seed=seed, _rounds=rounds
                 )
 
-    records = []
-    for (a, b, c, k), tr in zip(grid, traces):
-        lr, sr = (tr.final_pair if tr.found else (None, None))
-        records.append(
-            SweepRecord(a, b, c, k, tr.found, lr, sr, tr.cumulative_score,
-                        len(tr.steps), trace=tr)
-        )
-    front = pareto_front(
-        [(r.loss_ratio, r.snp_ratio, i) for i, r in enumerate(records) if r.found]
-    )
-    for _, _, i in front:
-        records[i].pareto = True
-    return records
+    front = pareto_front([(*tr.final_pair, i) for i, tr in enumerate(traces) if tr.found])
+    on_front = {i for _, _, i in front}
+    return [(tr, i in on_front) for i, tr in enumerate(traces)]

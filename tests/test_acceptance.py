@@ -22,11 +22,8 @@ from graph_shift.graph import INF, Graph, make_complete, make_grid, make_random_
 from graph_shift.mapping import (
     BOTTOM,
     Mapping,
-    check_ec,
-    check_isometry,
-    check_snp,
-    deformation,
     inverse,
+    property_report,
 )
 from graph_shift.enumeration import (
     EnumerationFilter,
@@ -140,9 +137,9 @@ def test_four_by_four_torus_has_lossless_non_axis_shift():
     others = [m for m in lossless if m.image_tuple() not in shifts]
     assert others
     witness = others[0]
-    ec_ok, ec_bad = check_ec(g, witness)
-    assert ec_ok and ec_bad == 0
-    assert check_snp(g, witness)
+    rep = property_report(g, witness)
+    assert rep.is_ec and rep.ec_violations == 0
+    assert rep.is_snp
     assert witness.loss() == 0
 
 
@@ -198,7 +195,7 @@ def test_lossless_translations_are_isometries_and_inverse_preserves_loss():
         g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
         for m in enumerate_translations(g):
             if m.is_lossless():
-                assert check_isometry(g, m)
+                assert property_report(g, m).is_isometry
             assert inverse(m).loss() == m.loss()
 
 
@@ -226,10 +223,11 @@ def test_zero_score_characterizes_lossless_ec_distance_preserving():
     for _ in range(500):
         g = _random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
         m = _random_partial_mapping(rng, g)
+        rep = property_report(g, m)
         clean = (
             m.loss() == 0
-            and check_ec(g, m)[1] == 0
-            and deformation(g, m) == 0
+            and rep.ec_violations == 0
+            and rep.deformation == 0
         )
         assert (score(g, m, p).total == 0) == clean
         zeros += clean
@@ -297,11 +295,11 @@ def test_geometric_graph_sweep_shape_and_pareto_bands():
     tgt = int(candidates[rng.integers(0, len(candidates))])
     x = [1.0 if v in V1 else 0.0 for v in g.vertices]
 
-    records = parameter_sweep(g, x, src, tgt, seed=seed)
-    assert len(records) == 81
-    assert all(r.found for r in records)
+    cells = parameter_sweep(g, x, src, tgt, seed=seed)
+    assert len(cells) == 81
+    assert all(trace.found for trace, _ in cells)
 
-    front = [(r.loss_ratio, r.snp_ratio) for r in records if r.pareto]
+    front = [trace.final_pair for trace, on_front in cells if on_front]
     assert front
     for a in front:
         for b in front:

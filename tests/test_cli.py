@@ -175,6 +175,37 @@ def test_enumerate_negative_max_loss_exit_2(k4_file, capsys):
     _assert_exit_2_one_line(["enumerate", k4_file, "--max-loss", "-1"], capsys)
 
 
+def test_enumerate_lossless_with_a_positive_max_loss_exit_2(k4_file, capsys):
+    _assert_exit_2_one_line(["enumerate", k4_file, "--lossless", "--max-loss", "2"], capsys)
+    assert run(["enumerate", k4_file, "--lossless"]) == 0
+    lossless = capsys.readouterr().out
+    assert run(["enumerate", k4_file, "--lossless", "--max-loss", "0"]) == 0
+    assert capsys.readouterr().out == lossless
+
+
+#: Each command that reads files, with the flags it needs; `{g}` and `{m}`
+#: stand for the graph and mapping files.
+FILE_COMMANDS = {
+    "check": ["check", "{g}", "{m}"],
+    "enumerate": ["enumerate", "{g}"],
+    "compose": ["compose", "{g}", "--src", "1", "--tgt", "2"],
+    "sweep": ["sweep", "{g}", "--src", "1", "--tgt", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, nested_file",
+    [(command, "graph") for command in FILE_COMMANDS] + [("check", "mapping")],
+)
+def test_deeply_nested_json_file_exit_2(tmp_path, capsys, command, nested_file):
+    gp, mp = tmp_path / "g.json", tmp_path / "m.json"
+    make_ring(5).save(gp)
+    full_mapping(make_ring(5), {v: v % 5 + 1 for v in range(1, 6)}).save(mp)
+    (gp if nested_file == "graph" else mp).write_text("[" * 50_000)
+    argv = [a.format(g=gp, m=mp) for a in FILE_COMMANDS[command]]
+    _assert_exit_2_one_line(argv, capsys)
+
+
 @pytest.mark.parametrize("command", ["sweep", "enumerate"])
 def test_unhonoured_format_exit_2(k4_file, capsys, command):
     argv = [command, k4_file, "--format", "dot"]
@@ -393,5 +424,58 @@ def test_cli_fuzz_exit_codes(tmp_path):
         assert "Traceback" not in err.getvalue()
         if code == 0 and argv[0] == "compose":
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    check()
+
+
+def test_cli_file_fuzz_exit_codes(tmp_path):
+    """check, enumerate, compose and sweep keep the 0/2/3/4 exit contract on
+    arbitrary graph and mapping files: wrong types, ragged lists, deep nesting."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    gp, mp = tmp_path / "g.json", tmp_path / "m.json"
+    small = st.integers(-1, 13)
+    scalar = st.one_of(st.none(), st.booleans(), small, st.floats(), st.text(max_size=3))
+    anything = st.recursive(scalar, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=8)
+    ragged = st.lists(st.lists(small, max_size=3) | anything, max_size=8)
+
+    def edges(n):
+        pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+        return st.lists(pair.map(list), max_size=8)
+
+    # n stays at most 12, since a graph allocates per-vertex state for any
+    # order it is given; at most 8 edges keep the enumeration small.
+    graph = st.integers(2, 12).flatmap(lambda n: st.fixed_dictionaries({"n": st.just(n), "edges": edges(n)}))
+    hostile_graph = st.fixed_dictionaries(
+        {"n": st.integers(-2, 12) | anything, "edges": ragged},
+        optional={"coords": st.none() | ragged},
+    )
+    vertices = list(range(1, 7))
+    mapping = st.builds(
+        lambda images, lost: {"domain": vertices, "codomain": vertices,
+                              "image": [[v, None if b else w] for v, w, b in zip(vertices, images, lost)]},
+        st.permutations(vertices), st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    hostile_mapping = st.fixed_dictionaries({
+        "domain": st.lists(small, max_size=6) | anything,
+        "codomain": st.lists(small, max_size=6) | anything,
+        "image": st.lists(st.lists(st.none() | small, max_size=3) | anything, max_size=6),
+    })
+
+    def text(*values):
+        return st.one_of(*(v.map(json.dumps) for v in values), anything.map(json.dumps),
+                         st.just("[" * 50_000), st.text(max_size=5))
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(text(graph, hostile_graph), text(mapping, hostile_mapping), st.sampled_from(list(FILE_COMMANDS)))
+    def check(graph_text, mapping_text, command):
+        gp.write_text(graph_text, encoding="utf-8")
+        mp.write_text(mapping_text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([a.format(g=gp, m=mp) for a in FILE_COMMANDS[command]])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
     check()

@@ -10,8 +10,6 @@ from graph_shift.enumeration import (
     enumerate_translations,
     exists_translation_between,
     hamiltonian_cycle_translation,
-    has_hamiltonian_cycle,
-    has_perfect_matching,
     min_loss,
     minimal_translations,
     perfect_matching_translation,
@@ -25,7 +23,7 @@ from graph_shift.graph import (
     make_ring,
     make_torus,
 )
-from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, is_translation, precedes
+from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, precedes, property_report
 from oracles import naive_oracle
 
 
@@ -60,7 +58,7 @@ def test_k3_census():
 def test_results_are_translations_and_sorted():
     g = make_grid([2, 3])
     ts = enumerate_translations(g)
-    assert all(is_translation(g, m) for m in ts)
+    assert all(property_report(g, m).is_translation for m in ts)
     keys = [tuple(g.n + 1 if w is BOTTOM else w for w in m.image_tuple()) for m in ts]
     assert keys == sorted(keys)
 
@@ -97,6 +95,13 @@ def test_lossless_filter_equals_max_loss_zero():
     b = enumerate_translations(g, EnumerationFilter(max_loss=0))
     assert a == b
     assert len(a) == 2  # the two rotations
+    assert enumerate_translations(g, EnumerationFilter(lossless_only=True, max_loss=0)) == a
+
+
+@pytest.mark.parametrize("max_loss", [1, 2, 5, -1])
+def test_lossless_filter_rejects_a_conflicting_max_loss(max_loss):
+    with pytest.raises(ValueError, match="lossless_only"):
+        enumerate_translations(make_ring(5), EnumerationFilter(lossless_only=True, max_loss=max_loss))
 
 
 def test_empty_graph_only_bottom():
@@ -289,23 +294,46 @@ def test_min_loss_iterative_deepening():
     assert min_loss(Graph(2, [])) == 2
 
 
+def test_min_loss_is_none_above_the_cap():
+    g = make_grid([3, 3])  # every translation loses a vertex
+    assert min_loss(g, upper=0) is None
+    assert min_loss(g, upper=1) == 1
+    assert min_loss(Graph(2, []), upper=1) is None
+
+
 def test_perfect_matching():
-    assert has_perfect_matching(make_complete(4))
-    assert not has_perfect_matching(make_complete(3))
-    assert not has_perfect_matching(Graph(4, [(1, 2), (1, 3), (1, 4)]))
+    assert perfect_matching_translation(make_complete(4)) is not None
+    assert perfect_matching_translation(make_complete(3)) is None
+    assert perfect_matching_translation(Graph(4, [(1, 2), (1, 3), (1, 4)])) is None
     m = perfect_matching_translation(make_ring(6))
     assert m is not None and m.is_lossless()
     assert all(m(m(v)) == v for v in range(1, 7))
 
 
+def test_perfect_matching_map_need_not_be_a_translation():
+    path = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    m = perfect_matching_translation(path)
+    assert m.image_tuple() == (2, 1, 4, 3) and m.is_lossless()
+    rep = property_report(path, m)
+    assert rep.is_ec and rep.snp_violations == 2 and not rep.is_translation
+
+
 def test_hamiltonian_cycle():
-    assert has_hamiltonian_cycle(make_ring(5))
-    assert not has_hamiltonian_cycle(Graph(4, [(1, 2), (2, 3), (3, 4)]))
+    assert hamiltonian_cycle_translation(make_ring(5)) is not None
+    assert hamiltonian_cycle_translation(Graph(4, [(1, 2), (2, 3), (3, 4)])) is None
     t = hamiltonian_cycle_translation(make_complete(4))
     assert t is not None and t.is_lossless()
     g = make_ring(5)
     rot = hamiltonian_cycle_translation(g)
-    assert is_translation(g, rot)
+    assert property_report(g, rot).is_translation
+
+
+def test_hamiltonian_cycle_map_need_not_be_a_translation():
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])  # 5-ring plus a chord
+    rot = hamiltonian_cycle_translation(g)
+    assert rot.image_tuple() == (2, 3, 4, 5, 1) and rot.is_lossless()
+    rep = property_report(g, rot)
+    assert rep.is_ec and not rep.is_translation  # the chord 1-3 goes to the non-edge 2-4
 
 
 def _vf2_lossless_translations(g):

@@ -13,7 +13,7 @@ from graph_shift.euclid import (
     satisfies_large_grid_assumption,
 )
 from graph_shift.graph import coord_to_index, make_grid, make_torus
-from graph_shift.mapping import compose, is_translation, property_report
+from graph_shift.mapping import compose, property_report
 
 
 def dirac_shifts(dims):
@@ -36,13 +36,13 @@ def test_torus_shift_is_translation():
     g = make_torus([5, 5])
     m = euclidean_on_torus([5, 5], (1, 0))
     assert m.is_lossless()
-    assert is_translation(g, m)
+    assert property_report(g, m).is_translation
 
 
 def test_torus_identity_and_diagonal_are_not_translations():
     g = make_torus([5, 5])
     ident = euclidean_on_torus([5, 5], (0, 0))
-    assert ident.is_lossless() and not is_translation(g, ident)
+    assert ident.is_lossless() and not property_report(g, ident).is_translation
     diag = euclidean_on_torus([5, 5], (1, 1))
     rep = property_report(g, diag)
     assert diag.is_lossless() and not rep.is_ec and rep.is_snp
@@ -62,7 +62,7 @@ def test_grid_loss_formula_every_axis_and_sign(dims):
         for s in (1, -1):
             m = euclidean_on_grid(dims, dirac(len(dims), i, s))
             assert m.loss() == dirac_shift_loss(dims, i)
-            assert is_translation(make_grid(dims), m)
+            assert property_report(make_grid(dims), m).is_translation
 
 
 def test_contamination_seeds_give_the_four_shifts():
@@ -107,7 +107,7 @@ def test_torus44_has_non_dirac_lossless():
     extra = found - dirac_shifts([4, 4])
     assert extra
     w = next(iter(extra))
-    assert w.is_lossless() and is_translation(g, w)
+    assert w.is_lossless() and property_report(g, w).is_translation
 
 
 def test_shift_composition_is_additive():

@@ -9,20 +9,13 @@ from graph_shift.mapping import (
     Mapping,
     apply_to_signal,
     bottom_map,
-    check_ec,
-    check_isometry,
-    check_snp,
-    check_wnp,
     compose,
     decompose,
-    deformation,
     full_mapping,
     identity_map,
     inverse,
-    is_translation,
     precedes,
     property_report,
-    snp_violations,
     to_digraph,
 )
 
@@ -50,40 +43,40 @@ def test_bottom_is_not_counted_twice():
 
 
 def test_ec_wnp_snp_on_path(path4):
-    shift = full_mapping(path4, {1: 2, 2: 3, 3: 4, 4: BOTTOM})
-    assert check_ec(path4, shift) == (True, 0)
-    assert check_wnp(path4, shift)
-    assert check_snp(path4, shift)
-    assert is_translation(path4, shift)
+    shift = property_report(path4, full_mapping(path4, {1: 2, 2: 3, 3: 4, 4: BOTTOM}))
+    assert (shift.is_ec, shift.ec_violations) == (True, 0)
+    assert shift.is_wnp
+    assert shift.is_snp
+    assert shift.is_translation
 
-    hop = full_mapping(path4, {1: 3, 2: 4, 3: BOTTOM, 4: BOTTOM})
-    ok, bad = check_ec(path4, hop)
-    assert not ok and bad == 2
-    assert check_snp(path4, hop)  # 1-2 edge maps to 3-4 edge
+    hop = property_report(path4, full_mapping(path4, {1: 3, 2: 4, 3: BOTTOM, 4: BOTTOM}))
+    assert not hop.is_ec and hop.ec_violations == 2
+    assert hop.is_snp  # 1-2 edge maps to 3-4 edge
 
 
 def test_translation_iff_ec_and_snp(path4):
     for m in [identity_map(path4), bottom_map(path4)]:
-        assert is_translation(path4, m) == (check_ec(path4, m)[0] and check_snp(path4, m))
+        rep = property_report(path4, m)
+        assert rep.is_translation == (rep.is_ec and rep.is_snp)
 
 
 def test_snp_violation_count():
     g = make_complete(3)
     # 1 and 2 are adjacent but images 1 and 3 remain adjacent on K3: no flip
     m = full_mapping(g, {1: 1, 2: 3, 3: BOTTOM})
-    assert snp_violations(g, m) == 0
+    assert property_report(g, m).snp_violations == 0
     p = Graph(4, [(1, 2), (3, 4)])
     m2 = full_mapping(p, {1: 1, 2: 3, 3: BOTTOM, 4: BOTTOM})
-    assert snp_violations(p, m2) == 1
+    assert property_report(p, m2).snp_violations == 1
 
 
 def test_deformation_infinite_conventions():
     g = Graph(4, [(1, 2), (3, 4)])
     # sources in one component, images split across components
     m = full_mapping(g, {1: 1, 2: 3, 3: BOTTOM, 4: BOTTOM})
-    assert deformation(g, m) == g.n  # |finite - inf| capped at n
+    assert property_report(g, m).deformation == g.n  # |finite - inf| capped at n
     m2 = full_mapping(g, {1: 1, 2: BOTTOM, 3: 3, 4: BOTTOM})
-    assert deformation(g, m2) == 0  # inf vs inf
+    assert property_report(g, m2).deformation == 0  # inf vs inf
 
 
 def test_snp_with_loss_need_not_be_isometry():
@@ -96,8 +89,9 @@ def test_snp_with_loss_need_not_be_isometry():
     m = full_mapping(
         g, {1: 2, 2: 4, 4: 3, 3: 1, 5: BOTTOM, 6: 8, 8: 9, 9: 7, 7: 6}
     )
-    assert check_snp(g, m)
-    assert not check_isometry(g, m)
+    rep = property_report(g, m)
+    assert rep.is_snp
+    assert not rep.is_isometry
     assert g.geodesic(3, 8) == 4
     assert g.geodesic(m(3), m(8)) == 6
     assert g.geodesic(inverse(m)(3), inverse(m)(8)) == 2
@@ -154,17 +148,12 @@ def test_property_report_matches_scalar_reference_property():
         }
         m = Mapping(domain, g.vertices, image)
         ref = _reference_report(g, m)
-        rep = property_report(g, m).to_json_dict()
+        report = property_report(g, m)
+        rep = report.to_json_dict()
         assert rep == ref
         for name, value in rep.items():
             assert type(value) is (bool if name.startswith("is_") else int), name
-        assert check_ec(g, m) == (ref["is_ec"], ref["ec_violations"])
-        assert check_wnp(g, m) is ref["is_wnp"]
-        assert check_snp(g, m) is ref["is_snp"]
-        assert check_isometry(g, m) is ref["is_isometry"]
-        assert is_translation(g, m) is ref["is_translation"]
-        assert snp_violations(g, m) == ref["snp_violations"]
-        assert deformation(g, m) == ref["deformation"]
+            assert getattr(report, name) == ref[name], name
 
     check()
 

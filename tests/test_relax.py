@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from graph_shift import snp_violations
 from graph_shift.graph import Graph, make_complete, make_ring
-from graph_shift.mapping import BOTTOM, Mapping, full_mapping
+from graph_shift.mapping import BOTTOM, Mapping, full_mapping, property_report
 from graph_shift.relax import (
     ScoreParams,
     composition_score,
@@ -86,10 +85,10 @@ def test_weight_scaling_scales_total():
     assert t3 == pytest.approx(3 * t1)
 
 
-def test_snp_violations_wrapper():
+def test_snp_violations_on_a_restricted_domain():
     g = make_ring(4)
     m = restricted(g, {1, 2}, {1: 1, 2: 3})
-    assert snp_violations(g, m) == 1
+    assert property_report(g, m).snp_violations == 1
 
 
 def test_composition_score_monotone():

@@ -389,9 +389,10 @@ def test_hops_flag_widens_targets():
 def test_parameter_sweep_single_cell():
     g = make_grid([3, 3])
     x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
-    recs = parameter_sweep(g, x, 1, 9, grid=[(1.0, 0.1, 0.5, 1)])
-    assert len(recs) == 1
-    assert recs[0].found and recs[0].pareto
+    cells = parameter_sweep(g, x, 1, 9, grid=[(1.0, 0.1, 0.5, 1)])
+    assert len(cells) == 1
+    trace, on_front = cells[0]
+    assert trace.found and on_front
 
 
 def test_parameter_sweep_rejects_zero_weights():
@@ -415,15 +416,13 @@ def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
     support = expand_support(g, {src}, 1)
     x = [1.0 if v in support else 0.0 for v in g.vertices]
     swept, alone = SearchStats(), SearchStats()
-    records = parameter_sweep(g, x, src, tgt, grid=grid, seed=7, stats=swept)
-    assert [(r.alpha, r.beta, r.gamma, r.k) for r in records] == list(grid)
-    for rec, cell in zip(records, grid):
+    cells = parameter_sweep(g, x, src, tgt, grid=grid, seed=7, stats=swept)
+    params = [trace.params for trace, _ in cells]
+    assert [(p.alpha, p.beta, p.gamma, p.k_block) for p in params] == list(grid)
+    for (trace, _), cell in zip(cells, grid):
         tr = best_composition(g, support, src, tgt, ScoreParams(*cell), stats=alone, seed=7)
-        assert rec.trace == tr
-        assert rec.trace.to_json_dict() == tr.to_json_dict()
-        pair = tr.final_pair if tr.found else (None, None)
-        assert (rec.found, rec.loss_ratio, rec.snp_ratio) == (tr.found, *pair)
-        assert (rec.score, rec.steps) == (tr.cumulative_score, len(tr.steps))
+        assert trace == tr
+        assert trace.to_json_dict() == tr.to_json_dict()
     assert (swept.evaluations, swept.calls) == (alone.evaluations, alone.calls)
     assert (alone.rows_computed, alone.round_hits) == (alone.evaluations, 0)
     return swept
