@@ -5,6 +5,8 @@ stack over full-domain assignments, with the edge constraint built into the
 candidate sets and strong-neighborhood consistency checked against every
 vertex mapped so far. It builds each translation with `Mapping._trusted`,
 skipping the checks of `Mapping(...)` that the search has already proved.
+The second explicit-stack walk, `_cycle_map`, covers the vertices with edge
+cycles of one length: the perfect-matching and Hamiltonian-cycle maps.
 """
 
 from __future__ import annotations
@@ -160,11 +162,11 @@ def pseudo_minimal_translations(g, translations=None):
 
 
 def count_upper_bound(n):
-    """Closed-form cap on the number of translations of an order-n graph.
+    """Closed-form sum over k = 0..n for an order-n graph.
 
-    Evaluated verbatim with exact integer arithmetic. Note this sum is known
-    to undercount what brute force finds for partial (lossy) translations on
-    complete graphs; the k = n term (derangements) is exact.
+    Evaluated verbatim with exact integer arithmetic. It is no upper bound on
+    the translations: K3 has 18 against its 8. Its k = n term, the
+    derangement count D(n), equals the number of lossless translations of K_n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -176,10 +178,48 @@ def count_upper_bound(n):
 
 
 def count_minimal_upper_bound(n):
-    """Derangement count: cap on the number of minimal translations."""
+    """Derangement count D(n): the number of minimal translations of K_n for n >= 2.
+
+    No cap elsewhere: the path 1-2-3 has 4 minimal translations (D(3) = 2), K1 has 1 (D(1) = 0)."""
     if n < 1:
         raise ValueError("need n >= 1")
     return sum((-1) ** j * factorial(n) // factorial(j) for j in range(n + 1))
+
+
+def _cycle_map(g, length):
+    """Lossless map advancing every vertex along edge cycles of `length`
+    vertices, or None if g has no such cover; length divides g.n.
+
+    One depth-first loop over an explicit stack of option iterators, one per
+    walked vertex, as in `_search`. Each cycle starts at the smallest unwalked
+    vertex and grows through the last vertex's unwalked neighbours in
+    ascending order; its length-th vertex must neighbour the start, closing it.
+    """
+    n, adj = g.n, g._adj
+    path, walked = [], set()
+    stack = [iter((1,))]
+    while len(path) < n:
+        if not stack:
+            return None
+        i = len(stack) - 1  # the walk position this level fills
+        if len(path) > i:
+            walked.remove(path.pop())
+        k = i % length  # its place in the cycle
+        for w in stack[-1]:
+            if w not in walked and (k < length - 1 or w in adj[path[i - k]]):
+                break
+        else:
+            stack.pop()
+            continue
+        path.append(w)
+        walked.add(w)
+        if k < length - 1:
+            stack.append(iter(sorted(adj[w])))
+        elif i + 1 < n:  # every vertex below the closed cycle's start is walked
+            first = next(v for v in range(path[i - k] + 1, n + 1) if v not in walked)
+            stack.append(iter((first,)))
+    cycles = [path[c:c + length] for c in range(0, n, length)]
+    return full_mapping(g, {v: w for c in cycles for v, w in zip(c, c[1:] + c[:1])})
 
 
 def perfect_matching_translation(g):
@@ -187,29 +227,7 @@ def perfect_matching_translation(g):
 
     Edge-constrained, but not always a translation: on the path 1-2-3-4 the
     edge 2-3 goes to the non-edge 1-4."""
-    if g.n % 2 == 1:
-        return None
-
-    def match(unmatched, pairs):
-        if not unmatched:
-            return pairs
-        v = min(unmatched)
-        rest = unmatched - {v}
-        for w in sorted(g.neighbors(v)):
-            if w in rest:
-                got = match(rest - {w}, pairs + [(v, w)])
-                if got is not None:
-                    return got
-        return None
-
-    pairs = match(set(g.vertices), [])
-    if pairs is None:
-        return None
-    image = {}
-    for v, w in pairs:
-        image[v] = w
-        image[w] = v
-    return full_mapping(g, image)
+    return None if g.n % 2 else _cycle_map(g, 2)
 
 
 def hamiltonian_cycle_translation(g):
@@ -219,27 +237,7 @@ def hamiltonian_cycle_translation(g):
     go to a non-edge."""
     if g.n < 3 or any(g.degree(v) < 2 for v in g.vertices):
         return None
-    start = 1
-    path = [start]
-    visited = {start}
-
-    def extend(v):
-        if len(path) == g.n:
-            return g.has_edge(v, start)
-        for w in sorted(g.neighbors(v)):
-            if w not in visited:
-                visited.add(w)
-                path.append(w)
-                if extend(w):
-                    return True
-                path.pop()
-                visited.discard(w)
-        return False
-
-    if not extend(start):
-        return None
-    image = {path[i]: path[(i + 1) % g.n] for i in range(g.n)}
-    return full_mapping(g, image)
+    return _cycle_map(g, g.n)
 
 
 def min_loss(g, upper=None):

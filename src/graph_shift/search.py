@@ -350,9 +350,10 @@ def expand_support(g, support, hops=1):
         g._check_vertex(v)
     out = set(support)
     frontier = set(support)
-    for _ in range(hops):
+    while frontier and hops > 0:  # an empty frontier stays empty
         frontier = {w for v in frontier for w in g._adj[v]} - out
         out |= frontier
+        hops -= 1
     return out
 
 

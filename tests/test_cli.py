@@ -255,6 +255,18 @@ def test_negative_hops_exit_2(tmp_path, capsys, command):
     _assert_exit_2_one_line([command, str(gp), "--src", "1", "--tgt", "3", "--hops", "-1"], capsys)
 
 
+def test_compose_huge_hops_equals_saturated_hops(tmp_path, capsys):
+    # The 5-ring's diameter is 2, so hop counts from 2 on widen the targets
+    # no further, and a billion of them must cost no more than 4.
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    outputs = []
+    for hops in ("4", "1000000000"):
+        assert run(["compose", str(gp), "--src", "1", "--tgt", "3", "--hops", hops]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_compose_dot_steps(tmp_path):
     gp = tmp_path / "p.json"
     Graph(3, [(1, 2), (2, 3)]).save(gp)

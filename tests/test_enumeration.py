@@ -81,6 +81,15 @@ def test_count_formula_vs_brute_force_k3():
     assert len(enumerate_translations(make_complete(3))) == 18
 
 
+def test_minimal_count_formula_holds_only_on_complete_graphs():
+    # D(n) counts the minimal translations of K_n for n >= 2, but caps
+    # neither the path 1-2-3 (4 against D(3) = 2) nor K1 (1 against D(1) = 0).
+    assert len(minimal_translations(Graph(3, [(1, 2), (2, 3)]))) == 4
+    assert count_minimal_upper_bound(3) == 2
+    assert minimal_translations(Graph(1, [])) == [bottom_map(Graph(1, []))]
+    assert count_minimal_upper_bound(1) == 0
+
+
 def test_max_loss_filter():
     g = make_complete(4)
     ts = enumerate_translations(g, EnumerationFilter(max_loss=1))
@@ -334,6 +343,55 @@ def test_hamiltonian_cycle_map_need_not_be_a_translation():
     assert rot.image_tuple() == (2, 3, 4, 5, 1) and rot.is_lossless()
     rep = property_report(g, rot)
     assert rep.is_ec and not rep.is_translation  # the chord 1-3 goes to the non-edge 2-4
+
+
+def _graphs_up_to(max_n, per_n, seed):
+    rng = random.Random(seed)
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(per_n):
+            p = rng.random()
+            yield Graph(n, [e for e in pairs if rng.random() < p])
+
+
+def _first_matching_oracle(g):
+    """Image tuple of the lexicographically first fixed-point-free involution along edges."""
+    for p in itertools.permutations(g.vertices):
+        if all(w != v and p[w - 1] == v and g.has_edge(v, w) for v, w in enumerate(p, 1)):
+            return p
+    return None
+
+
+def _first_hamiltonian_oracle(g):
+    """Image tuple of the rotation along the lexicographically first Hamiltonian
+    cycle from vertex 1, the rest of the cycle taken as a permutation of 2..n."""
+    if g.n < 3:
+        return None
+    for rest in itertools.permutations(range(2, g.n + 1)):
+        cycle = (1, *rest, 1)
+        if all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:])):
+            return tuple(w for _, w in sorted(zip(cycle, cycle[1:])))
+    return None
+
+
+def test_perfect_matching_is_the_first_involution_along_edges():
+    for g in _graphs_up_to(7, 12, seed=5):
+        m = perfect_matching_translation(g)
+        assert (None if m is None else m.image_tuple()) == _first_matching_oracle(g)
+
+
+def test_hamiltonian_cycle_follows_the_first_cycle_from_vertex_1():
+    for g in _graphs_up_to(7, 12, seed=6):
+        rot = hamiltonian_cycle_translation(g)
+        assert (None if rot is None else rot.image_tuple()) == _first_hamiltonian_oracle(g)
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+def test_cycle_maps_on_long_rings_need_no_recursion(n):
+    g = make_ring(n)
+    pairs = tuple(v + 1 if v % 2 else v - 1 for v in g.vertices)
+    assert perfect_matching_translation(g).image_tuple() == pairs
+    assert hamiltonian_cycle_translation(g).image_tuple() == tuple(v % n + 1 for v in g.vertices)
 
 
 def _vf2_lossless_translations(g):

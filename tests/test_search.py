@@ -386,6 +386,12 @@ def test_hops_flag_widens_targets():
     assert expand_support(g, {3}, 2) == {1, 2, 3, 4, 5}
 
 
+def test_expand_support_stops_at_an_empty_frontier():
+    # A loop over all 10**9 hops would take minutes.
+    g = make_ring(5)
+    assert expand_support(g, {1}, 10**9) == expand_support(g, {1}, 2) == set(g.vertices)
+
+
 def test_parameter_sweep_single_cell():
     g = make_grid([3, 3])
     x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
