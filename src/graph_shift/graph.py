@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 #: Sentinel for an infinite geodesic distance (different connected components).
 INF = math.inf
+
+#: Bits, (arcs or vertices) x sources, that one level of the all-pairs BFS
+#: works on at once. It sets how many sources share a block, at least one
+#: 64-bit word of them, so a level's temporaries stay near _BFS_CELLS bytes;
+#: a graph too dense for a 64-source block takes 8 bytes an arc instead.
+_BFS_CELLS = 1 << 24
 
 
 class Graph:
@@ -74,24 +79,46 @@ class Graph:
     def _distance_table(self):
         if self._dist is None:
             n = self.n
-            unreachable = 2 * n
-            dist = np.full((n + 1, n + 1), unreachable, dtype=np.int64)
-            for src in range(1, n + 1):
-                dist[src, src] = 0
-                queue = deque([src])
-                row = dist[src]
-                while queue:
-                    u = queue.popleft()
-                    du = row[u]
-                    for w in self._adj[u]:
-                        if row[w] == unreachable:
-                            row[w] = du + 1
-                            queue.append(w)
+            dist = np.full((n + 1, n + 1), 2 * n, dtype=np.min_scalar_type(-2 * n - 1))
+            np.fill_diagonal(dist[1:, 1:], 0)
+            # One BFS level for a block of w sources at a time: reached[v] is
+            # a bitset, in 64-bit words, of the sources that have reached v,
+            # and a level ORs the bitsets of v's neighbours (CSR segments)
+            # into it. An isolated vertex gets the unused row 0, whose bitset
+            # stays empty, as its one neighbour, because reduceat would give
+            # an empty segment its first element, not 0.
+            adj = [self._adj[v] or (0,) for v in self.vertices]
+            deg = np.array([len(a) for a in adj], dtype=np.intp)
+            nbrs = np.fromiter(chain.from_iterable(adj), np.intp, deg.sum())
+            starts = np.cumsum(deg) - deg
+            block = max(64, _BFS_CELLS // max(len(nbrs), n + 1))
+            for lo in range(1, n + 1, block):
+                w = min(block, n + 1 - lo)
+                reached = np.zeros((n + 1, (w + 63) // 64), dtype=np.uint64)
+                reached.view(np.uint8)[lo : lo + w, : (w + 7) // 8] = np.packbits(
+                    np.eye(w, dtype=bool), axis=1
+                )
+                for d in range(1, n):
+                    new = np.bitwise_or.reduceat(reached[nbrs], starts) & ~reached[1:]
+                    if not new.any():
+                        break
+                    reached[1:] |= new
+                    # The table is symmetric, so the block's hop counts fill its columns.
+                    bits = np.unpackbits(new.view(np.uint8), axis=1, count=w).view(bool)
+                    np.copyto(dist[1:, lo : lo + w], d, where=bits)
+            dist.flags.writeable = False
             self._dist = dist
         return self._dist
 
     def distance_matrix(self):
-        """All-pairs hop counts as an (n+1, n+1) int array; 2n means unreachable."""
+        """All-pairs hop counts as a read-only (n+1, n+1) signed int array.
+
+        Row and column 0 are unused; 2n means unreachable. The dtype is the
+        smallest signed one that holds -(2n + 1), so the difference of two
+        entries never wraps: int8 up to n = 63, int16 up to n = 16,383.
+        Every caller shares the one cached table, so writing into it raises
+        ValueError.
+        """
         return self._distance_table()
 
     def geodesic(self, u, v):

@@ -215,11 +215,6 @@ def property_report(g, m):
     )
 
 
-def to_digraph(m):
-    """Arcs (v, image(v)) for the non-bottom part, ordered by source."""
-    return [(v, m(v)) for v in sorted(m.mapped)]
-
-
 def decompose(m):
     """Partition the domain into directed cycles and bottom-terminated paths."""
     succ = {v: m(v) for v in m.domain}

@@ -1,5 +1,6 @@
 """Brute-force reference implementations shared by the test modules."""
 
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
@@ -82,3 +83,21 @@ def geometric_edges_reference(n, radius, seed):
             if np.hypot(*(pts[u] - pts[v])) < radius:
                 edges.append((u + 1, v + 1))
     return edges, pts.tolist()
+
+
+def distance_table_reference(g):
+    """All-pairs hop counts, 2n for unreachable, by one deque BFS per source."""
+    n = g.n
+    unreachable = 2 * n
+    dist = np.full((n + 1, n + 1), unreachable, dtype=np.int64)
+    for src in range(1, n + 1):
+        dist[src, src] = 0
+        queue = deque([src])
+        row = dist[src]
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if row[w] == unreachable:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+    return dist

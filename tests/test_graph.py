@@ -15,7 +15,8 @@ from graph_shift.graph import (
     make_ring,
     make_torus,
 )
-from oracles import geometric_edges_reference
+from graph_shift.mapping import full_mapping, property_report
+from oracles import distance_table_reference, geometric_edges_reference
 
 
 def test_complete_graph_basics():
@@ -134,6 +135,88 @@ def test_distance_matrix_symmetry():
     g = make_random_geometric(20, 0.4, seed=1)
     d = g.distance_matrix()
     assert (d[1:, 1:] == d[1:, 1:].T).all()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(0, []),
+        Graph(1, []),
+        Graph(6, []),
+        Graph(5, [(1, 2), (4, 5)]),
+        make_ring(9),
+        make_grid([4, 5]),
+        make_torus([3, 4, 5]),
+        make_complete(7),
+    ],
+    ids=["n0", "n1", "edgeless", "two-edges", "ring", "grid", "torus", "complete"],
+)
+def test_distance_table_matches_deque_oracle(g):
+    # Values and the 2n sentinel, row and column 0 included.
+    assert np.array_equal(g.distance_matrix(), distance_table_reference(g))
+
+
+def test_distance_table_matches_deque_oracle_on_geometric_graphs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.integers(1, 80), st.floats(0.02, 0.6), st.integers(0, 2**16))
+    def check(n, radius, seed):
+        g = make_random_geometric(n, radius, seed)
+        assert np.array_equal(g.distance_matrix(), distance_table_reference(g))
+
+    check()
+
+
+def test_distance_table_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    g = make_random_geometric(60, 0.15, seed=4)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    d = g.distance_matrix()
+    assert nx.number_connected_components(h) > 1  # the sentinel is exercised
+    for u in g.vertices:
+        assert [int(d[u, v]) for v in g.vertices] == [
+            lengths[u].get(v, 2 * g.n) for v in g.vertices
+        ]
+
+
+def test_distance_table_blocks_of_sources(monkeypatch):
+    # A block holds at least one 64-bit word of sources, so at 200 vertices
+    # the smallest constant gives four blocks, the last one 8 sources wide.
+    g, again = (make_random_geometric(200, 0.12, seed=2) for _ in range(2))
+    whole = g.distance_matrix()
+    monkeypatch.setattr(graph_module, "_BFS_CELLS", 1)
+    assert np.array_equal(again.distance_matrix(), whole)
+    assert np.array_equal(whole, distance_table_reference(g))
+
+
+@pytest.mark.parametrize("n, dtype", [(63, np.int8), (64, np.int16)])
+def test_distance_table_is_read_only_in_the_smallest_signed_dtype(n, dtype):
+    g = make_ring(n)
+    d = g.distance_matrix()
+    assert d.dtype == dtype and np.issubdtype(d.dtype, np.signedinteger)
+    # The table is shared by every later score, so a caller cannot write it.
+    with pytest.raises(ValueError):
+        d[1, 2] = 5
+    assert g.geodesic(1, 2) == 1
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_deformation_across_components_does_not_wrap(n):
+    # A path on 1..n-1 and the isolated vertex n. Swapping 1 and n makes
+    # every pair with 1 or n finite on one side and infinite on the other,
+    # and the finite side reaches n - 2: differences up to 2n in the table's dtype.
+    g = Graph(n, [(v, v + 1) for v in range(1, n - 1)])
+    m = full_mapping(g, {v: {1: n, n: 1}.get(v, v) for v in g.vertices})
+    d = g.distance_matrix().astype(np.int64)
+    want = sum(
+        min(abs(d[u, v] - d[m(u), m(v)]), n) for u in g.vertices for v in g.vertices if u < v
+    )
+    assert property_report(g, m).deformation == want == 2 * (n - 2) * n
 
 
 @pytest.mark.parametrize("v", [-1, 0, 6, True, 2.0])

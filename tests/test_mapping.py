@@ -16,7 +16,6 @@ from graph_shift.mapping import (
     inverse,
     precedes,
     property_report,
-    to_digraph,
 )
 
 
@@ -215,11 +214,6 @@ def test_apply_to_signal(path4):
     assert apply_to_signal(shift, [5.0, 0.0, 0.0, 7.0]) == [0.0, 5.0, 0.0, 0.0]
     n2 = sum(v * v for v in apply_to_signal(shift, [1.0, 2.0, 3.0, 0.0]))
     assert n2 == pytest.approx(14.0)
-
-
-def test_to_digraph_sorted(path4):
-    m = full_mapping(path4, {1: 2, 2: 1, 3: BOTTOM, 4: BOTTOM})
-    assert to_digraph(m) == [(1, 2), (2, 1)]
 
 
 def test_mapping_json_roundtrip(tmp_path, path4):
