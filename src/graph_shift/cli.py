@@ -1,20 +1,24 @@
 """Command-line front end: generators, enumeration, checks, search, sweeps.
 
 Exit codes: 0 success, 2 invalid input, 3 search found nothing, 4 I/O error.
-All outputs are deterministic for fixed flags and seed; files are written
-atomically (temp file + rename) with sorted JSON keys.
+Invalid input includes any vertex or count that is not an integer in its
+range, and a graph order above 16,383. All outputs are deterministic for
+fixed flags and seed. JSON is compact, with sorted keys and a newline after
+each value, byte for byte as `Graph.save` and `Mapping.save` write it, and
+`--out` files go through the same atomic writer (temp file + rename, mode
+0o666 less the umask).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 
 from .graph import (
     Graph,
+    _atomic_write,
+    _dumps,
     make_complete,
     make_grid,
     make_ring,
@@ -32,28 +36,11 @@ EXIT_NO_RESULT = 3
 EXIT_IO = 4
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(args, text):
     if args.out:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _parse_ints(raw):

@@ -16,6 +16,7 @@ from itertools import groupby
 from math import comb, factorial
 from typing import Optional
 
+from .graph import _check_int
 from .mapping import BOTTOM, Mapping, full_mapping
 
 
@@ -29,14 +30,13 @@ class EnumerationFilter:
     def normalized(self, g):
         if self.lossless_only and self.max_loss not in (None, 0):
             raise ValueError("lossless_only conflicts with a max_loss other than 0")
-        max_loss = 0 if self.lossless_only else self.max_loss
-        if max_loss is not None and not 0 <= max_loss <= g.n:
-            raise ValueError("max_loss must lie between 0 and the graph order")
-        image_set = frozenset(self.require_image_set) if self.require_image_set is not None else None
-        domain = frozenset(self.restrict_domain) if self.restrict_domain is not None else None
-        for vs in (image_set, domain):
-            for v in vs or ():
-                g._check_vertex(v)
+        max_loss = 0 if self.lossless_only and self.max_loss is None else self.max_loss
+        if max_loss is not None:
+            max_loss = _check_int(max_loss, "max_loss", 0, g.n)
+        image_set, domain = (
+            None if vs is None else frozenset(map(g._check_vertex, vs))
+            for vs in (self.require_image_set, self.restrict_domain)
+        )
         return max_loss, image_set, domain
 
 
@@ -168,8 +168,7 @@ def count_upper_bound(n):
     the translations: K3 has 18 against its 8. Its k = n term, the
     derangement count D(n), equals the number of lossless translations of K_n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_int(n, "n", 1)
     total = 0
     for k in range(n + 1):
         inner = sum((-1) ** j * comb(k, j) * factorial(n - j) for j in range(k + 1))
@@ -181,8 +180,7 @@ def count_minimal_upper_bound(n):
     """Derangement count D(n): the number of minimal translations of K_n for n >= 2.
 
     No cap elsewhere: the path 1-2-3 has 4 minimal translations (D(3) = 2), K1 has 1 (D(1) = 0)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_int(n, "n", 1)
     return sum((-1) ** j * factorial(n) // factorial(j) for j in range(n + 1))
 
 
@@ -243,9 +241,9 @@ def hamiltonian_cycle_translation(g):
 def min_loss(g, upper=None):
     """Smallest loss over all translations, by iterative-deepening search.
 
-    None when no translation has loss at most `upper` (default n, which the
-    bottom map reaches)."""
-    upper = g.n if upper is None else upper
+    None when no translation has loss at most `upper`, an integer in 0..n
+    (default n, which the bottom map reaches)."""
+    upper = g.n if upper is None else _check_int(upper, "upper", 0, g.n)
     for budget in range(upper + 1):
         if next(_search(g, EnumerationFilter(max_loss=budget)), None) is not None:
             return budget

@@ -1,13 +1,15 @@
 """Simple undirected graphs, generators and geodesic distances.
 
 Vertices are integers 1..n. Graphs are immutable after construction; the
-all-pairs distance table is computed lazily by BFS and cached.
+all-pairs distance table is computed lazily by BFS and cached. Every vertex
+and count that enters the library passes `_check_int`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import chain, combinations
 
 import numpy as np
@@ -21,26 +23,32 @@ INF = math.inf
 #: a graph too dense for a 64-source block takes 8 bytes an arc instead.
 _BFS_CELLS = 1 << 24
 
+#: Largest graph order whose distance table (`Graph.distance_matrix`) stays int16.
+_MAX_ORDER = 16_383
+
 
 class Graph:
-    """Immutable simple undirected graph on vertices 1..n."""
+    """Immutable simple undirected graph on vertices 1..n, n in 0.._MAX_ORDER (16,383).
+
+    n and the edge endpoints are checked before any per-vertex state is built
+    and stored as Python ints; bools and floats are rejected."""
 
     def __init__(self, n, edges, coords=None):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        n = _check_int(n, "n", 0, _MAX_ORDER)
         norm = set()
         for u, v in edges:
+            # Python ints in range skip the call; the checker converts or rejects the rest.
+            if not (type(u) is int and type(v) is int and 0 < u <= n and 0 < v <= n):
+                u, v = _check_int(u, "edge vertex", 1, n), _check_int(v, "edge vertex", 1, n)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
-            norm.add((min(u, v), max(u, v)))
+            norm.add((u, v) if u < v else (v, u))
         if coords is not None:
             coords = [tuple(c) for c in coords]
             if len(coords) != n:
                 raise ValueError("coords length must equal vertex count")
         self.n = n
-        #: The vertices as one frozenset, shared by every full-domain mapping.
+        #: The vertices as one frozenset, shared by every enumerated translation.
         self.vertex_set = frozenset(range(1, n + 1))
         self.edges = frozenset(norm)
         self.coords = coords
@@ -55,8 +63,7 @@ class Graph:
         return range(1, self.n + 1)
 
     def has_edge(self, u, v):
-        self._check_vertex(v)
-        return v in self.neighbors(u)
+        return self._check_vertex(v) in self.neighbors(u)
 
     def neighbors(self, v):
         """Neighbour set of v; raises ValueError unless v is an integer in 1..n.
@@ -64,17 +71,16 @@ class Graph:
         Internal loops over vertices they already hold validated read
         `_adj` directly.
         """
-        self._check_vertex(v)
-        return self._adj[v]
+        return self._adj[self._check_vertex(v)]
 
     def degree(self, v):
         return len(self.neighbors(v))
 
     def _check_vertex(self, v):
-        if not _is_int(v):
-            raise ValueError(f"vertex {v!r} is not an integer")
-        if not (1 <= v <= self.n):
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        """v as a Python int; ValueError unless it is an integer in 1..n."""
+        if type(v) is int and 0 < v <= self.n:
+            return v
+        return _check_int(v, "vertex", 1, self.n)
 
     def _distance_table(self):
         if self._dist is None:
@@ -123,16 +129,12 @@ class Graph:
 
     def geodesic(self, u, v):
         """Hop distance between u and v; INF across components."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        d = int(self._distance_table()[u, v])
+        d = int(self._distance_table()[self._check_vertex(u), self._check_vertex(v)])
         return INF if d == 2 * self.n else d
 
     def neighborhood(self, v, h):
         """Vertices at geodesic distance exactly h from v."""
-        self._check_vertex(v)
-        if h < 0:
-            raise ValueError("hop count must be non-negative")
+        v, h = self._check_vertex(v), _check_int(h, "h", 0)
         if h == 0:
             return {v}
         if h >= self.n:  # finite distances are at most n - 1
@@ -151,25 +153,20 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The graph of a JSON object; the constructor checks its integers."""
         if not isinstance(data, dict):
             raise ValueError("graph JSON must be an object")
-        n, edges = data["n"], data["edges"]
-        if not _is_int(n):
-            raise ValueError(f"graph order must be an integer, got {n!r}")
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
-        ):
-            raise ValueError("graph edges must be a list of [u, v] integer pairs")
-        coords = data.get("coords")
+        edges, coords = data["edges"], data.get("coords")
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError("graph edges must be a list of [u, v] pairs")
         if coords is not None and not (
             isinstance(coords, list) and all(isinstance(c, list) for c in coords)
         ):
             raise ValueError("graph coords must be null or a list of coordinate lists")
-        return cls(n, [tuple(e) for e in edges], coords)
+        return cls(data["n"], edges, coords)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
+        _atomic_write(path, _dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path):
@@ -196,26 +193,43 @@ def _load_json(path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _dumps(obj):
+    """Compact JSON with sorted keys and a trailing newline: the one file format."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _check_dims(dims):
-    dims = list(dims)
-    if not dims:
-        raise ValueError("dimensions vector must be non-empty")
-    if any(d < 1 for d in dims):
-        raise ValueError("all dimensions must be >= 1")
-    return dims
+def _atomic_write(path, text):
+    """Write text to path through a temp file in its directory and a rename; on
+    any failure path is left as it was. The mode is 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _check_int(x, name, low=None, high=None):
+    """x as a Python int; ValueError naming `name` unless x is an integer in
+    low..high, where a bound of None leaves that end open. Bools are not
+    integers, and the type is checked before the range."""
+    if type(x) is not int:
+        if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+            raise ValueError(f"{name} {x!r} is not an integer")
+        x = int(x)
+    if low is not None and x < low or high is not None and x > high:
+        raise ValueError(f"{name} {x} out of range {'' if low is None else low}..{'' if high is None else high}")
+    return x
 
 
 def coord_to_index(coord, dims):
     """Row-major vertex index of a 1-based lattice point."""
     idx = 0
     for c, d in zip(coord, dims):
-        if not (1 <= c <= d):
-            raise ValueError(f"coordinate {coord} out of grid {dims}")
-        idx = idx * d + (c - 1)
+        idx = idx * d + (_check_int(c, "coordinate", 1, d) - 1)
     return idx + 1
 
 
@@ -230,14 +244,17 @@ def index_to_coord(index, dims):
 
 
 def make_complete(n):
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    n = _check_int(n, "n", 1, _MAX_ORDER)
     return Graph(n, combinations(range(1, n + 1), 2))
 
 
 def _lattice(dims, wrap):
-    """Unit steps along one axis; the successor of the last point wraps iff wrap."""
-    n = math.prod(dims)
+    """Unit steps along one axis; the successor of the last point wraps iff
+    wrap, so a wrapped dimension must be at least 3 to keep the graph simple."""
+    dims = [_check_int(d, "dimension", 3 if wrap else 1) for d in dims]
+    if not dims:
+        raise ValueError("dimensions vector must be non-empty")
+    n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
     coords = [index_to_coord(v, dims) for v in range(1, n + 1)]
     edges = []
     for v, c in enumerate(coords, start=1):
@@ -251,20 +268,16 @@ def _lattice(dims, wrap):
 
 def make_grid(dims):
     """Lattice graph on 1..d[1] x ... x 1..d[D], unit steps along one axis."""
-    return _lattice(_check_dims(dims), wrap=False)
+    return _lattice(dims, wrap=False)
 
 
 def make_torus(dims):
     """Grid graph with per-dimension wrap-around; every dimension must be >= 3."""
-    dims = _check_dims(dims)
-    if any(d < 3 for d in dims):
-        raise ValueError("torus dimensions must all be >= 3 to stay a simple graph")
     return _lattice(dims, wrap=True)
 
 
 def make_ring(n):
-    if n < 3:
-        raise ValueError("ring needs n >= 3")
+    n = _check_int(n, "n", 3, _MAX_ORDER)
     return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
 
 
@@ -274,8 +287,7 @@ _GEOMETRIC_CELLS = 1 << 18
 
 def make_random_geometric(n, radius, seed):
     """n points uniform in the unit square; edge iff Euclidean distance < radius."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_int(n, "n", 1, _MAX_ORDER)
     if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)

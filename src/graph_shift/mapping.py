@@ -6,25 +6,31 @@ or to bottom (no image, encoded as None). Bottom absorbs under composition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import _is_int, _load_json
+from .graph import _atomic_write, _check_int, _dumps, _load_json
 
 #: Explicit "no image" element.
 BOTTOM = None
 
 
 class Mapping:
-    """Injective partial map between two vertex subsets, with explicit bottom."""
+    """Injective partial map between two vertex subsets, with explicit bottom.
+
+    Every vertex must be an integer and is stored as a Python int; whether
+    it lies in 1..n is checked against a graph (`property_report`).
+    """
 
     def __init__(self, domain, codomain, image):
-        domain = frozenset(domain)
-        codomain = frozenset(codomain)
-        image = dict(image)
-        if set(image) != set(domain):
+        domain = frozenset(_check_int(v, "domain vertex") for v in domain)
+        codomain = frozenset(_check_int(w, "codomain vertex") for w in codomain)
+        image = {
+            _check_int(v, "domain vertex"): w if w is BOTTOM else _check_int(w, "image vertex")
+            for v, w in dict(image).items()
+        }
+        if image.keys() != domain:
             raise ValueError("image must be defined on exactly the domain")
         seen = set()
         for v, w in image.items():
@@ -109,25 +115,24 @@ class Mapping:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The mapping of a JSON object; the constructor checks its vertices."""
         if not isinstance(data, dict):
             raise ValueError("mapping JSON must be an object")
         domain, codomain, image = data["domain"], data["codomain"], data["image"]
-        for name, vs in (("domain", domain), ("codomain", codomain)):
-            if not isinstance(vs, list) or not all(map(_is_int, vs)):
-                raise ValueError(f"mapping {name} must be a list of integer vertices")
+        if not (isinstance(domain, list) and isinstance(codomain, list)):
+            raise ValueError("mapping domain and codomain must be lists of vertices")
+        # dict() below hashes each source, so none may be a list or an object.
         if not isinstance(image, list) or not all(
-            isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and (p[1] is BOTTOM or _is_int(p[1]))
-            for p in image
+            isinstance(p, list) and len(p) == 2 and not isinstance(p[0], (list, dict)) for p in image
         ):
-            raise ValueError("mapping image must be a list of [v, w] pairs, w an integer or null")
+            raise ValueError("mapping image must be a list of [v, w] pairs")
         pairs = dict(image)
         if len(pairs) != len(image):
             raise ValueError("mapping image gives a source vertex more than one image")
         return cls(domain, codomain, pairs)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
+        _atomic_write(path, _dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path):

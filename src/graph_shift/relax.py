@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import mapping as mp
+from .graph import _check_int
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,7 @@ class ScoreParams:
             raise ValueError("weights must be finite and non-negative")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one weight must be positive")
-        if self.k_block < 1:
-            raise ValueError("k_block must be a positive integer")
+        object.__setattr__(self, "k_block", _check_int(self.k_block, "k_block", 1))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from typing import Optional
 import numpy as np
 
 from . import mapping as mp
+from .graph import _check_int
 from .mapping import BOTTOM, Mapping, _gaps
 from .relax import ScoreBreakdown, ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front
 
@@ -283,9 +284,8 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     (mapping, breakdown): the breakdown is `_weigh` over the final raw sums
     as Python ints, equal in every field to `relax.score` of the mapping.
     """
-    V1, V2 = set(V1), set(V2)
-    for v in itertools.chain(V1, V2, (v1, v2)):
-        g._check_vertex(v)
+    V1, V2 = ({g._check_vertex(v) for v in vs} for vs in (V1, V2))
+    v1, v2 = g._check_vertex(v1), g._check_vertex(v2)
     if v1 not in V1:
         raise ValueError("anchor source must belong to the support")
     return _minimize_batch(v1, [v2], g, sorted(V1), V2, p, stats)[0]
@@ -342,14 +342,12 @@ class TranslationTrace:
 def expand_support(g, support, hops=1):
     """Support plus every vertex within the given hop count of it.
 
-    Raises ValueError for a negative hop count or a support vertex outside 1..n.
+    Raises ValueError unless hops is a non-negative integer and every
+    support vertex an integer in 1..n.
     """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    for v in support:
-        g._check_vertex(v)
-    out = set(support)
-    frontier = set(support)
+    hops = _check_int(hops, "hops", 0)
+    out = {g._check_vertex(v) for v in support}
+    frontier = set(out)
     while frontier and hops > 0:  # an empty frontier stays empty
         frontier = {w for v in frontier for w in g._adj[v]} - out
         out |= frontier
@@ -416,11 +414,10 @@ def best_composition(
     call.
     """
     V1_init = frozenset(V1_init)
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
+    hops = _check_int(hops, "hops", 0)
+    v_src, v_tgt = g._check_vertex(v_src), g._check_vertex(v_tgt)
     if v_src not in V1_init:
         raise ValueError("v_src must belong to the initial support")
-    g._check_vertex(v_tgt)
 
     visited = set()
     counter = itertools.count()

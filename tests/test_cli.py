@@ -2,11 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
+import graph_shift.graph as graph_module
 from graph_shift.cli import main
 from graph_shift.enumeration import EnumerationFilter, enumerate_translations
 from graph_shift.graph import Graph, make_complete, make_grid, make_ring
@@ -491,3 +494,51 @@ def test_cli_file_fuzz_exit_codes(tmp_path):
         assert "Traceback" not in err.getvalue()
 
     check()
+
+
+def test_sweep_unreachable_exit_3_writes_no_file(tmp_path, capsys):
+    gp, out = tmp_path / "d.json", tmp_path / "sweep.csv"
+    Graph(4, [(1, 2), (3, 4)]).save(gp)
+    assert run(["sweep", str(gp), "--src", "1", "--tgt", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "no composition found\n"
+    assert not out.exists()
+
+
+def test_sweep_source_outside_the_domain_set_exit_2(tmp_path, capsys):
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    _assert_exit_2_one_line(["sweep", str(gp), "--src", "1", "--tgt", "3", "--domain-set", "3,4"], capsys)
+
+
+def test_graph_order_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):
+    gp, mp, out = tmp_path / "g.json", tmp_path / "m.json", tmp_path / "big.json"
+    gp.write_text('{"n": 11, "edges": [], "coords": null}')
+    full_mapping(make_ring(5), {v: v for v in range(1, 6)}).save(mp)
+    # A small cap stands in for 16,383, so no large graph is built.
+    monkeypatch.setattr(graph_module, "_MAX_ORDER", 10)
+    _assert_exit_2_one_line(["check", str(gp), str(mp)], capsys)
+    _assert_exit_2_one_line(["gen", "ring", "--n", "11", "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_library_and_cli_write_the_same_bytes(tmp_path):
+    lib, cli, lines = tmp_path / "lib.json", tmp_path / "cli.json", tmp_path / "lossless.jsonl"
+    make_ring(5).save(lib)
+    assert run(["gen", "ring", "--n", "5", "--out", str(cli)]) == 0
+    assert lib.read_bytes() == cli.read_bytes() == b'{"coords":null,"edges":[[1,2],[1,5],[2,3],[3,4],[4,5]],"n":5}\n'
+    assert run(["enumerate", str(cli), "--lossless", "--out", str(lines)]) == 0
+    enumerate_translations(make_ring(5), EnumerationFilter(lossless_only=True))[0].save(lib)
+    assert lines.read_bytes().splitlines(keepends=True)[0] == lib.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask):
+    paths = [tmp_path / name for name in ("lib.json", "m.json", "cli.json")]
+    old = os.umask(umask)
+    try:
+        make_ring(5).save(paths[0])
+        full_mapping(make_ring(5), {v: v for v in range(1, 6)}).save(paths[1])
+        assert run(["gen", "ring", "--n", "5", "--out", str(paths[2])]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [0o666 & ~umask] * 3

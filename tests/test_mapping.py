@@ -166,6 +166,9 @@ def test_property_report_matches_scalar_reference_property():
         {"domain": ["1"], "codomain": [1, 2], "image": [["1", 2]]},
         {"domain": [1], "codomain": [1, 2], "image": [[1, 2.0]]},
         {"domain": [1], "codomain": [1, 2], "image": [[1]]},
+        {"domain": [1], "codomain": [1, 2], "image": [[[1], 2]]},
+        {"domain": [[1]], "codomain": [1, 2], "image": [[1, 2]]},
+        {"domain": [1], "codomain": [1, 2], "image": [[True, 2]]},
         [1, 2],
     ],
 )
