@@ -44,7 +44,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
         if coords is not None:
-            coords = [tuple(c) for c in coords]
+            # numpy scalars become the Python numbers JSON encodes; other values stay as given.
+            coords = [tuple(x.item() if isinstance(x, np.generic) else x for x in c) for c in coords]
             if len(coords) != n:
                 raise ValueError("coords length must equal vertex count")
         self.n = n

@@ -9,6 +9,7 @@ the net mapping but is monotone along a chain of steps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import mapping as mp
@@ -23,8 +24,9 @@ class ScoreParams:
     k_block: int = 1
 
     def __post_init__(self):
-        if not all(math.isfinite(w) and w >= 0 for w in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("weights must be finite and non-negative")
+        for w in (self.alpha, self.beta, self.gamma):  # any real number but a bool, kept as given
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"weights must be finite and non-negative real numbers, not {w!r}")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "k_block", _check_int(self.k_block, "k_block", 1))

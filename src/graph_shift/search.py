@@ -293,7 +293,7 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
 
 @dataclass
 class TranslationTrace:
-    """Replayable record of a best-composition run."""
+    """Replayable record of a best-composition run; the CLI sets `graph_ref`, its graph file."""
 
     found: bool
     steps: list  # of (Mapping, ScoreBreakdown)
@@ -302,7 +302,6 @@ class TranslationTrace:
     params: ScoreParams
     v_src: int
     v_tgt: int
-    seed: Optional[int] = None
     graph_ref: Optional[str] = None
 
     def composed(self):
@@ -328,7 +327,6 @@ class TranslationTrace:
                 "beta": self.params.beta,
                 "gamma": self.params.gamma,
                 "k": self.params.k_block,
-                "seed": self.seed,
             },
             "steps": [
                 {"mapping": m.to_json_dict(), "score": b.to_json_dict()}
@@ -393,8 +391,6 @@ def best_composition(
     p: ScoreParams,
     hops=1,
     stats: Optional[SearchStats] = None,
-    seed=None,
-    graph_ref=None,
     _rounds=None,
 ) -> TranslationTrace:
     """Chain approximate translations from v_src to v_tgt at a low total score.
@@ -435,7 +431,7 @@ def best_composition(
             stats.settled += 1
         if v1 == v_tgt:
             cumulative = composition_score(b for _, b in steps)
-            trace = TranslationTrace(True, list(steps), cumulative, None, p, v_src, v_tgt, seed, graph_ref)
+            trace = TranslationTrace(True, list(steps), cumulative, None, p, v_src, v_tgt)
             composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
             trace.final_pair = evaluation_pair(g, composed)
             return trace
@@ -448,16 +444,14 @@ def best_composition(
         if stats is not None:
             stats.pushes += len(v2s)
 
-    return TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt, seed, graph_ref)
+    return TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt)
 
 
 DEFAULT_WEIGHTS = (0.1, 0.5, 1.0)
 DEFAULT_BLOCKS = (1, 2, 3)
 
 
-def parameter_sweep(
-    g, x, v_src, v_tgt, grid=None, hops=1, seed=None, stats: Optional[SearchStats] = None
-) -> list:
+def parameter_sweep(g, x, v_src, v_tgt, grid=None, hops=1, stats: Optional[SearchStats] = None) -> list:
     """Run best_composition for every parameter cell, with its Pareto flag.
 
     Returns one (trace, on_front) pair per cell, in grid order; on_front
@@ -484,9 +478,7 @@ def parameter_sweep(
         rounds = {}
         for i, p in enumerate(params):
             if p.k_block == k:
-                traces[i] = best_composition(
-                    g, V1, v_src, v_tgt, p, hops=hops, stats=stats, seed=seed, _rounds=rounds
-                )
+                traces[i] = best_composition(g, V1, v_src, v_tgt, p, hops=hops, stats=stats, _rounds=rounds)
 
     front = pareto_front([(*tr.final_pair, i) for i, tr in enumerate(traces) if tr.found])
     on_front = {i for _, _, i in front}

@@ -295,7 +295,7 @@ def test_geometric_graph_sweep_shape_and_pareto_bands():
     tgt = int(candidates[rng.integers(0, len(candidates))])
     x = [1.0 if v in V1 else 0.0 for v in g.vertices]
 
-    cells = parameter_sweep(g, x, src, tgt, seed=seed)
+    cells = parameter_sweep(g, x, src, tgt)
     assert len(cells) == 81
     assert all(trace.found for trace, _ in cells)
 
@@ -338,7 +338,7 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
     assert first == second
 
     compose_args = [
-        "compose", str(graph_path), "--src", "1", "--tgt", "20", "--seed", "7",
+        "compose", str(graph_path), "--src", "1", "--tgt", "20",
         "--alpha", "1.0", "--beta", "0.1", "--gamma", "0.5", "--k", "2",
     ]
     a = _run_cli(compose_args, tmp_path / "t1.json")

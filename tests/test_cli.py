@@ -209,15 +209,22 @@ def test_deeply_nested_json_file_exit_2(tmp_path, capsys, command, nested_file):
     _assert_exit_2_one_line(argv, capsys)
 
 
-@pytest.mark.parametrize("command", ["sweep", "enumerate"])
+#: Each command's flags, ending with one it does not take and its value:
+#: a format that would not change its output, or compose's unread seed.
+UNTAKEN_FLAGS = {
+    "sweep": ["--src", "1", "--tgt", "2", "--format", "dot"],
+    "enumerate": ["--format", "dot"],
+    "compose": ["--src", "1", "--tgt", "2", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(UNTAKEN_FLAGS))
 def test_unhonoured_format_exit_2(k4_file, capsys, command):
-    argv = [command, k4_file, "--format", "dot"]
-    if command == "sweep":
-        argv += ["--src", "1", "--tgt", "2"]
+    flags = UNTAKEN_FLAGS[command]
     with pytest.raises(SystemExit) as exc:
-        run(argv)
+        run([command, k4_file, *flags])
     assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    assert flags[-2] in capsys.readouterr().err
 
 
 def test_compose_path_graph(tmp_path, capsys):
@@ -228,6 +235,7 @@ def test_compose_path_graph(tmp_path, capsys):
                 "--domain-set", "1", "--out", str(out)])
     assert code == 0
     trace = json.loads(out.read_text())
+    assert trace["graph"] == str(gp)
     assert len(trace["steps"]) == 2
     assert trace["cumulative_score"] == 0
     assert trace["pair"] == {"loss_ratio": 0.0, "snp_ratio": 0.0}
@@ -352,8 +360,7 @@ def test_byte_identical_reruns(tmp_path):
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / f"{name}.json"
-        assert run(["compose", str(gp), "--src", "1", "--tgt", "9",
-                    "--seed", "5", "--out", str(out)]) == 0
+        assert run(["compose", str(gp), "--src", "1", "--tgt", "9", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -502,6 +509,15 @@ def test_sweep_unreachable_exit_3_writes_no_file(tmp_path, capsys):
     assert run(["sweep", str(gp), "--src", "1", "--tgt", "3", "--out", str(out)]) == 3
     assert capsys.readouterr().err == "no composition found\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compose", "sweep"])
+@pytest.mark.parametrize("domain_set", ["1,2,999", "1,2,0"])
+def test_out_of_range_domain_set_vertex_exit_2(tmp_path, capsys, command, domain_set):
+    # The sweep's signal covers only the graph's vertices, so it used to drop a bad one.
+    gp = tmp_path / "ring6.json"
+    make_ring(6).save(gp)
+    _assert_exit_2_one_line([command, str(gp), "--src", "1", "--tgt", "3", "--domain-set", domain_set], capsys)
 
 
 def test_sweep_source_outside_the_domain_set_exit_2(tmp_path, capsys):

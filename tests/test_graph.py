@@ -131,6 +131,16 @@ def test_json_roundtrip(tmp_path):
     assert Graph.load(p) == g
 
 
+def test_numpy_scalar_coords_save_and_load_back_equal(tmp_path):
+    p = tmp_path / "g.graph.json"
+    g = Graph(3, [(1, 2)], coords=[(np.float32(0.5), np.int64(v)) for v in range(3)])
+    assert g.coords == [(0.5, 0), (0.5, 1), (0.5, 2)]
+    assert all(type(x) in (float, int) for c in g.coords for x in c)
+    g.save(p)
+    loaded = Graph.load(p)
+    assert loaded == g and loaded.coords == g.coords
+
+
 def test_distance_matrix_symmetry():
     g = make_random_geometric(20, 0.4, seed=1)
     d = g.distance_matrix()

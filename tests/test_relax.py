@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from graph_shift.graph import Graph, make_complete, make_ring
@@ -26,6 +27,12 @@ def test_params_validation():
         ScoreParams(1, 1, 1, 0)
     with pytest.raises(ValueError):
         ScoreParams(-1, 0, 1, 1)
+
+
+def test_params_keep_real_weights_as_given():
+    p = ScoreParams(2, np.float32(0.5), np.int64(1))
+    assert (type(p.alpha), type(p.beta), type(p.gamma)) == (int, np.float32, np.int64)
+    assert p.alpha == 2 and p.beta == 0.5 and p.gamma == 1
 
 
 def test_perfect_translation_scores_zero():
@@ -140,7 +147,10 @@ def test_pareto_front_keeps_duplicates_and_order():
     assert pareto_front([(0.3, 0.4, None)]) == [(0.3, 0.4, None)]
 
 
-@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+# A weight that is not a real number, a bool among them, raises the same error.
+@pytest.mark.parametrize(
+    "weight", [math.nan, math.inf, -math.inf, "1", None, True, pytest.param(np.bool_(True), id="np.bool_")]
+)
 def test_params_reject_non_finite_weights(weight):
     for field in ("alpha", "beta", "gamma"):
         weights = {"alpha": 1.0, "beta": 0.1, "gamma": 0.5, field: weight}

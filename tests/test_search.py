@@ -74,14 +74,16 @@ def test_minimize_batch_matches_scalar_greedy_property():
     @hyp.settings(max_examples=60, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        k = data.draw(st.sampled_from(DEFAULT_BLOCKS), label="k_block")
+        # k = 4 adds a round of four sources (six pair tables, a four-axis
+        # decode); its support of five or more vertices makes that round run.
+        k = data.draw(st.sampled_from(DEFAULT_BLOCKS + (4,)), label="k_block")
         # A scalar round of k sources scores up to (targets + 1)^k rows, so
         # larger blocks draw smaller instances.
-        n = data.draw(st.integers(6, 12 if k == 1 else 9), label="n")
+        n = data.draw(st.integers(6, 12 if k == 1 else 9 if k < 4 else 8), label="n")
         r = data.draw(st.sampled_from([0.2, 0.35, 0.5]), label="r")  # 0.2: mostly disconnected
         g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
         vertices = list(g.vertices)
-        V1 = data.draw(st.sets(st.sampled_from(vertices), min_size=1, max_size=7), label="V1")
+        V1 = data.draw(st.sets(st.sampled_from(vertices), min_size=5 if k == 4 else 1, max_size=7), label="V1")
         v1 = data.draw(st.sampled_from(sorted(V1)), label="v1")
         V2 = data.draw(
             st.sampled_from([expand_support(g, V1, 1), expand_support(g, V1, 2), set(vertices)])
@@ -89,7 +91,7 @@ def test_minimize_batch_matches_scalar_greedy_property():
             label="V2",
         )
         v2s = data.draw(
-            st.lists(st.sampled_from(vertices), min_size=1, max_size=n if k == 1 else 3, unique=True),
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=n if k == 1 else 3 if k < 4 else 2, unique=True),
             label="v2s",
         )
         p = ScoreParams(*data.draw(weights, label="weights"), k)
@@ -326,7 +328,7 @@ def test_trace_json_deterministic():
     g = make_grid([3, 3])
     runs = []
     for _ in range(2):
-        tr = best_composition(g, expand_support(g, {1}, 1), 1, 9, P, seed=3)
+        tr = best_composition(g, expand_support(g, {1}, 1), 1, 9, P)
         runs.append(json.dumps(tr.to_json_dict(), sort_keys=True))
     assert runs[0] == runs[1]
 
@@ -422,11 +424,11 @@ def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
     support = expand_support(g, {src}, 1)
     x = [1.0 if v in support else 0.0 for v in g.vertices]
     swept, alone = SearchStats(), SearchStats()
-    cells = parameter_sweep(g, x, src, tgt, grid=grid, seed=7, stats=swept)
+    cells = parameter_sweep(g, x, src, tgt, grid=grid, stats=swept)
     params = [trace.params for trace, _ in cells]
     assert [(p.alpha, p.beta, p.gamma, p.k_block) for p in params] == list(grid)
     for (trace, _), cell in zip(cells, grid):
-        tr = best_composition(g, support, src, tgt, ScoreParams(*cell), stats=alone, seed=7)
+        tr = best_composition(g, support, src, tgt, ScoreParams(*cell), stats=alone)
         assert trace == tr
         assert trace.to_json_dict() == tr.to_json_dict()
     assert (swept.evaluations, swept.calls) == (alone.evaluations, alone.calls)
