@@ -14,12 +14,17 @@ from .graph import Graph, coord_to_index, index_to_coord, make_grid, make_torus
 from .mapping import BOTTOM, Mapping, full_mapping
 
 
+def _check_index(i, high, name):
+    """IndexError naming `name` if i is a bool or lies outside 1..high."""
+    if isinstance(i, bool) or not 1 <= i <= high:
+        raise IndexError(f"{name} {i!r} out of range 1..{high}")
+
+
 def dirac(d, i, sign=1):
     """Signed unit vector ±e_i of length d."""
-    if not 1 <= i <= d:
-        raise IndexError(f"axis {i} out of range for {d} dimensions")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _check_index(i, d, "axis")
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
     vec = [0] * d
     vec[i - 1] = sign
     return tuple(vec)
@@ -82,10 +87,8 @@ def satisfies_large_grid_assumption(dims):
 
 def grid_slice(dims, i, j):
     """Vertices whose i-th coordinate equals j, as a sorted list."""
-    if not 1 <= i <= len(dims):
-        raise IndexError(f"axis {i} out of range")
-    if not 1 <= j <= dims[i - 1]:
-        raise IndexError(f"slice index {j} out of range for axis {i}")
+    _check_index(i, len(dims), "axis")
+    _check_index(j, dims[i - 1], f"slice index on axis {i}")
     n = math.prod(dims)
     out = [v for v in range(1, n + 1) if index_to_coord(v, dims)[i - 1] == j]
     return out
@@ -93,6 +96,5 @@ def grid_slice(dims, i, j):
 
 def dirac_shift_loss(dims, i):
     """Loss of a grid shift by ±e_i: the number of vertices in one slice."""
-    if not 1 <= i <= len(dims):
-        raise IndexError(f"axis {i} out of range")
+    _check_index(i, len(dims), "axis")
     return math.prod(d for k, d in enumerate(dims, start=1) if k != i)

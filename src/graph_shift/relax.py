@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import mapping as mp
 from .graph import _check_int
 
@@ -24,7 +26,11 @@ class ScoreParams:
     k_block: int = 1
 
     def __post_init__(self):
-        for w in (self.alpha, self.beta, self.gamma):  # any real number but a bool, kept as given
+        for name in ("alpha", "beta", "gamma"):  # any real number but a bool
+            w = getattr(self, name)
+            if isinstance(w, np.generic):  # numpy scalars become the Python numbers JSON encodes
+                w = w.item()
+                object.__setattr__(self, name, w)
             if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"weights must be finite and non-negative real numbers, not {w!r}")
         if self.alpha == self.beta == self.gamma == 0:

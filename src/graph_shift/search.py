@@ -26,12 +26,16 @@ targets, and the weights enter only through the argmin. So
 `parameter_sweep` hands the kernel a round cache keyed per chain by those.
 An entry keeps each distinct (raw_loss, raw_ec, raw_def) triple of the
 round's candidates with its first row, in first-row order
-(`_distinct_rows`). A row's total is a function of its triple, so for any
-weights the first minimum over the entry sits at the first minimum over
-all rows: outputs stay bit-identical. The chains that miss are scored to
-fill their entries, and then every chain of the round, hit or miss, is
-weighed from its entry in one `_weigh` call. The cache lives for one
-block size of the sweep (cells of different k_block almost never share
+(`_distinct_rows`, which packs each triple into one integer key of the
+narrowest unsigned dtype, so a sweep's small keys take numpy's radix
+sort). A row's total is a function of its triple, so for any weights the
+first minimum over the entry sits at the first minimum over all rows:
+outputs stay bit-identical. The chains that miss are scored to fill their
+entries, and then every chain of the round, hit or miss, is weighed from
+its entry in one `_weigh` call over the entries laid end to end; each
+chain takes the first index of its own segment that holds the segment's
+minimum (`np.minimum.reduceat`), so no sort is needed. The cache lives for
+one block size of the sweep (cells of different k_block almost never share
 rounds), which bounds its memory. Only rounds of `_CACHED_BLOCK` (three)
 or more sources use it: a one-vertex round has |targets| + 1 rows, nearly
 all distinct, and a two-vertex round is weighed densely for every chain
@@ -95,10 +99,15 @@ def _distinct_rows(raw_loss, raw_ec, raw_def, rows):
     row indices, ascending. Returns one array of shape (4, m): raw_loss,
     raw_ec, raw_def and first row of each distinct triple, in first-row
     order, as int32 where the values fit (half the cache's memory).
+    Each triple is packed into one integer key, cast to the narrowest
+    unsigned dtype that holds the largest key before the stable sort
+    inside `np.unique`: keys of up to 16 bits, as on small graphs, sort by
+    radix in linear time, and wider keys by numpy's general stable sort.
     """
     loss_base = int(raw_loss.max()) + 1
     ec_base = int(raw_ec.max()) + 1
-    _, first = np.unique((raw_def * ec_base + raw_ec) * loss_base + raw_loss, return_index=True)
+    key = (raw_def * ec_base + raw_ec) * loss_base + raw_loss
+    _, first = np.unique(key.astype(np.min_scalar_type(key.max())), return_index=True)
     first.sort()
     out = np.stack((raw_loss[first], raw_ec[first], raw_def[first], rows[first]))
     return out.astype(np.int32) if out.max() <= np.iinfo(np.int32).max else out
@@ -238,12 +247,14 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
                 loss, ec_sum, def_sum = raw_loss[chains, best], raw_ec[chains, best], raw_def[chains, best]
 
         if cached:
-            # Every chain's entry, weighed at once; a stable sort by (chain,
-            # total) puts each chain's first minimum first in its group.
+            # Every chain's entry, weighed at once as one pool of segments;
+            # each chain takes the first pool index holding its segment's minimum.
             sizes = np.array([entry.shape[1] for entry in entries])
+            starts = np.cumsum(sizes) - sizes
             pool = np.concatenate(entries, axis=1)
-            order = np.lexsort((_weigh(p, n1, *pool[:3])[-1], np.repeat(chains, sizes)))
-            first = order[np.cumsum(sizes) - sizes]
+            total = _weigh(p, n1, *pool[:3])[-1]
+            hits = np.flatnonzero(total == np.repeat(np.minimum.reduceat(total, starts), sizes))
+            first = hits[np.searchsorted(hits, starts)]
             best = pool[3, first]
             loss[:], ec_sum[:], def_sum[:] = pool[:3, first]
 

@@ -32,6 +32,20 @@ def test_dirac_vectors():
         dirac(2, 3, 1)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_grid_helpers_reject_bool_indices_and_signs(flag):
+    with pytest.raises(IndexError):
+        dirac(2, flag)
+    with pytest.raises(ValueError):
+        dirac(2, 1, flag)
+    with pytest.raises(IndexError):
+        grid_slice([3, 3], flag, 1)
+    with pytest.raises(IndexError):
+        grid_slice([3, 3], 1, flag)
+    with pytest.raises(IndexError):
+        dirac_shift_loss([3, 3], flag)
+
+
 def test_torus_shift_is_translation():
     g = make_torus([5, 5])
     m = euclidean_on_torus([5, 5], (1, 0))

@@ -29,9 +29,9 @@ def test_params_validation():
         ScoreParams(-1, 0, 1, 1)
 
 
-def test_params_keep_real_weights_as_given():
+def test_params_keep_real_weights_as_python_numbers():
     p = ScoreParams(2, np.float32(0.5), np.int64(1))
-    assert (type(p.alpha), type(p.beta), type(p.gamma)) == (int, np.float32, np.int64)
+    assert (type(p.alpha), type(p.beta), type(p.gamma)) == (int, float, int)
     assert p.alpha == 2 and p.beta == 0.5 and p.gamma == 1
 
 

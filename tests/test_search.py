@@ -333,6 +333,15 @@ def test_trace_json_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_trace_with_numpy_weights_round_trips_through_json():
+    g = make_ring(5)
+    tr = best_composition(g, {1, 2}, 1, 3, ScoreParams(np.float32(1.0), np.float64(0.1), np.int64(1), 1))
+    d = tr.to_json_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert d == best_composition(g, {1, 2}, 1, 3, ScoreParams(1.0, 0.1, 1, 1)).to_json_dict()
+    assert type(d["params"]["gamma"]) is int
+
+
 def test_localized_sets_examples():
     g = make_ring(5)
     V1 = localized_sets(g, [1, 0, 0, 0, 0])
@@ -491,12 +500,14 @@ def test_sweep_round_cache_property():
 
 def test_distinct_rows_pick_the_first_minimum():
     rng = np.random.default_rng(5)
-    for _ in range(300):
+    for trial in range(300):
         size = int(rng.integers(1, 400))
         span = int(rng.integers(1, 4))
         raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, size)
         raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, size)
-        raw_def = rng.integers(0, int(rng.integers(1, 40)), size)
+        # raw_def below 40 keeps the packed keys in uint8 or uint16; the
+        # wider draws need uint32 and uint64 keys.
+        raw_def = rng.integers(0, int(rng.integers(1, (40, 1 << 10, 1 << 20, 1 << 31)[trial % 4])), size)
         rows = np.sort(rng.choice(3 * size, size, replace=False))
         kept = _distinct_rows(raw_loss, raw_ec, raw_def, rows)
         assert kept.dtype == np.int32
@@ -523,7 +534,8 @@ def test_minimize_batch_mixes_cached_and_missed_chains_in_one_round():
     v2s = sorted(V2 - {5})
     assert len(V1) - 1 >= 2 * _CACHED_BLOCK and len(v2s) >= 4  # two cached rounds per chain
     subset = v2s[::2]
-    for weights in ((1.0, 0.1, 0.5), (0.0, 1.0, 0.0)):
+    # (1.0, 0.0, 0.0) weighs loss alone, so every chain's entry ties on many totals.
+    for weights in ((1.0, 0.1, 0.5), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
         p = ScoreParams(*weights, _CACHED_BLOCK)
         rounds = {}
         _minimize_batch(5, subset, g, V1, V2, p, None, rounds)
