@@ -28,7 +28,7 @@ def main():
 
     v1 = 1
     for w in sorted(g.neighbors(v1)):
-        m, unique = contaminate_torus(g, dims, v1, w)
+        m, unique = contaminate_torus(dims, v1, w)
         print(f"  seed {v1}->{w}: full shift recovered, unique={unique}")
 
     small = make_torus([4, 4])

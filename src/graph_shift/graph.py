@@ -227,7 +227,9 @@ def _check_int(x, name, low=None, high=None):
 
 
 def coord_to_index(coord, dims):
-    """Row-major vertex index of a 1-based lattice point."""
+    """Row-major vertex index of a 1-based lattice point, one coordinate per dimension."""
+    if len(coord) != len(dims):
+        raise ValueError(f"coord {tuple(coord)!r} has {len(coord)} entries for {len(dims)} dimensions")
     idx = 0
     for c, d in zip(coord, dims):
         idx = idx * d + (_check_int(c, "coordinate", 1, d) - 1)
@@ -235,8 +237,8 @@ def coord_to_index(coord, dims):
 
 
 def index_to_coord(index, dims):
-    """1-based lattice point of a row-major vertex index."""
-    rem = index - 1
+    """1-based lattice point of a row-major vertex index in 1..prod(dims)."""
+    rem = _check_int(index, "index", 1, math.prod(dims)) - 1
     coord = []
     for d in reversed(dims):
         coord.append(rem % d + 1)
@@ -249,12 +251,18 @@ def make_complete(n):
     return Graph(n, combinations(range(1, n + 1), 2))
 
 
+def _check_dims(dims, low=1):
+    """dims as a non-empty list of Python ints, each at least low; no order cap."""
+    dims = [_check_int(d, "dimension", low) for d in dims]
+    if not dims:
+        raise ValueError("dimensions vector must be non-empty")
+    return dims
+
+
 def _lattice(dims, wrap):
     """Unit steps along one axis; the successor of the last point wraps iff
     wrap, so a wrapped dimension must be at least 3 to keep the graph simple."""
-    dims = [_check_int(d, "dimension", 3 if wrap else 1) for d in dims]
-    if not dims:
-        raise ValueError("dimensions vector must be non-empty")
+    dims = _check_dims(dims, 3 if wrap else 1)
     n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
     coords = [index_to_coord(v, dims) for v in range(1, n + 1)]
     edges = []

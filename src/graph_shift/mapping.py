@@ -221,35 +221,22 @@ def property_report(g, m):
 
 
 def decompose(m):
-    """Partition the domain into directed cycles and bottom-terminated paths."""
-    succ = {v: m(v) for v in m.domain}
-    has_pred = set(m.image_set)
-    remaining = set(m.domain)
+    """Partition the domain into directed cycles and bottom-terminated paths.
+
+    Each unwalked vertex, taken in (has a preimage, vertex) order, starts a
+    walk along m that stops at bottom, outside the domain or at a walked
+    vertex: a path if the start has no preimage, else a cycle."""
+    has_pred = m.image_set
+    walked = set()
     cycles, paths = [], []
-
-    # Paths start at vertices with no inverse image inside the domain.
-    for start in sorted(m.domain):
-        if start in has_pred or start not in remaining:
-            continue
-        path = [start]
-        remaining.discard(start)
-        v = succ.get(start, BOTTOM)
-        while v is not BOTTOM and v in remaining:
-            path.append(v)
-            remaining.discard(v)
-            v = succ.get(v, BOTTOM)
-        paths.append(path)
-
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        remaining.discard(start)
-        v = succ[start]
-        while v != start and v in remaining:
-            cycle.append(v)
-            remaining.discard(v)
-            v = succ.get(v, BOTTOM)
-        cycles.append(cycle)
+    for start in sorted(m.domain, key=lambda v: (v in has_pred, v)):
+        walk, v = [], start
+        while v in m.domain and v not in walked:
+            walk.append(v)
+            walked.add(v)
+            v = m(v)
+        if walk:
+            (cycles if start in has_pred else paths).append(walk)
     return cycles, paths
 
 
@@ -271,10 +258,12 @@ def compose(m2, m1):
 
 
 def apply_to_signal(m, x):
-    """Move signal entries along the mapping; lost and untouched entries are 0."""
-    y = [0.0] * len(x)
+    """Move signal entries along the mapping; lost and untouched entries are 0.
+    ValueError unless every mapped vertex and its image lies in 1..len(x)."""
+    n = len(x)
+    y = [0.0] * n
     for v in m.mapped:
-        y[m(v) - 1] = x[v - 1]
+        y[_check_int(m(v), "signal vertex", 1, n) - 1] = x[_check_int(v, "signal vertex", 1, n) - 1]
     return y
 
 

@@ -28,22 +28,42 @@ def test_dirac_vectors():
     assert dirac(2, 1, 1) == (1, 0)
     assert dirac(2, 2, -1) == (0, -1)
     assert dirac(3, 3, 1) == (0, 0, 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^axis 3 out of range 1..2$"):
         dirac(2, 3, 1)
 
 
 @pytest.mark.parametrize("flag", [True, False])
 def test_grid_helpers_reject_bool_indices_and_signs(flag):
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^axis "):
         dirac(2, flag)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sign "):
         dirac(2, 1, flag)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^axis "):
         grid_slice([3, 3], flag, 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^slice index "):
         grid_slice([3, 3], 1, flag)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^axis "):
         dirac_shift_loss([3, 3], flag)
+    with pytest.raises(ValueError, match="^delta entry "):
+        euclidean_on_grid([3, 3], (flag, 0))
+    with pytest.raises(ValueError, match="^delta entry "):
+        euclidean_on_torus([3, 3], (0, flag))
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [satisfies_large_grid_assumption, lambda dims: dirac_shift_loss(dims, 1), lambda dims: grid_slice(dims, 1, 1)],
+    ids=["large_grid", "shift_loss", "slice"],
+)
+def test_closed_form_helpers_check_dims_as_make_grid_does(helper):
+    for dims in ([3, -2], [3, 0], [3, 1.5], [3, 2.0], [3, True], ["3"]):
+        with pytest.raises(ValueError, match="^dimension "):
+            helper(dims)
+    with pytest.raises(ValueError, match="^dimensions vector must be non-empty$"):
+        helper([])
+    # No order cap: the closed forms never build the grid.
+    assert dirac_shift_loss([200, 200], 1) == 200
+    assert satisfies_large_grid_assumption([20_000, 3])
 
 
 def test_torus_shift_is_translation():
@@ -85,7 +105,7 @@ def test_contamination_seeds_give_the_four_shifts():
     v1 = coord_to_index((2, 2), dims)
     results = set()
     for w in sorted(g.neighbors(v1)):
-        m, unique = contaminate_torus(g, dims, v1, w)
+        m, unique = contaminate_torus(dims, v1, w)
         assert unique
         assert m(v1) == w
         results.add(m)
@@ -97,16 +117,29 @@ def test_contamination_flags_small_dims():
     g = make_torus(dims)
     v1 = 1
     w = sorted(g.neighbors(v1))[0]
-    m, unique = contaminate_torus(g, dims, v1, w)
+    m, unique = contaminate_torus(dims, v1, w)
     assert not unique
     assert m.is_lossless()
 
 
 def test_contamination_rejects_non_adjacent_seed():
     dims = [5, 5]
-    g = make_torus(dims)
     with pytest.raises(ValueError):
-        contaminate_torus(g, dims, 1, coord_to_index((3, 3), dims))
+        contaminate_torus(dims, 1, coord_to_index((3, 3), dims))
+
+
+def test_contamination_checks_the_seed_on_the_torus_of_its_dims():
+    # 1 -> 5 wraps around a row of five, but not around a row of six.
+    assert make_torus([5, 5]).has_edge(1, 5)
+    with pytest.raises(ValueError, match="^seed pair must be adjacent$"):
+        contaminate_torus([5, 6], 1, 5)
+    m, unique = contaminate_torus([5, 6], 1, 6)
+    assert len(m.domain) == 30 and unique and m == euclidean_on_torus([5, 6], (0, -1))
+    for dims in ([5, 2], [5.0, 5], [], [5, True]):
+        with pytest.raises(ValueError, match="^dimension"):
+            contaminate_torus(dims, 1, 2)
+    with pytest.raises(ValueError, match="^vertex "):
+        contaminate_torus([5, 5], 1, 26)
 
 
 def test_torus55_lossless_are_exactly_dirac():
@@ -146,5 +179,5 @@ def test_grid_slices_partition():
     assert len(grid_slice(dims, 2, 5)) == 6
     seen = sorted(v for j in range(1, 7) for v in grid_slice(dims, 1, j))
     assert seen == list(range(1, 31))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^slice index 7 out of range 1..6$"):
         grid_slice(dims, 1, 7)

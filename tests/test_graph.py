@@ -62,6 +62,15 @@ def test_coord_index_roundtrip(dims):
         assert coord_to_index(index_to_coord(v, dims), dims) == v
 
 
+def test_coord_index_reject_points_off_the_lattice():
+    for index in (0, 10, -1):
+        with pytest.raises(ValueError, match=f"^index {index} out of range 1..9$"):
+            index_to_coord(index, [3, 3])
+    for coord in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ValueError, match=f"^coord .* has {len(coord)} entries for 2 dimensions$"):
+            coord_to_index(coord, [3, 3])
+
+
 def test_grid_structure():
     g = make_grid([2, 3])
     assert g.n == 6

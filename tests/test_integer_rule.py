@@ -1,7 +1,7 @@
 """One integer rule for every vertex and count that enters the library.
 
 Each entry below takes an integer: an order, a vertex, a hop radius, a loss
-budget or a block size. All of them reject non-integers (floats, even 2.0,
+budget, a block size, or a grid axis, index, sign or shift. All of them reject non-integers (floats, even 2.0,
 bools and strings) and out-of-range integers with a ValueError that starts
 with the parameter's name, and accept numpy integers as Python ints.
 """
@@ -18,21 +18,29 @@ from graph_shift.enumeration import (
     count_upper_bound,
     min_loss,
 )
+from graph_shift.euclid import dirac, dirac_shift_loss, euclidean_on_grid, euclidean_on_torus, grid_slice
 from graph_shift.graph import (
     Graph,
     _atomic_write,
     coord_to_index,
+    index_to_coord,
     make_complete,
     make_grid,
     make_random_geometric,
     make_ring,
     make_torus,
 )
-from graph_shift.mapping import Mapping
+from graph_shift.mapping import Mapping, apply_to_signal
 from graph_shift.relax import ScoreParams
 from graph_shift.search import best_composition, expand_support
 
 RING = make_ring(5)
+
+
+def _pair(v, w):
+    """The mapping v -> w without the constructor's integer check, so that
+    `apply_to_signal` is the one to see a bad vertex."""
+    return Mapping._trusted(frozenset({v}), frozenset({w}), {v: w})
 
 #: (name in the message, call(x) returning the integer x became or one derived
 #: from it, a valid x, an out-of-range x or None where no range applies)
@@ -59,6 +67,17 @@ ENTRIES = [
     ("hops", lambda x: len(expand_support(RING, {1}, x)), 1, -1),
     ("hops", lambda x: len(best_composition(RING, {1, 2}, 1, 3, ScoreParams(), hops=x).steps), 1, -1),
     ("vertex", lambda x: best_composition(RING, {1, 2}, x, 3, ScoreParams()).v_src, 1, 6),
+    ("d", lambda x: len(dirac(x, 1)), 2, 0),
+    ("axis", lambda x: dirac(3, x).index(1) + 1, 2, 4),
+    ("axis", lambda x: len(grid_slice([3, 4], x, 1)), 2, 3),
+    ("axis", lambda x: dirac_shift_loss([2, 3, 5], x), 2, 0),
+    ("slice index", lambda x: grid_slice([3, 4], 2, x)[0], 2, 5),
+    ("sign", lambda x: sum(dirac(2, 1, x)), -1, 0),
+    ("index", lambda x: index_to_coord(x, [3, 3])[0], 4, 0),
+    ("delta entry", lambda x: euclidean_on_grid([4], (x,))(1), 2, None),
+    ("delta entry", lambda x: euclidean_on_torus([4], (x,))(1), 2, None),
+    ("signal vertex", lambda x: apply_to_signal(_pair(x, 1), [1, 2, 3])[0], 2, 0),
+    ("signal vertex", lambda x: apply_to_signal(_pair(1, x), [7, 0, 0]).index(7) + 1, 2, 4),
 ]
 
 

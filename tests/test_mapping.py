@@ -196,6 +196,36 @@ def test_decompose_bottom_map_is_all_singleton_paths():
     assert cycles == [] and sorted(paths) == [[1], [2], [3]]
 
 
+def test_decompose_partition_invariants():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def partial_injections(draw):
+        # Codomain vertices may lie outside the domain, and images may be bottom.
+        n = draw(st.integers(0, 9))
+        domain = draw(st.lists(st.integers(1, n), unique=True)) if n else []
+        codomain = range(1, n + draw(st.integers(0, 3)) + 1)
+        images = draw(st.permutations(codomain))
+        lost = draw(st.lists(st.booleans(), min_size=len(domain), max_size=len(domain)))
+        image = {v: BOTTOM if b else w for v, w, b in zip(domain, images, lost)}
+        return Mapping(domain, codomain, image)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(partial_injections())
+    def check(m):
+        cycles, paths = decompose(m)
+        walks = cycles + paths
+        assert sorted(v for w in walks for v in w) == sorted(m.domain)
+        assert all(m(a) == b for w in walks for a, b in zip(w, w[1:]))
+        assert all(m(c[-1]) == c[0] and c[0] == min(c) for c in cycles)
+        assert all(p[0] not in m.image_set and m(p[-1]) not in m.domain for p in paths)
+        for starts in ([c[0] for c in cycles], [p[0] for p in paths]):
+            assert starts == sorted(starts)
+
+    check()
+
+
 def test_inverse_roundtrip(path4):
     m = full_mapping(path4, {1: 2, 2: 3, 3: BOTTOM, 4: BOTTOM})
     inv = inverse(m)
@@ -217,6 +247,11 @@ def test_apply_to_signal(path4):
     assert apply_to_signal(shift, [5.0, 0.0, 0.0, 7.0]) == [0.0, 5.0, 0.0, 0.0]
     n2 = sum(v * v for v in apply_to_signal(shift, [1.0, 2.0, 3.0, 0.0]))
     assert n2 == pytest.approx(14.0)
+    # Vertex 0 would read and write x[-1], the last entry, through negative indexing.
+    with pytest.raises(ValueError, match="^signal vertex 0 out of range 1..2$"):
+        apply_to_signal(Mapping([1, 2], [0, 1], {1: 0, 2: 1}), [5.0, 7.0])
+    with pytest.raises(ValueError, match="^signal vertex 4 out of range 1..3$"):
+        apply_to_signal(shift, [1.0, 2.0, 3.0])
 
 
 def test_mapping_json_roundtrip(tmp_path, path4):
