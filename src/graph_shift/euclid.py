@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import _check_dims, _check_int, coord_to_index, index_to_coord, make_grid, make_torus
+from .graph import _check_dims, _check_int, coord_to_index, make_grid, make_torus
 from .mapping import BOTTOM, full_mapping
 
 
@@ -88,8 +88,8 @@ def grid_slice(dims, i, j):
     dims = _check_dims(dims)
     i = _check_int(i, "axis", 1, len(dims))
     j = _check_int(j, "slice index", 1, dims[i - 1])
-    n = math.prod(dims)
-    return [v for v in range(1, n + 1) if index_to_coord(v, dims)[i - 1] == j]
+    stride = math.prod(dims[i:])  # index step of axis i in row-major order
+    return [v for v in range(1, math.prod(dims) + 1) if (v - 1) // stride % dims[i - 1] == j - 1]
 
 
 def dirac_shift_loss(dims, i):

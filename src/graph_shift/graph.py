@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -228,6 +228,7 @@ def _check_int(x, name, low=None, high=None):
 
 def coord_to_index(coord, dims):
     """Row-major vertex index of a 1-based lattice point, one coordinate per dimension."""
+    dims = _check_dims(dims)
     if len(coord) != len(dims):
         raise ValueError(f"coord {tuple(coord)!r} has {len(coord)} entries for {len(dims)} dimensions")
     idx = 0
@@ -238,12 +239,9 @@ def coord_to_index(coord, dims):
 
 def index_to_coord(index, dims):
     """1-based lattice point of a row-major vertex index in 1..prod(dims)."""
+    dims = _check_dims(dims)
     rem = _check_int(index, "index", 1, math.prod(dims)) - 1
-    coord = []
-    for d in reversed(dims):
-        coord.append(rem % d + 1)
-        rem //= d
-    return tuple(reversed(coord))
+    return tuple(rem // math.prod(dims[i + 1 :]) % d + 1 for i, d in enumerate(dims))
 
 
 def make_complete(n):
@@ -264,14 +262,13 @@ def _lattice(dims, wrap):
     wrap, so a wrapped dimension must be at least 3 to keep the graph simple."""
     dims = _check_dims(dims, 3 if wrap else 1)
     n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
-    coords = [index_to_coord(v, dims) for v in range(1, n + 1)]
+    coords = list(product(*(range(1, d + 1) for d in dims)))  # row-major, as index_to_coord
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]  # index step of each axis
     edges = []
     for v, c in enumerate(coords, start=1):
         for i, d in enumerate(dims):
             if wrap or c[i] < d:
-                succ = list(c)
-                succ[i] = c[i] % d + 1
-                edges.append((v, coord_to_index(succ, dims)))
+                edges.append((v, v + strides[i] * (c[i] % d + 1 - c[i])))
     return Graph(n, edges, coords)
 
 

@@ -9,16 +9,18 @@ the chain found is neither walked back nor scored again.
 
 One kernel, `_minimize_batch`, builds every greedy step. Expanding an
 anchor builds one chain per unvisited v2, and the chains share the
-support, its order and the targets, so they run together. A round assigns
-a block of L sources; its rows are the flat product of L option axes over
-the sorted targets, then ⊥. Raw sums broadcast three integer tables from
-the distance table: each position's edge constraint (shared by the
-chains), its deformation against the chain's committed pairs (per chain),
-and the deformation between two block positions (shared). Rows where a
-chain reuses a target, or two positions take the same one, are masked to
-+inf; masking keeps product order, so one `np.argmin` per chain picks the
-first minimizer of its own candidates. `relax._weigh`, the expression
-behind `relax.score`, weighs rows and steps, so the numbers agree.
+support, its order and the targets, so one kernel call builds them all.
+A round assigns a block of L sources; its rows are the flat product of L
+option axes over the sorted targets, then ⊥, built for a slice of the
+chains at a time (`_BATCH_CELLS`). Raw sums broadcast three integer
+tables from the distance table: each position's edge constraint (shared
+by the chains), its deformation against the chain's committed pairs (per
+chain), and the deformation between two block positions (shared). Rows
+where a chain reuses a target, or two positions take the same one, are
+masked to +inf; masking keeps product order, so one `np.argmin` per chain
+picks the first minimizer of its own candidates, whatever its slice.
+`relax._weigh`, the expression behind `relax.score`, weighs rows and
+steps, so the numbers agree.
 
 A parameter sweep shares rounds across its weight cells: a round's raw
 sums depend on the chain's committed assignment, the block and the
@@ -26,20 +28,17 @@ targets, and the weights enter only through the argmin. So
 `parameter_sweep` hands the kernel a round cache keyed per chain by those.
 An entry keeps each distinct (raw_loss, raw_ec, raw_def) triple of the
 round's candidates with its first row, in first-row order
-(`_distinct_rows`, which packs each triple into one integer key of the
-narrowest unsigned dtype, so a sweep's small keys take numpy's radix
-sort). A row's total is a function of its triple, so for any weights the
-first minimum over the entry sits at the first minimum over all rows:
-outputs stay bit-identical. The chains that miss are scored to fill their
-entries, and then every chain of the round, hit or miss, is weighed from
-its entry in one `_weigh` call over the entries laid end to end; each
-chain takes the first index of its own segment that holds the segment's
-minimum (`np.minimum.reduceat`), so no sort is needed. The cache lives for
-one block size of the sweep (cells of different k_block almost never share
-rounds), which bounds its memory. Only rounds of `_CACHED_BLOCK` (three)
-or more sources use it: a one-vertex round has |targets| + 1 rows, nearly
-all distinct, and a two-vertex round is weighed densely for every chain
-faster than it is cached; from three vertices the dense rows outgrow that.
+(`_distinct_rows`). A row's total is a function of its triple, so for any
+weights the first minimum over the entry sits at the first minimum over
+all rows: outputs stay bit-identical. The chains that miss are scored to
+fill their entries, and then every chain of the round, hit or miss, is
+weighed from its entry in one `_weigh` call over the entries laid end to
+end; each chain takes the first index of its own segment that holds the
+segment's minimum (`np.minimum.reduceat`), so no sort is needed. The cache
+lives for one block size of the sweep (`parameter_sweep`). Only rounds of
+`_CACHED_BLOCK` (three) or more sources use it: a one-vertex round has
+|targets| + 1 rows, nearly all distinct, and a two-vertex round is weighed
+densely faster than it is cached; from three the dense rows outgrow that.
 """
 
 from __future__ import annotations
@@ -136,10 +135,10 @@ class SearchStats:
     settled: int = 0
 
 
-#: Cells of one kernel chunk, chains × (targets + 1)^L for the widest round
-#: (or chains × sources × (targets + 1) for the deformation table, if
-#: larger), above which `_minimize_batch` splits its chains. Each cell
-#: holds about ten 8-byte temporaries; the bound keeps a sweep's peak RSS.
+#: Cells a round's rows may take at once: it builds them for slices of
+#: _BATCH_CELLS // (targets + 1)^L chains. A kernel call splits its chains
+#: only if their deformation tables, sources × (targets + 1) each, exceed it.
+#: Each cell holds about ten 8-byte temporaries; the bound keeps a sweep's peak RSS.
 _BATCH_CELLS = 1 << 15
 #: Rounds of at least this many sources go through a sweep's round cache.
 _CACHED_BLOCK = 3
@@ -157,21 +156,18 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     sweep's round cache: a dict from a chain's round (anchor, block,
     targets, committed sources, pin, picks and used targets, as bytes) to
     `_distinct_rows` of its candidates, by flat product index. The result
-    is the same without it.
+    is the same without it. A round builds rows only for the chains that
+    miss it, sliced within `_BATCH_CELLS`, so an expansion is one call.
     """
     if not v2s:
         return []
     rest = [v for v in V1 if v != v1]
     T = sorted(V2.union(v2s))
     nt, nc = len(T), len(v2s)
-    widest = max(1, min(p.k_block, len(rest)))
-    step = max(1, _BATCH_CELLS // ((nt + 1) * max(len(rest), (nt + 1) ** (widest - 1))))
+    step = max(1, _BATCH_CELLS // ((nt + 1) * max(1, len(rest))))
     if nc > step:
-        return [
-            out
-            for start in range(0, nc, step)
-            for out in _minimize_batch(v1, v2s[start : start + step], g, V1, V2, p, stats, rounds)
-        ]
+        chunks = (v2s[lo : lo + step] for lo in range(0, nc, step))
+        return [out for chunk in chunks for out in _minimize_batch(v1, chunk, g, V1, V2, p, stats, rounds)]
 
     dist = g.distance_matrix()
     tg, rs, pins = (np.array(vs, dtype=np.intp) for vs in (T, rest, v2s))
@@ -197,13 +193,7 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     for start in range(0, len(rest), p.k_block):
         L = min(p.k_block, len(rest) - start)
         n1, shape = start + L + 1, (nt + 1,) * L
-        if stats is not None:
-            # A chain's candidates: j of the L sources on distinct free targets, the rest on ⊥.
-            free = nt - np.count_nonzero(used, axis=1)
-            rows = sum(math.comb(L, j) * math.prod(free - i for i in range(j)) for j in range(L + 1))
-            stats.evaluations += int(rows.sum())
-
-        todo = slice(None)
+        todo = chains
         cached = rounds is not None and L >= _CACHED_BLOCK
         if cached:
             head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
@@ -211,31 +201,39 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
             keys = [head + s.tobytes() + u.tobytes() for s, u in zip(state, used)]
             entries = [rounds.get(key) for key in keys]
             todo = np.flatnonzero([entry is None for entry in entries])
-            if stats is not None:
-                stats.round_hits += nc - len(todo)
+        if stats is not None:
+            # A chain's candidates: j of the L sources on distinct free targets, the rest on ⊥.
+            free = nt - np.count_nonzero(used, axis=1)
+            rows = sum(math.comb(L, j) * math.prod(free - i for i in range(j)) for j in range(L + 1))
+            stats.evaluations += int(rows.sum())
+            stats.round_hits += nc - len(todo)
+            stats.rows_computed += int(rows[todo].sum())
 
-        if not cached or len(todo):
-            if stats is not None:
-                stats.rows_computed += int(rows[todo].sum())
+        if L > 1 and len(todo):
+            between = np.zeros(shape, dtype=np.int64)
+            for i, j in itertools.combinations(range(L), 2):
+                pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
+                pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
+                between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
+        # The chains to score, sliced so that their dense rows fit _BATCH_CELLS;
+        # an uncached round slices by views, cheaper than index arrays at k = 1.
+        per, picked = max(1, _BATCH_CELLS // (nt + 1) ** L), []
+        for lo in range(0, len(todo), per):
+            part = todo[lo : lo + per] if cached else slice(lo, lo + per)
             # Raw sums: a chain's committed sums plus, at L = 1, the source's
             # own tables, else their product and the deformation within the block.
-            raw_ec = ec_sum[todo, None] + ec[start]
-            raw_def = def_sum[todo, None] + deform[start, todo]
-            bad = used[todo]
+            raw_ec = ec_sum[part, None] + ec[start]
+            raw_def = def_sum[part, None] + deform[start, part]
+            bad = used[part]
             if L > 1:
                 raw_ec = _outer([raw_ec, *ec[start + 1 : start + L]], np.add)
-                raw_def = _outer([raw_def, *deform[start + 1 : start + L, todo]], np.add)
+                raw_def = _outer([raw_def, *deform[start + 1 : start + L, part]], np.add)
+                raw_def += between.ravel()
                 bad = _outer([bad] * L, np.logical_or)
                 bad |= _product_masks(nt + 1, L)[1]
-                between = np.zeros(shape, dtype=np.int64)
-                for i, j in itertools.combinations(range(L), 2):
-                    pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
-                    pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
-                    between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
-                raw_def += between.ravel()
-            raw_loss = loss[todo, None] + _product_masks(nt + 1, L)[0]
+            raw_loss = loss[part, None] + _product_masks(nt + 1, L)[0]
             if cached:
-                for i, c in enumerate(todo):
+                for i, c in enumerate(part):
                     flat = np.flatnonzero(~bad[i])
                     entries[c] = rounds[keys[c]] = _distinct_rows(
                         raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat], flat
@@ -243,10 +241,14 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
             else:
                 total = _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1]
                 total[bad] = np.inf
-                best = total.argmin(axis=1)
-                loss, ec_sum, def_sum = raw_loss[chains, best], raw_ec[chains, best], raw_def[chains, best]
+                pick = total.argmin(axis=1)
+                at = chains[: len(pick)], pick
+                picked.append((pick, raw_loss[at], raw_ec[at], raw_def[at]))
 
-        if cached:
+        if not cached:
+            # One slice picks for the whole round; more are laid end to end.
+            best, loss, ec_sum, def_sum = picked[0] if len(picked) == 1 else map(np.concatenate, zip(*picked))
+        else:
             # Every chain's entry, weighed at once as one pool of segments;
             # each chain takes the first pool index holding its segment's minimum.
             sizes = np.array([entry.shape[1] for entry in entries])

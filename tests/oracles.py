@@ -101,3 +101,20 @@ def distance_table_reference(g):
                     row[w] = row[u] + 1
                     queue.append(w)
     return dist
+
+
+def lattice_reference(dims, wrap):
+    """Row-major points of the grid (or torus, if wrap) of dims and its edges,
+    found by comparing every pair of points: one axis differs, by one step or,
+    on the torus, from one end to the other."""
+    points = [()]
+    for d in dims:
+        points = [p + (c,) for p in points for c in range(1, d + 1)]
+    edges = set()
+    for (u, a), (v, b) in combinations(enumerate(points, start=1), 2):
+        axes = [i for i in range(len(dims)) if a[i] != b[i]]
+        if len(axes) == 1:
+            step = abs(a[axes[0]] - b[axes[0]])
+            if step == 1 or wrap and step == dims[axes[0]] - 1:
+                edges.add((u, v))
+    return points, edges

@@ -16,7 +16,7 @@ from graph_shift.graph import (
     make_torus,
 )
 from graph_shift.mapping import full_mapping, property_report
-from oracles import distance_table_reference, geometric_edges_reference
+from oracles import distance_table_reference, geometric_edges_reference, lattice_reference
 
 
 def test_complete_graph_basics():
@@ -69,6 +69,33 @@ def test_coord_index_reject_points_off_the_lattice():
     for coord in ((1, 2, 3), (1,), ()):
         with pytest.raises(ValueError, match=f"^coord .* has {len(coord)} entries for 2 dimensions$"):
             coord_to_index(coord, [3, 3])
+
+
+def test_coord_index_check_dims_as_make_grid_does():
+    for call, message in (
+        (lambda: index_to_coord(2, [3.0, 3]), "dimension 3.0 is not an integer"),
+        (lambda: index_to_coord(2, [True, 3]), "dimension True is not an integer"),
+        (lambda: coord_to_index((1, 2), [3, 2.5]), "dimension 2.5 is not an integer"),
+        (lambda: index_to_coord(1, [3, 0]), "dimension 0 out of range 1.."),
+        (lambda: index_to_coord(1, []), "dimensions vector must be non-empty"),
+        (lambda: coord_to_index((), []), "dimensions vector must be non-empty"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert index_to_coord(np.int64(6), [np.int64(3), 3]) == (2, 3)
+    assert coord_to_index((2, 3), [np.int64(3), 3]) == 6
+
+
+@pytest.mark.parametrize("dims", [[1], [5], [1, 4], [2, 3], [3, 3], [3, 5], [4, 3, 3], [2, 1, 3]])
+def test_grid_and_torus_match_a_pairwise_oracle(dims):
+    for wrap, build in ((False, make_grid), (True, make_torus)):
+        if wrap and min(dims) < 3:
+            continue
+        g = build(dims)
+        points, edges = lattice_reference(dims, wrap)
+        assert g.coords == points and g.edges == edges
+        assert all(type(c) is int for point in g.coords for c in point)
+        assert [index_to_coord(v, dims) for v in g.vertices] == points
 
 
 def test_grid_structure():

@@ -78,6 +78,8 @@ ENTRIES = [
     ("delta entry", lambda x: euclidean_on_torus([4], (x,))(1), 2, None),
     ("signal vertex", lambda x: apply_to_signal(_pair(x, 1), [1, 2, 3])[0], 2, 0),
     ("signal vertex", lambda x: apply_to_signal(_pair(1, x), [7, 0, 0]).index(7) + 1, 2, 4),
+    ("dimension", lambda x: index_to_coord(3, [3, x])[1], 2, 0),
+    ("dimension", lambda x: coord_to_index([2, 1], [3, x]), 2, 0),
 ]
 
 

@@ -131,28 +131,48 @@ def test_minimize_batch_matches_scalar_greedy_property():
     check()
 
 
-def test_minimize_batch_splits_chains_over_its_cell_budget(monkeypatch):
+def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(monkeypatch):
     g = make_random_geometric(12, 0.4, 2)
     V1 = sorted(expand_support(g, {1}, 1))
     V2 = expand_support(g, V1, 1)
     v2s = sorted(V2 - {1})
+    nc, nt, nrest = len(v2s), len(V2), len(V1) - 1
+    assert nrest >= 2 * _CACHED_BLOCK  # two cached rounds at k = 3
     kernel = search_module._minimize_batch
+    reentered = set()
     for k, cache in itertools.product(DEFAULT_BLOCKS, (False, True)):
         p = dataclasses.replace(P, k_block=k)
-        whole = SearchStats()
-        expected = kernel(1, v2s, g, V1, V2, p, whole, {} if cache else None)
-        # One chain's cells: its widest round, or its deformation table.
-        widest = min(k, len(V1) - 1)
-        cells = (len(V2) + 1) * max(len(V1) - 1, (len(V2) + 1) ** (widest - 1))
-        for chunk in (1, 2):
+        # Half the chains' rounds are cached beforehand, so a cached round
+        # mixes hits with misses, and the misses are sliced.
+        filled = {}
+        if cache:
+            kernel(1, v2s[::2], g, V1, V2, p, None, filled)
+        whole_rounds, whole = dict(filled), SearchStats()
+        expected = kernel(1, v2s, g, V1, V2, p, whole, whole_rounds if cache else None)
+        dense = (nt + 1) ** min(k, nrest)  # one chain's rows in its widest round
+        table = nrest * (nt + 1)  # one chain's deformation table
+        for chains in (1, 2):
+            budget = chains * dense
+            assert nc * dense > budget
             calls = []
-            monkeypatch.setattr(search_module, "_BATCH_CELLS", chunk * cells)
+            monkeypatch.setattr(search_module, "_BATCH_CELLS", budget)
             monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
-            split = SearchStats()
-            assert kernel(1, v2s, g, V1, V2, p, split, {} if cache else None) == expected
+            split_rounds, split = dict(filled), SearchStats()
+            assert kernel(1, v2s, g, V1, V2, p, split, split_rounds if cache else None) == expected
             assert split == whole
-            assert len(calls) == -(-len(v2s) // chunk)
+            if cache and k >= _CACHED_BLOCK:
+                assert 0 < split.round_hits < split.calls * (nrest // _CACHED_BLOCK)
+            assert split_rounds.keys() == whole_rounds.keys()
+            assert all(np.array_equal(split_rounds[key], entry) for key, entry in whole_rounds.items())
+            # Re-entered, one call per chunk of chains, only when the chains'
+            # deformation tables exceed the budget.
+            if nc * table <= budget:
+                assert calls == []
+            else:
+                assert len(calls) == -(-nc // max(1, budget // table))
+            reentered.add(bool(calls))
             monkeypatch.undo()
+    assert reentered == {False, True}
 
 
 def test_candidate_rows_shape_and_order():
@@ -443,6 +463,23 @@ def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
     assert (swept.evaluations, swept.calls) == (alone.evaluations, alone.calls)
     assert (alone.rows_computed, alone.round_hits) == (alone.evaluations, 0)
     return swept
+
+
+def test_parameter_sweep_calls_the_kernel_once_per_expanded_anchor(monkeypatch):
+    # Every settled anchor but a found target is expanded by one kernel call,
+    # however many chains its rounds slice.
+    g = make_random_geometric(24, 0.35, 11)
+    x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
+    grid = [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 3), (0.5, 1.0, 0.1, 3)]
+    kernel = search_module._minimize_batch
+    calls = []
+    monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
+    stats = SearchStats()
+    cells = parameter_sweep(g, x, 1, 20, grid=grid, stats=stats)
+    assert len(calls) == stats.settled - sum(trace.found for trace, _ in cells)
+    # Some expansion's k=3 rounds held more dense rows than one slice.
+    dense = [len(v2s) * (len(V2.union(v2s)) + 1) ** 3 for _, v2s, _, _, V2, *_ in calls]
+    assert max(dense) > search_module._BATCH_CELLS
 
 
 def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
