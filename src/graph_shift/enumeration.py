@@ -3,7 +3,8 @@
 The core, `_search`, is one depth-first backtracking loop on an explicit
 stack over full-domain assignments, with the edge constraint built into the
 candidate sets and strong-neighborhood consistency checked against every
-vertex mapped so far. It builds each translation with `Mapping._trusted`,
+vertex mapped so far. The last vertex is the leaf level: each of its options
+that passes is yielded in place, as a translation built by `Mapping._trusted`,
 skipping the checks of `Mapping(...)` that the search has already proved.
 The second explicit-stack walk, `_cycle_map`, covers the vertices with edge
 cycles of one length: the perfect-matching and Hamiltonian-cycle maps.
@@ -50,10 +51,12 @@ def _search(g, f):
     mapped vertices enforces both the edge constraint and the
     edge-iff-image-edge property. A vertex may take bottom only while the
     bottoms stay within max_loss and the unassigned vertices can still cover
-    every required image. Each leaf is built by `Mapping._trusted`, sharing
-    g.vertex_set as domain and codomain, since the search has proved it a
-    translation. The filter is validated on the call, before the first
-    translation is drawn.
+    every required image. Vertex n is the leaf level: each of its options
+    that passes is written into the image and yielded in place, as a copy,
+    so no level is pushed below it. Each leaf is built by
+    `Mapping._trusted`, sharing g.vertex_set as domain and codomain, since
+    the search has proved it a translation. The filter is validated on the
+    call, before the first translation is drawn.
     """
     max_loss, image_set, domain = f.normalized(g)
     n, adj, V = g.n, g._adj, g.vertex_set
@@ -62,12 +65,15 @@ def _search(g, f):
     # image_set still fits in the unassigned vertices iff the bottoms stay
     # within n - |image_set|. Only a bottom can break that, or max_loss.
     cap = min(n if max_loss is None else max_loss, n - len(image_set or ()))
-    options = [()] * (n + 2)  # per vertex: its allowed images ascending, then bottom
+    options = [()] * (n + 1)  # per vertex: its allowed images ascending, then bottom
     for v in g.vertices:
         free = domain is None or v in domain
         options[v] = [w for w in sorted(adj[v]) if free and (image_set is None or w in image_set)] + [BOTTOM]
 
     def walk():
+        if not n:  # the empty graph's one translation
+            yield Mapping._trusted(V, V, {})
+            return
         image = dict.fromkeys(g.vertices)
         pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
         stack = [iter(options[1])]
@@ -75,28 +81,30 @@ def _search(g, f):
             v = len(stack)
             if pairs and pairs[-1][0] == v:
                 used.remove(pairs.pop()[1])
-            if v > n:
-                yield Mapping._trusted(V, V, dict(image))
-                stack.pop()
-                continue
             nv = adj[v]
             for w in stack[-1]:
                 if w is BOTTOM:
-                    if v - 1 - len(pairs) < cap:
+                    if v - 1 - len(pairs) >= cap:
+                        continue
+                    checks = ()  # a bottom has no pair to agree with
+                elif w in used:
+                    continue
+                else:
+                    nw, checks = adj[w], pairs
+                for u, x in checks:
+                    if (u in nv) != (x in nw):
                         break
-                elif w not in used:
-                    nw = adj[w]
-                    for u, x in pairs:
-                        if (u in nv) != (x in nw):
-                            break
-                    else:
-                        pairs.append((v, w))
-                        used.add(w)
+                else:
+                    image[v] = w
+                    if v < n:
                         break
+                    yield Mapping._trusted(V, V, dict(image))  # vertex n: each option in place
             else:
                 stack.pop()
                 continue
-            image[v] = w
+            if w is not BOTTOM:
+                pairs.append((v, w))
+                used.add(w)
             stack.append(iter(options[v + 1]))
 
     return walk()

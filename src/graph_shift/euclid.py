@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import _check_dims, _check_int, coord_to_index, make_grid, make_torus
+from .graph import _check_dims, _check_int, make_grid, make_torus
 from .mapping import BOTTOM, full_mapping
 
 
@@ -31,16 +31,18 @@ def dirac(d, i, sign=1):
 def _shift(dims, delta, wrap):
     """Coordinate shift by delta on the torus (wrap) or the grid (bottom outside)."""
     g = make_torus(dims) if wrap else make_grid(dims)
+    dims = _check_dims(dims)
     delta = [_check_int(s, "delta entry") for s in delta]
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]  # index step of each axis
+    step = sum(s * t for s, t in zip(delta, strides))  # the index shift of a point kept inside
     image = {}
     for v, c in enumerate(g.coords, start=1):
-        shifted = [a + s for a, s in zip(c, delta)]
         if wrap:
-            shifted = [(a - 1) % d + 1 for a, d in zip(shifted, dims)]
-        inside = all(1 <= a <= d for a, d in zip(shifted, dims))
-        image[v] = coord_to_index(shifted, dims) if inside else BOTTOM
+            image[v] = 1 + sum((a - 1 + s) % d * t for a, s, d, t in zip(c, delta, dims, strides))
+        else:
+            image[v] = v + step if all(1 <= a + s <= d for a, s, d in zip(c, delta, dims)) else BOTTOM
     return full_mapping(g, image)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from graph_shift.enumeration import (
     EnumerationFilter,
+    _search,
     count_minimal_upper_bound,
     count_upper_bound,
     enumerate_translations,
@@ -478,3 +479,69 @@ def test_filtered_enumeration_matches_naive_oracle_in_order():
 )
 def test_census_translations_equal_their_validated_builds(g, lossless):
     _assert_same_as_validated(enumerate_translations(g, EnumerationFilter(lossless_only=lossless)))
+
+
+def _tuples(ms):
+    return [m.image_tuple() for m in ms]
+
+
+def _assert_leaf_level_matches_oracle(g, f):
+    assert _tuples(enumerate_translations(g, f)) == _tuples(naive_oracle(g, f))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_leaf_level_on_one_and_two_vertices(n):
+    for g in all_graphs(n):
+        for f in (
+            EnumerationFilter(),
+            EnumerationFilter(lossless_only=True),
+            EnumerationFilter(max_loss=1),
+            EnumerationFilter(require_image_set=frozenset()),
+            EnumerationFilter(require_image_set=frozenset({1})),
+            EnumerationFilter(restrict_domain=frozenset({1})),
+        ):
+            _assert_leaf_level_matches_oracle(g, f)
+
+
+def test_leaf_level_outside_the_domain_takes_only_bottom():
+    for g in (make_complete(4), make_ring(5), make_grid([2, 3])):
+        f = EnumerationFilter(restrict_domain=frozenset(range(1, g.n)))
+        ts = enumerate_translations(g, f)
+        assert ts and all(m(g.n) is BOTTOM for m in ts)
+        _assert_leaf_level_matches_oracle(g, f)
+
+
+def test_leaf_level_bottom_cap_refuses_bottom_at_the_last_vertex():
+    # |image_set| = 2 of 3 allows one bottom; after one, vertex 3 must take an image.
+    g = make_complete(3)
+    f = EnumerationFilter(require_image_set=frozenset({1, 2}))
+    assert _tuples(enumerate_translations(g, f)) == [(2, 1, BOTTOM), (2, BOTTOM, 1), (BOTTOM, 1, 2)]
+    _assert_leaf_level_matches_oracle(g, f)
+    for g in (make_complete(4), make_ring(4), make_grid([4])):
+        for size in range(g.n):
+            for image_set in itertools.combinations(g.vertices, size):
+                _assert_leaf_level_matches_oracle(g, EnumerationFilter(require_image_set=frozenset(image_set)))
+
+
+def test_leaf_level_max_loss_used_up_before_the_last_vertex():
+    for g in (make_complete(4), make_ring(5), make_grid([4])):
+        for max_loss in range(g.n):
+            f = EnumerationFilter(max_loss=max_loss)
+            ts = enumerate_translations(g, f)
+            assert all(m.loss() <= max_loss for m in ts)
+            _assert_leaf_level_matches_oracle(g, f)
+    # One bottom at vertex 1 uses up max_loss 1, so vertex 4 takes an image.
+    ts = enumerate_translations(make_complete(4), EnumerationFilter(max_loss=1))
+    assert any(m(1) is BOTTOM for m in ts) and all(m(4) is not BOTTOM for m in ts if m(1) is BOTTOM)
+
+
+def test_leaf_level_translations_do_not_share_an_image_dict():
+    ts = enumerate_translations(make_complete(5))
+    assert len({id(m._image) for m in ts}) == len(ts)
+
+
+def test_search_is_lazy_on_the_5x5_torus():
+    # Draining every lossy translation of this torus runs out of memory.
+    m = next(_search(make_torus([5, 5]), EnumerationFilter()))
+    assert m.loss() == 13
+    assert property_report(make_torus([5, 5]), m).is_translation

@@ -12,8 +12,8 @@ from graph_shift.euclid import (
     grid_slice,
     satisfies_large_grid_assumption,
 )
-from graph_shift.graph import coord_to_index, make_grid, make_torus
-from graph_shift.mapping import compose, property_report
+from graph_shift.graph import coord_to_index, index_to_coord, make_grid, make_torus
+from graph_shift.mapping import BOTTOM, compose, property_report
 
 
 def dirac_shifts(dims):
@@ -97,6 +97,24 @@ def test_grid_loss_formula_every_axis_and_sign(dims):
             m = euclidean_on_grid(dims, dirac(len(dims), i, s))
             assert m.loss() == dirac_shift_loss(dims, i)
             assert property_report(make_grid(dims), m).is_translation
+
+
+@pytest.mark.parametrize("dims", [[4], [7], [2, 3], [3, 5], [4, 4], [3, 4, 5]])
+def test_shifts_equal_a_per_vertex_coord_to_index_oracle(dims):
+    d = len(dims)
+    deltas = [(0,) * d, tuple(x + 1 for x in dims), tuple(-2 * x - 1 for x in dims), (dims[0] + 2,) + (1,) * (d - 1)]
+    deltas += [dirac(d, i, s) for i in range(1, d + 1) for s in (1, -1)]
+    for wrap, shift in ((False, euclidean_on_grid), (True, euclidean_on_torus)):
+        if wrap and min(dims) < 3:
+            continue
+        for delta in deltas:
+            want = []
+            for v in range(1, math.prod(dims) + 1):
+                p = [a + s for a, s in zip(index_to_coord(v, dims), delta)]
+                if wrap:
+                    p = [(a - 1) % x + 1 for a, x in zip(p, dims)]
+                want.append(coord_to_index(p, dims) if all(1 <= a <= x for a, x in zip(p, dims)) else BOTTOM)
+            assert shift(dims, delta).image_tuple() == tuple(want), (wrap, delta)
 
 
 def test_contamination_seeds_give_the_four_shifts():
