@@ -3,7 +3,9 @@
 
 Builds the N=100 geometric graph, puts a signal on a vertex and its
 neighbors, then chains greedy approximate translations toward a far-away
-target and reports the per-step scores and the final loss/deformation pair.
+target and reports the per-step scores and the final (loss ratio, snp
+ratio) pair: the lost share of the support and the normalized count of
+strong-preservation violations.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ def main():
     for i, (m, b) in enumerate(trace.steps, 1):
         print(f"  step {i}: |support|={len(m.mapped)} score={b.total:.3f}")
     lr, sr = trace.final_pair
-    print(f"net effect: loss ratio {lr:.2f}, deformation ratio {sr:.2f}")
+    print(f"net effect: loss ratio {lr:.2f}, snp ratio {sr:.2f}")
     print()
 
     print("small parameter sweep (8 cells):")
@@ -48,7 +50,7 @@ def main():
         star = " *" if on_front else ""
         print(f"  a={p.alpha} g={p.gamma} K={p.k_block}: "
               f"pair=({lr:.2f}, {sr:.2f}) steps={len(trace.steps)}{star}")
-    print("(* = Pareto-optimal loss/deformation trade-off)")
+    print("(* = Pareto-optimal loss/snp trade-off)")
 
 
 if __name__ == "__main__":

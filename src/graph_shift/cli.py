@@ -36,11 +36,16 @@ EXIT_NO_RESULT = 3
 EXIT_IO = 4
 
 
-def _emit(args, text):
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(path, text):
+    """Write text to path, or to stdout without one. Any OSError is re-raised
+    as a plain one, so a failed write exits 4, into a missing directory too."""
+    try:
+        if path:
+            _atomic_write(path, text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise OSError(str(exc)) from None
 
 
 def _parse_ints(raw):
@@ -83,7 +88,7 @@ def cmd_gen(args):
     missing = [f"--{flag}" for flag in requires if getattr(args, flag) is None]
     if missing:
         raise ValueError(f"gen {args.kind} needs {' and '.join(missing)}")
-    _emit(args, _dumps(build(args).to_json_dict()))
+    _emit(args.out, _dumps(build(args).to_json_dict()))
     return EXIT_OK
 
 
@@ -99,7 +104,7 @@ def cmd_enumerate(args):
     if args.minimal:
         found = minimal_translations(g, found)
     body = "".join(_dumps(m.to_json_dict()) for m in found)
-    _emit(args, body)
+    _emit(args.out, body)
     summary = {"count": len(found), "losses": sorted(m.loss() for m in found)}
     sys.stderr.write(_dumps(summary))
     return EXIT_OK
@@ -110,9 +115,9 @@ def cmd_check(args):
     m = Mapping.load(args.mapping)
     rep = property_report(g, m)
     if args.format == "dot":
-        _emit(args, graph_to_dot(g, m))
+        _emit(args.out, graph_to_dot(g, m))
     else:
-        _emit(args, _dumps(rep.to_json_dict()))
+        _emit(args.out, _dumps(rep.to_json_dict()))
     return EXIT_OK
 
 
@@ -134,11 +139,11 @@ def cmd_compose(args):
     if not trace.found:
         sys.stderr.write("no composition found\n")
         return EXIT_NO_RESULT
-    _emit(args, _dumps(trace.to_json_dict()))
+    _emit(args.out, _dumps(trace.to_json_dict()))
     if args.format == "dot":
         stem = os.path.splitext(args.out)[0]
         for i, (m, _) in enumerate(trace.steps, start=1):
-            _atomic_write(f"{stem}_step{i}.dot", graph_to_dot(g, m))
+            _emit(f"{stem}_step{i}.dot", graph_to_dot(g, m))
     return EXIT_OK
 
 
@@ -158,7 +163,7 @@ def cmd_sweep(args):
             f"{p.alpha!r},{p.beta!r},{p.gamma!r},{p.k_block},{pair},"
             f"{trace.cumulative_score!r},{len(trace.steps)},{int(on_front)}"
         )
-    _emit(args, "\n".join(rows) + "\n")
+    _emit(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -208,10 +213,10 @@ def build_parser():
     p = sub.add_parser("compose", help="best composition of approximate translations")
     p.add_argument("graph")
     search_flags(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--alpha", type=float, default=ScoreParams.alpha)
+    p.add_argument("--beta", type=float, default=ScoreParams.beta)
+    p.add_argument("--gamma", type=float, default=ScoreParams.gamma)
+    p.add_argument("--k", type=int, default=ScoreParams.k_block)
     common_out(p, "json", "dot")
     p.set_defaults(func=cmd_compose)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from itertools import chain, combinations, product
 
@@ -134,16 +135,8 @@ class Graph:
         return INF if d == 2 * self.n else d
 
     def neighborhood(self, v, h):
-        """Vertices at geodesic distance exactly h from v."""
-        v, h = self._check_vertex(v), _check_int(h, "h", 0)
-        if h == 0:
-            return {v}
-        if h >= self.n:  # finite distances are at most n - 1
-            return set()
-        if h == 1:
-            return set(self._adj[v])
-        row = self._distance_table()[v]
-        return {w for w in range(1, self.n + 1) if row[w] == h}
+        """Vertices at geodesic distance exactly h from v, by a BFS that builds no distance table."""
+        return _walk(self, {self._check_vertex(v)}, _check_int(h, "h", 0))[1]
 
     def to_json_dict(self):
         return {
@@ -185,6 +178,20 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _walk(g, start, hops, within=None):
+    """BFS from the vertex set `start` for at most `hops` levels, stepping only into `within`
+    if given. Returns (ball, frontier): every vertex reached, and the ones exactly `hops`
+    levels out (empty once the walk runs out). Local hop questions walk; all-pairs ones read the table."""
+    ball, frontier = set(start), set(start)
+    while frontier and hops > 0:  # an empty frontier stays empty
+        frontier = {w for v in frontier for w in g._adj[v]} - ball
+        if within is not None:
+            frontier &= within
+        ball |= frontier
+        hops -= 1
+    return ball, frontier
+
+
 def _load_json(path):
     """The value of a JSON file; ValueError for one nested too deeply to parse."""
     with open(path) as fh:
@@ -203,14 +210,17 @@ def _atomic_write(path, text):
     """Write text to path through a temp file in its directory and a rename; on
     any failure path is left as it was. The mode is 0o666 less the umask."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # name the caller's path, not the temp file; errno keeps the subclass
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def _check_int(x, name, low=None, high=None):
@@ -294,9 +304,9 @@ _GEOMETRIC_CELLS = 1 << 18
 def make_random_geometric(n, radius, seed):
     """n points uniform in the unit square; edge iff Euclidean distance < radius."""
     n = _check_int(n, "n", 1, _MAX_ORDER)
-    if not radius > 0:  # NaN too
-        raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:  # NaN too
+        raise ValueError(f"radius must be a positive real number, not {radius!r}")
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     # Rows of at most _GEOMETRIC_CELLS pairs at a time, each pair u < v in
     # row-major order, with the float expression of a pair-by-pair loop.

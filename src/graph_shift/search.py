@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import mapping as mp
-from .graph import _check_int
+from .graph import _check_int, _walk
 from .mapping import BOTTOM, Mapping, _gaps
 from .relax import ScoreBreakdown, ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front
 
@@ -357,13 +357,7 @@ def expand_support(g, support, hops=1):
     support vertex an integer in 1..n.
     """
     hops = _check_int(hops, "hops", 0)
-    out = {g._check_vertex(v) for v in support}
-    frontier = set(out)
-    while frontier and hops > 0:  # an empty frontier stays empty
-        frontier = {w for v in frontier for w in g._adj[v]} - out
-        out |= frontier
-        hops -= 1
-    return out
+    return _walk(g, {g._check_vertex(v) for v in support}, hops)[0]
 
 
 def localized_sets(g, x):
@@ -378,22 +372,10 @@ def localized_sets(g, x):
     support = {v for v in g.vertices if x[v - 1] != 0}
     if not support:
         raise ValueError("signal support is empty")
-    if not _induced_connected(g, support):
+    # Inside the support, every vertex connected to min(support) lies within len(support) hops.
+    if _walk(g, {min(support)}, len(support), support)[0] != support:
         warnings.warn("signal support induces a disconnected subgraph")
     return support
-
-
-def _induced_connected(g, vs):
-    vs = set(vs)
-    seen = {min(vs)}
-    stack = [min(vs)]
-    while stack:
-        v = stack.pop()
-        for w in g._adj[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
 
 
 def best_composition(

@@ -47,6 +47,12 @@ def test_gen_geometric_non_positive_radius_exit_2(radius, capsys):
     _assert_exit_2_one_line(["gen", "geometric", "--n", "5", "--r", radius], capsys)
 
 
+def test_gen_geometric_negative_seed_exit_2_names_the_seed(capsys):
+    # numpy's own message named no parameter.
+    assert run(["gen", "geometric", "--n", "5", "--r", "0.5", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed -1 out of range 0..\n"
+
+
 def test_gen_invalid_params_exit_2():
     assert run(["gen", "torus", "--dims", "2,5"]) == 2
 
@@ -371,6 +377,22 @@ def test_missing_graph_file_exit_2(tmp_path):
 
 def test_unreadable_graph_file_exit_4(tmp_path):
     assert run(["enumerate", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", ["gen", "compose"])
+def test_failed_out_write_names_the_path_and_exit_4(tmp_path, capsys, command, where):
+    gp = tmp_path / "p.json"
+    Graph(3, [(1, 2), (2, 3)]).save(gp)
+    out = tmp_path / "missing" / "x.json"
+    if where == "directory":
+        out = tmp_path / "dir"
+        out.mkdir()
+    argv = ["gen", "ring", "--n", "5"] if command == "gen" else ["compose", str(gp), "--src", "1", "--tgt", "3"]
+    assert run([*argv, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.endswith(f": {str(out)!r}\n") and err.count("\n") == 1
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 def test_console_entry_point():

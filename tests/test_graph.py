@@ -53,6 +53,13 @@ def test_neighborhood_exact_hops():
     assert g.neighborhood(1, 3) == {4}
 
 
+def test_neighborhood_walks_without_building_the_distance_table():
+    # Reading a row of the all-pairs table first built all 3000 x 3000 of it.
+    g = make_ring(3000)
+    assert g.neighborhood(1, 2) == {3, 2999}
+    assert g._dist is None
+
+
 @pytest.mark.parametrize("dims", [[3], [2, 4], [2, 3, 4]])
 def test_coord_index_roundtrip(dims):
     n = 1
@@ -155,6 +162,33 @@ def test_geometric_graph_matches_pair_loop(monkeypatch, n, radius, seeds, cells)
         assert g.edges == frozenset(edges)
         assert g.coords == [tuple(c) for c in coords]
         assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
+
+@pytest.mark.parametrize("radius", [True, "0.5", None, 1j])
+def test_geometric_graph_rejects_a_bool_or_non_real_radius(radius):
+    # True built the radius-1.0 graph; a string, None or a complex raised TypeError.
+    with pytest.raises(ValueError, match="^radius must be a positive real number"):
+        make_random_geometric(5, radius, seed=0)
+
+
+def test_geometric_graph_needs_a_seed():
+    # None drew a different graph on every call.
+    with pytest.raises(ValueError, match="^seed None is not an integer"):
+        make_random_geometric(5, 0.5, seed=None)
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_a_failed_save_names_the_target_path(tmp_path, where):
+    target = tmp_path / "missing" / "g.json"
+    if where == "directory":
+        target = tmp_path / "dir"
+        target.mkdir()
+    with pytest.raises(OSError) as info:
+        make_ring(5).save(target)
+    assert isinstance(info.value, FileNotFoundError if where == "missing directory" else IsADirectoryError)
+    assert info.value.filename == str(target) and info.value.filename2 is None
+    assert ".tmp-" not in str(info.value)
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,9 +1,10 @@
 """One integer rule for every vertex and count that enters the library.
 
 Each entry below takes an integer: an order, a vertex, a hop radius, a loss
-budget, a block size, or a grid axis, index, sign or shift. All of them reject non-integers (floats, even 2.0,
-bools and strings) and out-of-range integers with a ValueError that starts
-with the parameter's name, and accept numpy integers as Python ints.
+budget, a block size, a generator seed, or a grid axis, index, sign or shift.
+All of them reject non-integers (floats, even 2.0, bools and strings) and
+out-of-range integers with a ValueError that starts with the parameter's
+name, and accept numpy integers as Python ints.
 """
 
 import os
@@ -80,6 +81,7 @@ ENTRIES = [
     ("signal vertex", lambda x: apply_to_signal(_pair(1, x), [7, 0, 0]).index(7) + 1, 2, 4),
     ("dimension", lambda x: index_to_coord(3, [3, x])[1], 2, 0),
     ("dimension", lambda x: coord_to_index([2, 1], [3, x]), 2, 0),
+    ("seed", lambda x: len(make_random_geometric(6, 0.5, x).edges), 3, -1),
 ]
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,38 @@ def test_localized_sets_examples():
     ball = expand_support(t, {13}, 1)
     assert len(ball) == 5
     assert len(expand_support(t, ball, 1)) == 13
+
+
+def test_local_hop_questions_match_the_distance_table_and_networkx():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nx = pytest.importorskip("networkx")
+
+    @hyp.settings(max_examples=80, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        # Any edge set on up to 12 vertices: isolated vertices and several components too.
+        n = data.draw(st.integers(1, 12), label="n")
+        pairs = list(itertools.combinations(range(1, n + 1), 2)) or [None]
+        edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges") - {None}
+        g = Graph(n, edges)
+        vertices = list(g.vertices)
+        for v in vertices:
+            for h in range(n + 2):
+                assert g.neighborhood(v, h) == {w for w in vertices if g.geodesic(v, w) == h}
+        S = data.draw(st.sets(st.sampled_from(vertices), min_size=1), label="S")
+        for hops in range(n + 1):
+            ball = {w for w in vertices if min(g.geodesic(s, w) for s in S) <= hops}
+            assert expand_support(g, S, hops) == ball
+        h = nx.Graph()
+        h.add_nodes_from(vertices)
+        h.add_edges_from(edges)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert localized_sets(g, [1 if v in S else 0 for v in vertices]) == S
+        assert len(caught) == (not nx.is_connected(h.subgraph(S)))
+
+    check()
 
 
 def test_localized_sets_rejects_empty_and_warns_disconnected():
