@@ -1,9 +1,9 @@
 """Exhaustive search for translations: enumeration, witnesses, minimality.
 
 The core, `_search`, is one depth-first backtracking loop on an explicit
-stack over full-domain assignments, with the edge constraint built into the
-candidate sets and strong-neighborhood consistency checked against every
-vertex mapped so far. The last vertex is the leaf level: each of its options
+stack over full-domain assignments. The edge constraint and the filter are
+built into per-vertex option lists and a bottom cap, and strong-neighborhood
+consistency is checked against every vertex mapped so far. The last vertex is the leaf level: each of its options
 that passes is yielded in place, as a translation built by `Mapping._trusted`,
 skipping the checks of `Mapping(...)` that the search has already proved.
 The second explicit-stack walk, `_cycle_map`, covers the vertices with edge
@@ -28,7 +28,10 @@ class EnumerationFilter:
     require_image_set: Optional[frozenset] = None
     restrict_domain: Optional[frozenset] = None
 
-    def normalized(self, g):
+    def _options(self, g):
+        """The filter compiled for `_search` on g, validated: (options, cap).
+
+        options[v] is v's allowed images, ascending, then bottom; cap bounds the bottoms."""
         if self.lossless_only and self.max_loss not in (None, 0):
             raise ValueError("lossless_only conflicts with a max_loss other than 0")
         max_loss = 0 if self.lossless_only and self.max_loss is None else self.max_loss
@@ -38,81 +41,74 @@ class EnumerationFilter:
             None if vs is None else frozenset(map(g._check_vertex, vs))
             for vs in (self.require_image_set, self.restrict_domain)
         )
-        return max_loss, image_set, domain
+        # Before `_search` assigns vertex v, v - 1 - len(pairs) vertices hold bottom
+        # and each mapped one holds a distinct required image, so the rest of
+        # image_set still fits in the unassigned vertices iff the bottoms stay
+        # within n - |image_set|. Only a bottom can break that, or max_loss.
+        cap = min(g.n if max_loss is None else max_loss, g.n - len(image_set or ()))
+        options = [()] * (g.n + 1)
+        for v in g.vertices:
+            free = domain is None or v in domain
+            options[v] = [w for w in sorted(g._adj[v]) if free and (image_set is None or w in image_set)] + [BOTTOM]
+        return options, cap
 
 
-def _search(g, f):
+def _search(g, options, cap):
     """Backtracking over image assignments: a generator of full-domain translations.
 
     One depth-first loop over an explicit stack of option iterators, one per
     assigned vertex. Vertices are assigned in index order, each trying its
-    images in ascending order with bottom last, so translations come sorted
-    by image tuple with bottom after every vertex. Consistency against the
-    mapped vertices enforces both the edge constraint and the
+    options in order, so with `EnumerationFilter._options` translations come
+    sorted by image tuple with bottom after every vertex. Consistency against
+    the mapped vertices enforces both the edge constraint and the
     edge-iff-image-edge property. A vertex may take bottom only while the
-    bottoms stay within max_loss and the unassigned vertices can still cover
-    every required image. Vertex n is the leaf level: each of its options
+    bottoms stay within cap. Vertex n is the leaf level: each of its options
     that passes is written into the image and yielded in place, as a copy,
     so no level is pushed below it. Each leaf is built by
     `Mapping._trusted`, sharing g.vertex_set as domain and codomain, since
-    the search has proved it a translation. The filter is validated on the
-    call, before the first translation is drawn.
+    the search has proved it a translation.
     """
-    max_loss, image_set, domain = f.normalized(g)
     n, adj, V = g.n, g._adj, g.vertex_set
-    # Before vertex v is assigned, v - 1 - len(pairs) vertices hold bottom and
-    # each mapped one holds a distinct required image, so the rest of
-    # image_set still fits in the unassigned vertices iff the bottoms stay
-    # within n - |image_set|. Only a bottom can break that, or max_loss.
-    cap = min(n if max_loss is None else max_loss, n - len(image_set or ()))
-    options = [()] * (n + 1)  # per vertex: its allowed images ascending, then bottom
-    for v in g.vertices:
-        free = domain is None or v in domain
-        options[v] = [w for w in sorted(adj[v]) if free and (image_set is None or w in image_set)] + [BOTTOM]
-
-    def walk():
-        if not n:  # the empty graph's one translation
-            yield Mapping._trusted(V, V, {})
-            return
-        image = dict.fromkeys(g.vertices)
-        pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
-        stack = [iter(options[1])]
-        while stack:
-            v = len(stack)
-            if pairs and pairs[-1][0] == v:
-                used.remove(pairs.pop()[1])
-            nv = adj[v]
-            for w in stack[-1]:
-                if w is BOTTOM:
-                    if v - 1 - len(pairs) >= cap:
-                        continue
-                    checks = ()  # a bottom has no pair to agree with
-                elif w in used:
+    if not n:  # the empty graph's one translation
+        yield Mapping._trusted(V, V, {})
+        return
+    image = dict.fromkeys(g.vertices)
+    pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
+    stack = [iter(options[1])]
+    while stack:
+        v = len(stack)
+        if pairs and pairs[-1][0] == v:
+            used.remove(pairs.pop()[1])
+        nv = adj[v]
+        for w in stack[-1]:
+            if w is BOTTOM:
+                if v - 1 - len(pairs) >= cap:
                     continue
-                else:
-                    nw, checks = adj[w], pairs
-                for u, x in checks:
-                    if (u in nv) != (x in nw):
-                        break
-                else:
-                    image[v] = w
-                    if v < n:
-                        break
-                    yield Mapping._trusted(V, V, dict(image))  # vertex n: each option in place
-            else:
-                stack.pop()
+                checks = ()  # a bottom has no pair to agree with
+            elif w in used:
                 continue
-            if w is not BOTTOM:
-                pairs.append((v, w))
-                used.add(w)
-            stack.append(iter(options[v + 1]))
-
-    return walk()
+            else:
+                nw, checks = adj[w], pairs
+            for u, x in checks:
+                if (u in nv) != (x in nw):
+                    break
+            else:
+                image[v] = w
+                if v < n:
+                    break
+                yield Mapping._trusted(V, V, dict(image))  # vertex n: each option in place
+        else:
+            stack.pop()
+            continue
+        if w is not BOTTOM:
+            pairs.append((v, w))
+            used.add(w)
+        stack.append(iter(options[v + 1]))
 
 
 def enumerate_translations(g, f=None):
     """All full-domain translations of g passing the filter, by image tuple, bottom last."""
-    return list(_search(g, f or EnumerationFilter()))
+    return list(_search(g, *(f or EnumerationFilter())._options(g)))
 
 
 def exists_translation_between(g, v1_set, v2_set):
@@ -121,19 +117,22 @@ def exists_translation_between(g, v1_set, v2_set):
     f = EnumerationFilter(
         require_image_set=frozenset(v2_set), restrict_domain=frozenset(v1_set)
     )
-    return next(_search(g, f), None)
+    return next(_search(g, *f._options(g)), None)
 
 
-def _unpreceded(translations, inductive):
-    """Mask of the translations that no lower-loss translation precedes.
+def _unpreceded(g, translations, inductive):
+    """The translations, enumerated from g if None, that no lower-loss one precedes.
 
     `precedes` asks only for strictly lower loss and one shared (vertex,
     image) assignment over the common domain, bottom included. So a
     translation is preceded iff one of its assignments was already seen at a
     lower loss level. Levels go in ascending order; each is decided against
     the set of assignments seen so far, which then takes the items of all the
-    level's translations or, with `inductive`, of its kept ones only.
+    level's translations or, with `inductive`, of its kept ones only. The
+    kept translations stay in their given order.
     """
+    if translations is None:
+        translations = enumerate_translations(g)
     loss = [m.loss() for m in translations]
     keep = [False] * len(translations)
     seen = set()
@@ -145,15 +144,12 @@ def _unpreceded(translations, inductive):
         for i in level:
             if keep[i] or not inductive:
                 seen.update(translations[i].items())
-    return keep
+    return [m for m, k in zip(translations, keep) if k]
 
 
 def minimal_translations(g, translations=None):
     """Translations with no strictly-less-lossy comparable successor."""
-    if translations is None:
-        translations = enumerate_translations(g)
-    keep = _unpreceded(translations, inductive=False)
-    return [m for m, k in zip(translations, keep) if k]
+    return _unpreceded(g, translations, inductive=False)
 
 
 def pseudo_minimal_translations(g, translations=None):
@@ -163,10 +159,7 @@ def pseudo_minimal_translations(g, translations=None):
     less-lossy translation fails to qualify. Dependencies always point at
     strictly smaller loss, so one pass in ascending-loss order suffices.
     """
-    if translations is None:
-        translations = enumerate_translations(g)
-    keep = _unpreceded(translations, inductive=True)
-    return [m for m, k in zip(translations, keep) if k]
+    return _unpreceded(g, translations, inductive=True)
 
 
 def count_upper_bound(n):
@@ -252,7 +245,8 @@ def min_loss(g, upper=None):
     None when no translation has loss at most `upper`, an integer in 0..n
     (default n, which the bottom map reaches)."""
     upper = g.n if upper is None else _check_int(upper, "upper", 0, g.n)
+    options, _ = EnumerationFilter()._options(g)
     for budget in range(upper + 1):
-        if next(_search(g, EnumerationFilter(max_loss=budget)), None) is not None:
+        if next(_search(g, options, budget), None) is not None:
             return budget
     return None

@@ -13,7 +13,8 @@ from graph_shift.relax import score
 def naive_oracle(g, f=None):
     """Reference enumerator: every image tuple, filtered. Exponential."""
     f = f or EnumerationFilter()
-    max_loss, image_set, domain = f.normalized(g)
+    max_loss = 0 if f.lossless_only else f.max_loss
+    image_set, domain = f.require_image_set, f.restrict_domain
     verts = list(g.vertices)
     found = []
     for tup in product([BOTTOM] + verts, repeat=g.n):

@@ -119,6 +119,12 @@ def test_empty_graph_only_bottom():
     assert enumerate_translations(g) == [bottom_map(g)]
 
 
+def test_order_zero_graph_has_only_the_empty_translation():
+    g = Graph(0, [])
+    assert enumerate_translations(g) == minimal_translations(g) == [Mapping([], [], {})]
+    assert min_loss(g) == 0
+
+
 def test_image_and_domain_filters():
     g = make_ring(4)
     f = EnumerationFilter(require_image_set=frozenset({2, 4}), restrict_domain=frozenset({1, 3}))
@@ -201,6 +207,11 @@ def test_pseudo_minimal_contains_minimal():
     mins = {m.image_tuple() for m in minimal_translations(g, ts)}
     pseudo = {m.image_tuple() for m in pseudo_minimal_translations(g, ts)}
     assert mins <= pseudo
+
+
+def test_pseudo_minimal_enumerates_when_given_no_list():
+    g = make_grid([3, 3])
+    assert pseudo_minimal_translations(g) == pseudo_minimal_translations(g, enumerate_translations(g))
 
 
 def test_pseudo_minimal_k3():
@@ -542,6 +553,7 @@ def test_leaf_level_translations_do_not_share_an_image_dict():
 
 def test_search_is_lazy_on_the_5x5_torus():
     # Draining every lossy translation of this torus runs out of memory.
-    m = next(_search(make_torus([5, 5]), EnumerationFilter()))
+    g = make_torus([5, 5])
+    m = next(_search(g, *EnumerationFilter()._options(g)))
     assert m.loss() == 13
-    assert property_report(make_torus([5, 5]), m).is_translation
+    assert property_report(g, m).is_translation

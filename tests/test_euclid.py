@@ -88,6 +88,12 @@ def test_grid_shift_losses():
     assert euclidean_on_grid([6, 5], (0, 0)).loss() == 0
 
 
+@pytest.mark.parametrize("shift", [euclidean_on_grid, euclidean_on_torus])
+def test_shift_rejects_a_delta_of_the_wrong_length(shift):
+    with pytest.raises(ValueError, match="^delta length must match dims$"):
+        shift([3, 3], (1,))
+
+
 @pytest.mark.parametrize(
     "dims", [[4], [9], [2, 5], [3, 3], [4, 4, 4], [2, 3, 4], [10, 10]]
 )

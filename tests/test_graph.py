@@ -78,6 +78,22 @@ def test_coord_index_reject_points_off_the_lattice():
             coord_to_index(coord, [3, 3])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(3, [], coords=[(0,)] * 2), "coords length must equal vertex count"),
+        (
+            lambda: Graph.from_json_dict({"n": 2, "edges": [], "coords": [1, 2]}),
+            "graph coords must be null or a list of coordinate lists",
+        ),
+    ],
+    ids=["length", "json-not-lists"],
+)
+def test_graph_rejects_malformed_coords(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_coord_index_check_dims_as_make_grid_does():
     for call, message in (
         (lambda: index_to_coord(2, [3.0, 3]), "dimension 3.0 is not an integer"),

@@ -61,7 +61,7 @@ ENTRIES = [
     ("codomain vertex", lambda x: next(iter(Mapping([1], [x], {1: x}).codomain)), 2, None),
     ("image vertex", lambda x: Mapping([1], [3], {1: x})(1), 3, None),
     ("k_block", lambda x: ScoreParams(k_block=x).k_block, 2, 0),
-    ("max_loss", lambda x: EnumerationFilter(max_loss=x).normalized(RING)[0], 1, 6),
+    ("max_loss", lambda x: EnumerationFilter(max_loss=x)._options(RING)[1], 1, 6),
     ("n", count_upper_bound, 3, 0),
     ("n", count_minimal_upper_bound, 3, 0),
     ("upper", lambda x: min_loss(RING, x), 5, 6),

@@ -29,6 +29,11 @@ def test_injectivity_rejected():
         Mapping({1, 2}, {1, 2, 3}, {1: 3, 2: 3})
 
 
+def test_image_outside_codomain_rejected():
+    with pytest.raises(ValueError, match="^image 3 of 1 outside codomain$"):
+        Mapping([1], [2], {1: 3})
+
+
 def test_image_must_cover_domain():
     with pytest.raises(ValueError):
         Mapping({1, 2}, {1, 2}, {1: 2})
