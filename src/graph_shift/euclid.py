@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .graph import _check_dims, _check_int, make_grid, make_torus
-from .mapping import BOTTOM, full_mapping
+from .graph import _MAX_ORDER, _check_dims, _check_int, _shifted, make_torus
+from .mapping import BOTTOM, Mapping
 
 
 def dirac(d, i, sign=1):
@@ -29,21 +29,14 @@ def dirac(d, i, sign=1):
 
 
 def _shift(dims, delta, wrap):
-    """Coordinate shift by delta on the torus (wrap) or the grid (bottom outside)."""
-    g = make_torus(dims) if wrap else make_grid(dims)
-    dims = _check_dims(dims)
+    """Coordinate shift by delta on the torus (wrap) or the grid (bottom outside); builds no graph."""
+    dims = _check_dims(dims, 3 if wrap else 1)
+    n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
     delta = [_check_int(s, "delta entry") for s in delta]
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")
-    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]  # index step of each axis
-    step = sum(s * t for s, t in zip(delta, strides))  # the index shift of a point kept inside
-    image = {}
-    for v, c in enumerate(g.coords, start=1):
-        if wrap:
-            image[v] = 1 + sum((a - 1 + s) % d * t for a, s, d, t in zip(c, delta, dims, strides))
-        else:
-            image[v] = v + step if all(1 <= a + s <= d for a, s, d in zip(c, delta, dims)) else BOTTOM
-    return full_mapping(g, image)
+    image = enumerate(_shifted(dims, delta, wrap).tolist(), start=1)
+    return Mapping(range(1, n + 1), range(1, n + 1), {v: w or BOTTOM for v, w in image})
 
 
 def euclidean_on_torus(dims, delta):
@@ -66,10 +59,9 @@ def contaminate_torus(dims, v1, image_of_v1):
     g = make_torus(dims)
     if not g.has_edge(v1, image_of_v1):
         raise ValueError("seed pair must be adjacent")
-    c1, c2 = g.coords[v1 - 1], g.coords[image_of_v1 - 1]
-    # Adjacency on the torus means delta is ±e_j mod dims.
-    m = euclidean_on_torus(dims, [(b - a) % d for a, b, d in zip(c1, c2, dims)])
-    return m, all(d >= 5 for d in dims)
+    # Adjacency on the torus means delta is ±e_j mod dims, and the torus shift reduces it.
+    delta = [b - a for a, b in zip(g.coords[v1 - 1], g.coords[image_of_v1 - 1])]
+    return euclidean_on_torus(dims, delta), all(d >= 5 for d in dims)
 
 
 def satisfies_large_grid_assumption(dims):

@@ -267,19 +267,28 @@ def _check_dims(dims, low=1):
     return dims
 
 
+def _shifted(dims, delta, wrap):
+    """Row-major vertex of every point of the lattice dims moved by delta, in vertex
+    order: wrapped round each axis if wrap, else 0 off the grid. Each delta entry is
+    reduced mod d, or clamped to ±d, while it is still a Python int."""
+    points, image, inside, stride = np.arange(math.prod(dims)), 1, True, 1
+    for d, s in zip(dims[::-1], delta[::-1]):  # the last axis has stride 1
+        moved = points // stride % d + (s % d if wrap else max(-d, min(s, d)))
+        inside = inside & (moved >= 0) & (moved < d)
+        image, stride = image + moved % d * stride, stride * d
+    return np.where(inside | wrap, image, 0)
+
+
 def _lattice(dims, wrap):
-    """Unit steps along one axis; the successor of the last point wraps iff
+    """Each point joined to its image under every unit shift +e_i, which wraps iff
     wrap, so a wrapped dimension must be at least 3 to keep the graph simple."""
     dims = _check_dims(dims, 3 if wrap else 1)
     n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
     coords = list(product(*(range(1, d + 1) for d in dims)))  # row-major, as index_to_coord
-    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]  # index step of each axis
-    edges = []
-    for v, c in enumerate(coords, start=1):
-        for i, d in enumerate(dims):
-            if wrap or c[i] < d:
-                edges.append((v, v + strides[i] * (c[i] % d + 1 - c[i])))
-    return Graph(n, edges, coords)
+    # An axis of length 1 has no edge: its unit shift leaves the grid.
+    units = ([int(k == i) for k in range(len(dims))] for i, d in enumerate(dims) if d > 1)
+    succ = zip(*(_shifted(dims, e, wrap).tolist() for e in units))
+    return Graph(n, [(v, w) for v, ws in enumerate(succ, start=1) for w in ws if w], coords)
 
 
 def make_grid(dims):

@@ -99,12 +99,9 @@ def evaluation_pair(g, composed):
     n1 = len(composed.domain)
     if n1 == 0:
         raise ValueError("evaluation needs a nonempty domain")
-    loss_ratio = composed.loss() / n1
-    k = n1 - composed.loss()
-    if k <= 1:
-        return loss_ratio, 0.0
-    snp_ratio = 2.0 * mp.property_report(g, composed).snp_violations / (k * (k - 1))
-    return loss_ratio, snp_ratio
+    rep = mp.property_report(g, composed)
+    pairs = (n1 - rep.loss) * (n1 - rep.loss - 1)  # ordered pairs of mapped vertices, clamped as in _weigh
+    return rep.loss / n1, 2.0 * rep.snp_violations / (pairs + (pairs == 0))
 
 
 def pareto_front(points):

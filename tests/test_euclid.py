@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from graph_shift.enumeration import EnumerationFilter, enumerate_translations
@@ -12,8 +10,9 @@ from graph_shift.euclid import (
     grid_slice,
     satisfies_large_grid_assumption,
 )
-from graph_shift.graph import coord_to_index, index_to_coord, make_grid, make_torus
+from graph_shift.graph import Graph, coord_to_index, make_grid, make_torus
 from graph_shift.mapping import BOTTOM, compose, property_report
+from oracles import lattice_reference
 
 
 def dirac_shifts(dims):
@@ -105,22 +104,35 @@ def test_grid_loss_formula_every_axis_and_sign(dims):
             assert property_report(make_grid(dims), m).is_translation
 
 
-@pytest.mark.parametrize("dims", [[4], [7], [2, 3], [3, 5], [4, 4], [3, 4, 5]])
+# The last dims have more axes than a numpy array may have.
+@pytest.mark.parametrize("dims", [[4], [7], [2, 3], [3, 5], [4, 4], [3, 4, 5], [1] * 70 + [3]])
 def test_shifts_equal_a_per_vertex_coord_to_index_oracle(dims):
+    # The expected images index the oracle's own point list, so no layout code is shared.
     d = len(dims)
     deltas = [(0,) * d, tuple(x + 1 for x in dims), tuple(-2 * x - 1 for x in dims), (dims[0] + 2,) + (1,) * (d - 1)]
+    deltas += [(10**30,) + (1,) * (d - 1), (-(10**30),) + (0,) * (d - 1)]
     deltas += [dirac(d, i, s) for i in range(1, d + 1) for s in (1, -1)]
     for wrap, shift in ((False, euclidean_on_grid), (True, euclidean_on_torus)):
         if wrap and min(dims) < 3:
             continue
+        points = lattice_reference(dims, wrap)[0]
+        index = {p: v for v, p in enumerate(points, start=1)}
         for delta in deltas:
-            want = []
-            for v in range(1, math.prod(dims) + 1):
-                p = [a + s for a, s in zip(index_to_coord(v, dims), delta)]
-                if wrap:
-                    p = [(a - 1) % x + 1 for a, x in zip(p, dims)]
-                want.append(coord_to_index(p, dims) if all(1 <= a <= x for a, x in zip(p, dims)) else BOTTOM)
-            assert shift(dims, delta).image_tuple() == tuple(want), (wrap, delta)
+            moved = [tuple(a + s for a, s in zip(p, delta)) for p in points]
+            if wrap:
+                moved = [tuple((a - 1) % x + 1 for a, x in zip(p, dims)) for p in moved]
+            want = tuple(index.get(p, BOTTOM) for p in moved)
+            assert shift(dims, delta).image_tuple() == want, (wrap, delta)
+
+
+def test_euclidean_shifts_build_no_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a shift built a Graph")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    assert euclidean_on_grid([3, 3], (1, 0)).image_tuple() == (4, 5, 6, 7, 8, 9, None, None, None)
+    assert euclidean_on_torus([3, 3], (1, 0)).image_tuple() == (4, 5, 6, 7, 8, 9, 1, 2, 3)
+    assert euclidean_on_grid([100, 100], (1, 0)).loss() == 100
 
 
 def test_contamination_seeds_give_the_four_shifts():

@@ -109,7 +109,8 @@ def test_coord_index_check_dims_as_make_grid_does():
     assert coord_to_index((2, 3), [np.int64(3), 3]) == 6
 
 
-@pytest.mark.parametrize("dims", [[1], [5], [1, 4], [2, 3], [3, 3], [3, 5], [4, 3, 3], [2, 1, 3]])
+# The last dims have more axes than a numpy array may have.
+@pytest.mark.parametrize("dims", [[1], [5], [1, 4], [2, 3], [3, 3], [3, 5], [4, 3, 3], [2, 1, 3], [1] * 70 + [3]])
 def test_grid_and_torus_match_a_pairwise_oracle(dims):
     for wrap, build in ((False, make_grid), (True, make_torus)):
         if wrap and min(dims) < 3:

@@ -128,6 +128,17 @@ def test_evaluation_pair_examples():
     assert evaluation_pair(g, allb) == (1.0, 0.0)
 
 
+def test_evaluation_pair_checks_vertices_at_every_mapped_count():
+    # With at most one mapped vertex the pair was returned before any vertex check.
+    g = make_ring(5)
+    for image in ({1: 2, 9: BOTTOM}, {1: 2, 9: 7}):
+        with pytest.raises(ValueError, match="^vertex (7|9) out of range 1..5$"):
+            evaluation_pair(g, Mapping([1, 9], [2, 7], image))
+    with pytest.raises(ValueError, match="^vertex 9 out of range 1..5$"):
+        evaluation_pair(g, Mapping([9], [], {9: BOTTOM}))
+    assert evaluation_pair(g, Mapping([1, 2], [3], {1: 3, 2: BOTTOM})) == (0.5, 0.0)
+
+
 def test_evaluation_pair_ignores_params():
     g = make_ring(6)
     m = restricted(g, {1, 2, 3}, {1: 3, 2: BOTTOM, 3: 5})
