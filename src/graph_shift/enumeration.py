@@ -3,11 +3,10 @@
 The core, `_search`, is one depth-first backtracking loop on an explicit
 stack over full-domain assignments. The edge constraint and the filter are
 built into per-vertex option lists and a bottom cap, and strong-neighborhood
-consistency is checked against every vertex mapped so far. The last vertex is the leaf level: each of its options
-that passes is yielded in place, as a translation built by `Mapping._trusted`,
-skipping the checks of `Mapping(...)` that the search has already proved.
-The second explicit-stack walk, `_cycle_map`, covers the vertices with edge
-cycles of one length: the perfect-matching and Hamiltonian-cycle maps.
+consistency is checked against every vertex mapped so far. The last vertex is
+the leaf level: each of its options that passes is yielded in place, as a
+translation built by `Mapping._trusted`, skipping the checks of `Mapping(...)`
+that the search has already proved.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from math import comb, factorial
 from typing import Optional
 
 from .graph import _check_int
-from .mapping import BOTTOM, Mapping, full_mapping
+from .mapping import BOTTOM, Mapping
 
 
 @dataclass
@@ -148,12 +147,12 @@ def _unpreceded(g, translations, inductive):
 
 
 def minimal_translations(g, translations=None):
-    """Translations with no strictly-less-lossy comparable successor."""
+    """Those of `translations` (all of g's if None) with no strictly-less-lossy comparable successor."""
     return _unpreceded(g, translations, inductive=False)
 
 
 def pseudo_minimal_translations(g, translations=None):
-    """Inductive closure of minimality over the full translation set.
+    """Inductive closure of minimality over `translations`, or all of g's if None.
 
     A translation qualifies when it is minimal, or when every comparable
     less-lossy translation fails to qualify. Dependencies always point at
@@ -183,60 +182,6 @@ def count_minimal_upper_bound(n):
     No cap elsewhere: the path 1-2-3 has 4 minimal translations (D(3) = 2), K1 has 1 (D(1) = 0)."""
     n = _check_int(n, "n", 1)
     return sum((-1) ** j * factorial(n) // factorial(j) for j in range(n + 1))
-
-
-def _cycle_map(g, length):
-    """Lossless map advancing every vertex along edge cycles of `length`
-    vertices, or None if g has no such cover; length divides g.n.
-
-    One depth-first loop over an explicit stack of option iterators, one per
-    walked vertex, as in `_search`. Each cycle starts at the smallest unwalked
-    vertex and grows through the last vertex's unwalked neighbours in
-    ascending order; its length-th vertex must neighbour the start, closing it.
-    """
-    n, adj = g.n, g._adj
-    path, walked = [], set()
-    stack = [iter((1,))]
-    while len(path) < n:
-        if not stack:
-            return None
-        i = len(stack) - 1  # the walk position this level fills
-        if len(path) > i:
-            walked.remove(path.pop())
-        k = i % length  # its place in the cycle
-        for w in stack[-1]:
-            if w not in walked and (k < length - 1 or w in adj[path[i - k]]):
-                break
-        else:
-            stack.pop()
-            continue
-        path.append(w)
-        walked.add(w)
-        if k < length - 1:
-            stack.append(iter(sorted(adj[w])))
-        elif i + 1 < n:  # every vertex below the closed cycle's start is walked
-            first = next(v for v in range(path[i - k] + 1, n + 1) if v not in walked)
-            stack.append(iter((first,)))
-    cycles = [path[c:c + length] for c in range(0, n, length)]
-    return full_mapping(g, {v: w for c in cycles for v, w in zip(c, c[1:] + c[:1])})
-
-
-def perfect_matching_translation(g):
-    """Self-inverse lossless map along a perfect matching's edges, or None if none exists.
-
-    Edge-constrained, but not always a translation: on the path 1-2-3-4 the
-    edge 2-3 goes to the non-edge 1-4."""
-    return None if g.n % 2 else _cycle_map(g, 2)
-
-
-def hamiltonian_cycle_translation(g):
-    """Lossless map advancing every vertex along a Hamiltonian cycle, or None if none exists.
-
-    Edge-constrained, but not always a translation: a chord of the cycle can
-    go to a non-edge."""
-    if g.n < 3 or any(g.degree(v) < 2 for v in g.vertices):
-        return None
-    return _cycle_map(g, g.n)
 
 
 def min_loss(g, upper=None):

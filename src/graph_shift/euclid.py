@@ -35,8 +35,10 @@ def _shift(dims, delta, wrap):
     delta = [_check_int(s, "delta entry") for s in delta]
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")
+    # `_shifted` gives each vertex a distinct in-range image, or 0 for bottom.
+    V = frozenset(range(1, n + 1))
     image = enumerate(_shifted(dims, delta, wrap).tolist(), start=1)
-    return Mapping(range(1, n + 1), range(1, n + 1), {v: w or BOTTOM for v, w in image})
+    return Mapping._trusted(V, V, {v: w or BOTTOM for v, w in image})
 
 
 def euclidean_on_torus(dims, delta):
@@ -51,10 +53,11 @@ def contaminate_torus(dims, v1, image_of_v1):
     """Extend a single seed pair, adjacent on the torus of dims, to the full axis shift.
 
     Returns (mapping, unique) where unique is True exactly when every
-    dimension is at least 5, the regime in which the seed determines the
-    lossless translation. The mapping itself is built directly as the
-    shift by delta = image - v1; the step-by-step propagation only matters
-    for the uniqueness argument.
+    dimension is at least 5: the paper's sufficient condition for the seed to
+    determine the lossless translation, not a necessary one (on 3 x 5 it does
+    too, on 4 x 4 it does not). The mapping is built directly as the shift by
+    delta = image - v1; the step-by-step propagation only matters for the
+    uniqueness argument.
     """
     g = make_torus(dims)
     if not g.has_edge(v1, image_of_v1):

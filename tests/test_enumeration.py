@@ -10,10 +10,8 @@ from graph_shift.enumeration import (
     count_upper_bound,
     enumerate_translations,
     exists_translation_between,
-    hamiltonian_cycle_translation,
     min_loss,
     minimal_translations,
-    perfect_matching_translation,
     pseudo_minimal_translations,
 )
 from graph_shift.graph import (
@@ -24,7 +22,7 @@ from graph_shift.graph import (
     make_ring,
     make_torus,
 )
-from graph_shift.mapping import BOTTOM, Mapping, bottom_map, full_mapping, precedes, property_report
+from graph_shift.mapping import BOTTOM, Mapping, bottom_map, precedes, property_report
 from oracles import naive_oracle
 
 
@@ -320,90 +318,6 @@ def test_min_loss_is_none_above_the_cap():
     assert min_loss(g, upper=0) is None
     assert min_loss(g, upper=1) == 1
     assert min_loss(Graph(2, []), upper=1) is None
-
-
-def test_perfect_matching():
-    assert perfect_matching_translation(make_complete(4)) is not None
-    assert perfect_matching_translation(make_complete(3)) is None
-    assert perfect_matching_translation(Graph(4, [(1, 2), (1, 3), (1, 4)])) is None
-    m = perfect_matching_translation(make_ring(6))
-    assert m is not None and m.is_lossless()
-    assert all(m(m(v)) == v for v in range(1, 7))
-
-
-def test_perfect_matching_map_need_not_be_a_translation():
-    path = Graph(4, [(1, 2), (2, 3), (3, 4)])
-    m = perfect_matching_translation(path)
-    assert m.image_tuple() == (2, 1, 4, 3) and m.is_lossless()
-    rep = property_report(path, m)
-    assert rep.is_ec and rep.snp_violations == 2 and not rep.is_translation
-
-
-def test_hamiltonian_cycle():
-    assert hamiltonian_cycle_translation(make_ring(5)) is not None
-    assert hamiltonian_cycle_translation(Graph(4, [(1, 2), (2, 3), (3, 4)])) is None
-    t = hamiltonian_cycle_translation(make_complete(4))
-    assert t is not None and t.is_lossless()
-    g = make_ring(5)
-    rot = hamiltonian_cycle_translation(g)
-    assert property_report(g, rot).is_translation
-
-
-def test_hamiltonian_cycle_map_need_not_be_a_translation():
-    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)])  # 5-ring plus a chord
-    rot = hamiltonian_cycle_translation(g)
-    assert rot.image_tuple() == (2, 3, 4, 5, 1) and rot.is_lossless()
-    rep = property_report(g, rot)
-    assert rep.is_ec and not rep.is_translation  # the chord 1-3 goes to the non-edge 2-4
-
-
-def _graphs_up_to(max_n, per_n, seed):
-    rng = random.Random(seed)
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for _ in range(per_n):
-            p = rng.random()
-            yield Graph(n, [e for e in pairs if rng.random() < p])
-
-
-def _first_matching_oracle(g):
-    """Image tuple of the lexicographically first fixed-point-free involution along edges."""
-    for p in itertools.permutations(g.vertices):
-        if all(w != v and p[w - 1] == v and g.has_edge(v, w) for v, w in enumerate(p, 1)):
-            return p
-    return None
-
-
-def _first_hamiltonian_oracle(g):
-    """Image tuple of the rotation along the lexicographically first Hamiltonian
-    cycle from vertex 1, the rest of the cycle taken as a permutation of 2..n."""
-    if g.n < 3:
-        return None
-    for rest in itertools.permutations(range(2, g.n + 1)):
-        cycle = (1, *rest, 1)
-        if all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:])):
-            return tuple(w for _, w in sorted(zip(cycle, cycle[1:])))
-    return None
-
-
-def test_perfect_matching_is_the_first_involution_along_edges():
-    for g in _graphs_up_to(7, 12, seed=5):
-        m = perfect_matching_translation(g)
-        assert (None if m is None else m.image_tuple()) == _first_matching_oracle(g)
-
-
-def test_hamiltonian_cycle_follows_the_first_cycle_from_vertex_1():
-    for g in _graphs_up_to(7, 12, seed=6):
-        rot = hamiltonian_cycle_translation(g)
-        assert (None if rot is None else rot.image_tuple()) == _first_hamiltonian_oracle(g)
-
-
-@pytest.mark.parametrize("n", [2000, 4000])
-def test_cycle_maps_on_long_rings_need_no_recursion(n):
-    g = make_ring(n)
-    pairs = tuple(v + 1 if v % 2 else v - 1 for v in g.vertices)
-    assert perfect_matching_translation(g).image_tuple() == pairs
-    assert hamiltonian_cycle_translation(g).image_tuple() == tuple(v % n + 1 for v in g.vertices)
 
 
 def _vf2_lossless_translations(g):

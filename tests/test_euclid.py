@@ -11,7 +11,7 @@ from graph_shift.euclid import (
     satisfies_large_grid_assumption,
 )
 from graph_shift.graph import Graph, coord_to_index, make_grid, make_torus
-from graph_shift.mapping import BOTTOM, compose, property_report
+from graph_shift.mapping import BOTTOM, Mapping, compose, property_report
 from oracles import lattice_reference
 
 
@@ -122,7 +122,9 @@ def test_shifts_equal_a_per_vertex_coord_to_index_oracle(dims):
             if wrap:
                 moved = [tuple((a - 1) % x + 1 for a, x in zip(p, dims)) for p in moved]
             want = tuple(index.get(p, BOTTOM) for p in moved)
-            assert shift(dims, delta).image_tuple() == want, (wrap, delta)
+            m = shift(dims, delta)
+            assert m.image_tuple() == want, (wrap, delta)
+            assert m == Mapping(m.domain, m.codomain, dict(m.items()))  # passes every skipped check
 
 
 def test_euclidean_shifts_build_no_graph(monkeypatch):
@@ -178,10 +180,64 @@ def test_contamination_checks_the_seed_on_the_torus_of_its_dims():
         contaminate_torus([5, 5], 1, 26)
 
 
-def test_torus55_lossless_are_exactly_dirac():
-    g = make_torus([5, 5])
-    found = set(enumerate_translations(g, EnumerationFilter(lossless_only=True)))
-    assert found == dirac_shifts([5, 5])
+# The lossless translations that extend the seed 1 -> w, for each neighbour w
+# of vertex 1 in ascending order, next to the flag `contaminate_torus` returns.
+_SEED_EXTENSIONS = [
+    ([3, 3], False, [1, 1, 1, 1]),
+    ([3, 5], False, [1, 1, 1, 1]),
+    ([3, 3, 3], False, [1] * 6),
+    ([3, 5, 5], False, [1] * 6),
+    ([3, 4], False, [2, 2, 1, 1]),
+    ([4, 5], False, [1, 1, 2, 2]),
+    ([4, 4], False, [4, 4, 4, 4]),
+    ([5, 5], True, [1, 1, 1, 1]),
+    ([5, 6], True, [1, 1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "dims, unique, counts", _SEED_EXTENSIONS, ids=["x".join(map(str, dims)) for dims, *_ in _SEED_EXTENSIONS]
+)
+def test_contamination_flag_is_only_the_sufficient_condition(dims, unique, counts):
+    g = make_torus(dims)
+    lossless = enumerate_translations(g, EnumerationFilter(lossless_only=True))
+    neighbours = sorted(g.neighbors(1))
+    assert len(neighbours) == len(counts)
+    for w, count in zip(neighbours, counts):
+        m, flag = contaminate_torus(dims, 1, w)
+        extensions = [t for t in lossless if t(1) == w]
+        assert flag == unique and m in extensions and len(extensions) == count
+        assert count == 1 or not flag
+
+
+def _axis_shift_images(dims):
+    """Image tuples of the torus shifts by ±e_i, read off the oracle's points."""
+    points = lattice_reference(dims, True)[0]
+    index = {p: v for v, p in enumerate(points, start=1)}
+    return {
+        tuple(index[p[:i] + ((p[i] + s - 1) % d + 1,) + p[i + 1 :]] for p in points)
+        for i, d in enumerate(dims)
+        for s in (1, -1)
+    }
+
+
+# A dimension of 4 admits lossless translations besides the axis shifts.
+_LOSSLESS_WITH_A_4 = {(4, 4): 16, (4, 4, 4): 36, **{p: 6 for d in (3, 5, 6, 7, 8) for p in ((4, d), (d, 4))}}
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [[a, b] for a in range(3, 9) for b in range(3, 9)] + [[3, 3, 3], [3, 5, 5], [4, 4, 4], [5, 5, 5], [6, 6, 6]],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_torus_lossless_translations_are_the_axis_shifts_unless_a_dimension_is_4(dims):
+    g = make_torus(dims)
+    found = {m.image_tuple() for m in enumerate_translations(g, EnumerationFilter(lossless_only=True))}
+    shifts = _axis_shift_images(dims)
+    if 4 in dims:
+        assert shifts < found and len(found) == _LOSSLESS_WITH_A_4[tuple(dims)]
+    else:
+        assert found == shifts
 
 
 def test_torus44_has_non_dirac_lossless():
