@@ -27,8 +27,6 @@ from .mapping import (
 )
 from .enumeration import (
     EnumerationFilter,
-    count_minimal_upper_bound,
-    count_upper_bound,
     enumerate_translations,
     exists_translation_between,
     min_loss,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import comb, factorial
 from typing import Optional
 
 from .graph import _check_int
@@ -159,29 +158,6 @@ def pseudo_minimal_translations(g, translations=None):
     strictly smaller loss, so one pass in ascending-loss order suffices.
     """
     return _unpreceded(g, translations, inductive=True)
-
-
-def count_upper_bound(n):
-    """Closed-form sum over k = 0..n for an order-n graph.
-
-    Evaluated verbatim with exact integer arithmetic. It is no upper bound on
-    the translations: K3 has 18 against its 8. Its k = n term, the
-    derangement count D(n), equals the number of lossless translations of K_n.
-    """
-    n = _check_int(n, "n", 1)
-    total = 0
-    for k in range(n + 1):
-        inner = sum((-1) ** j * comb(k, j) * factorial(n - j) for j in range(k + 1))
-        total += inner // factorial(n - k)
-    return total
-
-
-def count_minimal_upper_bound(n):
-    """Derangement count D(n): the number of minimal translations of K_n for n >= 2.
-
-    No cap elsewhere: the path 1-2-3 has 4 minimal translations (D(3) = 2), K1 has 1 (D(1) = 0)."""
-    n = _check_int(n, "n", 1)
-    return sum((-1) ** j * factorial(n) // factorial(j) for j in range(n + 1))
 
 
 def min_loss(g, upper=None):

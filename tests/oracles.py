@@ -2,6 +2,7 @@
 
 from collections import deque
 from itertools import combinations, product
+from math import comb, factorial
 
 import numpy as np
 
@@ -41,6 +42,21 @@ def naive_oracle(g, f=None):
         found.append(full_mapping(g, m))
     big = g.n + 1
     return sorted(found, key=lambda m: tuple(big if w is BOTTOM else w for w in m.image_tuple()))
+
+
+def formula_term(n, k):
+    """The translations of K_n whose mapped set is one fixed k-set, in closed form.
+
+    On K_n every two vertices are adjacent, so a translation with mapped set
+    S is an injection of S into the vertices that moves each vertex of S: its
+    images are distinct, hence adjacent iff their sources are. By
+    inclusion-exclusion over the j vertices of S held fixed, there are
+    sum_j (-1)^j C(k, j) (n - j)! / (n - k)! of them. Weighting term k by the
+    C(n, k) choices of S gives the exact count of K_n's translations, and
+    term n is the derangement number D(n), the count of its lossless ones.
+    """
+    inner = sum((-1) ** j * comb(k, j) * factorial(n - j) for j in range(k + 1))
+    return inner // factorial(n - k)
 
 
 def greedy_reference(g, v1, v2, V1, V2, p):

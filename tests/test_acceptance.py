@@ -13,7 +13,7 @@ import random
 import subprocess
 import sys
 import time
-from math import comb, factorial
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,8 +27,6 @@ from graph_shift.mapping import (
 )
 from graph_shift.enumeration import (
     EnumerationFilter,
-    count_minimal_upper_bound,
-    count_upper_bound,
     enumerate_translations,
     min_loss,
 )
@@ -36,7 +34,7 @@ from graph_shift.euclid import dirac, dirac_shift_loss, euclidean_on_grid, eucli
 from graph_shift.relax import ScoreParams, score
 from graph_shift.search import SearchStats, best_composition, expand_support, minimize_s, parameter_sweep
 from graph_shift import cli
-from oracles import naive_oracle
+from oracles import formula_term, naive_oracle
 
 
 def _random_graph(rng, n, p):
@@ -76,35 +74,37 @@ def test_enumerator_agrees_with_naive_oracle():
 # --- closed-form counts on complete graphs ---------------------------------
 
 
-def _formula_term(n, k):
-    inner = sum((-1) ** j * comb(k, j) * factorial(n - j) for j in range(k + 1))
-    return inner // factorial(n - k)
-
-
-def test_complete_graph_lossless_counts_are_derangements():
-    expected = {2: 1, 3: 2, 4: 9, 5: 44}
-    for n, count in expected.items():
-        g = make_complete(n)
-        lossless = enumerate_translations(g, EnumerationFilter(lossless_only=True))
-        assert len(lossless) == count
-        assert count_minimal_upper_bound(n) == count
-        # The full-permutation term of the closed-form total agrees exactly.
-        assert _formula_term(n, n) == count
-
-
 def test_total_count_formula_reported_against_brute_force():
-    # The closed-form total undercounts the brute-force census for partial
-    # maps; the discrepancy is real and fixed, not a tolerance issue.
-    formula = {n: count_upper_bound(n) for n in range(2, 6)}
-    brute = {n: len(enumerate_translations(make_complete(n))) for n in range(2, 6)}
-    assert formula == {2: 3, 3: 8, 4: 31, 5: 147}
+    # The closed-form total adds each term formula_term(n, k) once. But term k
+    # counts the translations of one fixed mapped k-set, and K_n has C(n, k)
+    # such sets, so the total undercounts from n = 2 on, where the n sets of
+    # size 1 each have n - 1 translations.
+    formula = {n: sum(formula_term(n, k) for k in range(n + 1)) for n in range(1, 6)}
+    brute = {n: len(enumerate_translations(make_complete(n))) for n in range(1, 6)}
+    assert list(formula.values()) == [1, 3, 8, 31, 147]
     # Census on K2 and K3 is known exactly; e.g. K3 has 2 lossless + 9 of
     # loss 1 + 6 of loss 2 + the empty map.
     assert brute[2] == 4
     assert brute[3] == 18
-    # The formula undercounts from n = 3 on; only the full-permutation term
-    # (checked in the previous test) matches brute force.
-    assert all(brute[n] > formula[n] for n in range(3, 6))
+    assert formula[1] == brute[1]
+    assert all(brute[n] > formula[n] for n in range(2, 6))
+
+
+def test_formula_weighted_by_k_sets_counts_complete_graph_translations():
+    def weighted(n):
+        return sum(math.comb(n, k) * formula_term(n, k) for k in range(n + 1))
+
+    counts = []
+    for n in range(1, 7):
+        ts = enumerate_translations(make_complete(n))
+        counts.append(len(ts))
+        # Term k counts the translations whose mapped set is one fixed k-set.
+        mapped_sets = Counter(frozenset(m.mapped) for m in ts)
+        for k in range(n + 1):
+            assert mapped_sets[frozenset(range(1, k + 1))] == formula_term(n, k)
+    assert counts == [weighted(n) for n in range(1, 7)] == [1, 4, 18, 108, 780, 6600]
+    # K7's count, the census pin, without enumerating K7.
+    assert weighted(7) == 63840
 
 
 # --- torus structure -------------------------------------------------------

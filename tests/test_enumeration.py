@@ -6,8 +6,6 @@ import pytest
 from graph_shift.enumeration import (
     EnumerationFilter,
     _search,
-    count_minimal_upper_bound,
-    count_upper_bound,
     enumerate_translations,
     exists_translation_between,
     min_loss,
@@ -23,7 +21,7 @@ from graph_shift.graph import (
     make_torus,
 )
 from graph_shift.mapping import BOTTOM, Mapping, bottom_map, precedes, property_report
-from oracles import naive_oracle
+from oracles import formula_term, naive_oracle
 
 
 def all_graphs(n):
@@ -66,27 +64,16 @@ def test_results_are_translations_and_sorted():
 def test_lossless_count_is_derangements(n, expected):
     ts = enumerate_translations(make_complete(n), EnumerationFilter(lossless_only=True))
     assert len(ts) == expected
-    assert len(ts) == count_minimal_upper_bound(n)
-
-
-def test_count_formula_values():
-    assert [count_upper_bound(n) for n in range(1, 6)] == [1, 3, 8, 31, 147]
-
-
-def test_count_formula_vs_brute_force_k3():
-    # The closed-form sum undercounts lossy translations on complete graphs
-    # (18 observed on K3 vs 8 from the formula); the lossless term agrees.
-    assert count_upper_bound(3) == 8
-    assert len(enumerate_translations(make_complete(3))) == 18
+    assert len(ts) == formula_term(n, n)
 
 
 def test_minimal_count_formula_holds_only_on_complete_graphs():
     # D(n) counts the minimal translations of K_n for n >= 2, but caps
     # neither the path 1-2-3 (4 against D(3) = 2) nor K1 (1 against D(1) = 0).
     assert len(minimal_translations(Graph(3, [(1, 2), (2, 3)]))) == 4
-    assert count_minimal_upper_bound(3) == 2
+    assert formula_term(3, 3) == 2
     assert minimal_translations(Graph(1, [])) == [bottom_map(Graph(1, []))]
-    assert count_minimal_upper_bound(1) == 0
+    assert formula_term(1, 1) == 0
 
 
 def test_max_loss_filter():
@@ -170,15 +157,31 @@ def test_exists_translation_between_rejects_out_of_range_vertex(v1_set, v2_set):
         exists_translation_between(make_ring(5), v1_set, v2_set)
 
 
-@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_minimal_on_complete_graph_is_derangement_set(n):
     # K7 (63,840 translations, 1,854 minimal) is the scale of the census.
     g = make_complete(n)
     ts = enumerate_translations(g)
     mins = minimal_translations(g, ts)
-    assert len(mins) == count_minimal_upper_bound(n)
+    assert len(mins) == formula_term(n, n)
     assert all(m.is_lossless() for m in mins)
     assert pseudo_minimal_translations(g, ts) == mins + [bottom_map(g)]
+
+
+@pytest.mark.parametrize("dims, lossless", [([3, 3], 4), ([4, 3], 6)], ids=["3x3", "4x3"])
+def test_torus_minimal_translations_are_its_lossless_ones(dims, lossless):
+    # Never enumerate the 5x5 torus: its lossy translations exhaust memory.
+    g = make_torus(dims)
+    ts = enumerate_translations(g)
+    mins = [m for m in ts if m.is_lossless()]
+    assert len(mins) == lossless
+    assert minimal_translations(g, ts) == mins
+    assert pseudo_minimal_translations(g, ts) == mins + [bottom_map(g)]
+    # Why: the lossless translations use every edge assignment (v, w), so
+    # each lossy translation that maps a vertex shares an assignment with them
+    # and is preceded. The all-bottom map is preceded only by lossy ones,
+    # which the inductive closure does not keep.
+    assert set().union(*(m.items() for m in mins)) == {(v, w) for v in g.vertices for w in g.neighbors(v)}
 
 
 def test_minimal_on_edgeless_is_bottom():

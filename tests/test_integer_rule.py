@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 import graph_shift.graph as graph_module
-from graph_shift.enumeration import (
-    EnumerationFilter,
-    count_minimal_upper_bound,
-    count_upper_bound,
-    min_loss,
-)
+from graph_shift.enumeration import EnumerationFilter, min_loss
 from graph_shift.euclid import dirac, dirac_shift_loss, euclidean_on_grid, euclidean_on_torus, grid_slice
 from graph_shift.graph import (
     Graph,
@@ -62,8 +57,8 @@ ENTRIES = [
     ("image vertex", lambda x: Mapping([1], [3], {1: x})(1), 3, None),
     ("k_block", lambda x: ScoreParams(k_block=x).k_block, 2, 0),
     ("max_loss", lambda x: EnumerationFilter(max_loss=x)._options(RING)[1], 1, 6),
-    ("n", count_upper_bound, 3, 0),
-    ("n", count_minimal_upper_bound, 3, 0),
+    ("n", lambda x: Graph.from_json_dict({"n": x, "edges": []}).n, 3, -1),
+    ("n", lambda x: Graph(x, []).n, 3, graph_module._MAX_ORDER + 1),
     ("upper", lambda x: min_loss(RING, x), 5, 6),
     ("hops", lambda x: len(expand_support(RING, {1}, x)), 1, -1),
     ("hops", lambda x: len(best_composition(RING, {1, 2}, 1, 3, ScoreParams(), hops=x).steps), 1, -1),
