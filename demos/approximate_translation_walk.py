@@ -43,9 +43,8 @@ def main():
     print()
 
     print("small parameter sweep (8 cells):")
-    x = [1.0 if v in support else 0.0 for v in g.vertices]
     grid = [(a, 0.1, c, k) for a in (0.5, 1.0) for c in (0.1, 0.5) for k in (1, 2)]
-    for trace, on_front in parameter_sweep(g, x, src, tgt, grid=grid):
+    for trace, on_front in parameter_sweep(g, support, src, tgt, grid=grid):
         p, (lr, sr) = trace.params, trace.final_pair
         star = " *" if on_front else ""
         print(f"  a={p.alpha} g={p.gamma} K={p.k_block}: "

@@ -45,7 +45,6 @@ from .euclid import (
 from .relax import (
     ScoreBreakdown,
     ScoreParams,
-    composition_score,
     evaluation_pair,
     pareto_front,
     score,

@@ -149,9 +149,7 @@ def cmd_compose(args):
 
 def cmd_sweep(args):
     g = Graph.load(args.graph)
-    support = _support(g, args)
-    x = [1.0 if v in support else 0.0 for v in g.vertices]
-    cells = parameter_sweep(g, x, args.src, args.tgt, hops=args.hops)
+    cells = parameter_sweep(g, _support(g, args), args.src, args.tgt, hops=args.hops)
     if not any(trace.found for trace, _ in cells):
         sys.stderr.write("no composition found\n")
         return EXIT_NO_RESULT

@@ -90,10 +90,6 @@ def score(g, m, p: ScoreParams) -> ScoreBreakdown:
     return ScoreBreakdown(*_weigh(p, n1, *raw), *raw)
 
 
-def composition_score(breakdowns):
-    return sum(b.total for b in breakdowns)
-
-
 def evaluation_pair(g, composed):
     """(loss ratio, normalized strong-preservation violations) of a mapping."""
     n1 = len(composed.domain)

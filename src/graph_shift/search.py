@@ -56,7 +56,7 @@ import numpy as np
 from . import mapping as mp
 from .graph import _check_int, _walk
 from .mapping import BOTTOM, Mapping, _gaps
-from .relax import ScoreBreakdown, ScoreParams, _weigh, composition_score, evaluation_pair, pareto_front
+from .relax import ScoreBreakdown, ScoreParams, _weigh, evaluation_pair, pareto_front
 
 
 @lru_cache(maxsize=32)
@@ -306,7 +306,11 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
 
 @dataclass
 class TranslationTrace:
-    """Replayable record of a best-composition run; the CLI sets `graph_ref`, its graph file."""
+    """Replayable record of a best-composition run; the CLI sets `graph_ref`, its graph file.
+
+    `cumulative_score` is the anchor-queue key the target was popped with:
+    the sum of the step totals, the integer 0 for the empty chain, or inf.
+    """
 
     found: bool
     steps: list  # of (Mapping, ScoreBreakdown)
@@ -361,7 +365,7 @@ def expand_support(g, support, hops=1):
 
 
 def localized_sets(g, x):
-    """Support of a signal: the vertices where x is nonzero.
+    """Support of a signal, its nonzero vertices: the input the search functions take.
 
     A disconnected support is allowed but warned about: the search then
     moves each fragment through whatever frontier it happens to share.
@@ -412,7 +416,8 @@ def best_composition(
 
     visited = set()
     counter = itertools.count()
-    queue = [(0.0, v_src, next(counter), ())]
+    # The int 0, as sum() starts from: a chain's key is the sum of its step totals, bit for bit.
+    queue = [(0, v_src, next(counter), ())]
     if stats is not None:
         stats.pushes += 1
     while queue:
@@ -425,8 +430,7 @@ def best_composition(
         if stats is not None:
             stats.settled += 1
         if v1 == v_tgt:
-            cumulative = composition_score(b for _, b in steps)
-            trace = TranslationTrace(True, list(steps), cumulative, None, p, v_src, v_tgt)
+            trace = TranslationTrace(True, list(steps), total, None, p, v_src, v_tgt)
             composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
             trace.final_pair = evaluation_pair(g, composed)
             return trace
@@ -446,34 +450,29 @@ DEFAULT_WEIGHTS = (0.1, 0.5, 1.0)
 DEFAULT_BLOCKS = (1, 2, 3)
 
 
-def parameter_sweep(g, x, v_src, v_tgt, grid=None, hops=1, stats: Optional[SearchStats] = None) -> list:
-    """Run best_composition for every parameter cell, with its Pareto flag.
+def parameter_sweep(g, support, v_src, v_tgt, grid=None, hops=1, stats: Optional[SearchStats] = None) -> list:
+    """Run best_composition from `support` for every parameter cell, with its Pareto flag.
 
     Returns one (trace, on_front) pair per cell, in grid order; on_front
     says that the trace found a chain whose final (loss ratio, snp ratio)
     pair no other cell's pair dominates. The default grid is the 81 cells
     of DEFAULT_WEIGHTS cubed by DEFAULT_BLOCKS, k varying fastest. Cells
-    are independent. They run grouped by block size k, in order of first
-    appearance and in grid order within a group. Each group shares one
-    round cache (module docstring): the cells of a k differ only in their
-    weights, which a greedy round reads only through its argmin, so the
-    distinct raw sums a round builds for one cell are weighed again in the
-    others. The cache is dropped when its group ends, so it holds one block
-    size's rounds at a time, and rounds of fewer than three sources are
-    never cached. Every trace equals that of a lone best_composition call.
+    run grouped by block size k, in order of first appearance and in grid
+    order within a group, and each group shares one round cache (module
+    docstring), dropped when the group ends: its cells differ only in their
+    weights, which a greedy round reads only through its argmin. Every
+    trace equals that of a lone best_composition call: its cumulative score
+    is the queue key, its step totals summed, or the int 0 if v_src == v_tgt.
     `stats`, if given, accumulates over every cell.
     """
     grid = list(itertools.product(*[DEFAULT_WEIGHTS] * 3, DEFAULT_BLOCKS) if grid is None else grid)
     params = [ScoreParams(a, b, c, k) for a, b, c, k in grid]
-    V1 = localized_sets(g, x)
-    if v_src not in V1:
-        raise ValueError("v_src must carry signal")
     traces = [None] * len(grid)
     for k in dict.fromkeys(p.k_block for p in params):
         rounds = {}
         for i, p in enumerate(params):
             if p.k_block == k:
-                traces[i] = best_composition(g, V1, v_src, v_tgt, p, hops=hops, stats=stats, _rounds=rounds)
+                traces[i] = best_composition(g, support, v_src, v_tgt, p, hops=hops, stats=stats, _rounds=rounds)
 
     front = pareto_front([(*tr.final_pair, i) for i, tr in enumerate(traces) if tr.found])
     on_front = {i for _, _, i in front}

@@ -293,11 +293,12 @@ def test_geometric_graph_sweep_shape_and_pareto_bands():
     reachable = {v for v in g.vertices if g.geodesic(src, v) != INF}
     candidates = sorted(reachable - V1)
     tgt = int(candidates[rng.integers(0, len(candidates))])
-    x = [1.0 if v in V1 else 0.0 for v in g.vertices]
 
-    cells = parameter_sweep(g, x, src, tgt)
+    cells = parameter_sweep(g, V1, src, tgt)
     assert len(cells) == 81
     assert all(trace.found for trace, _ in cells)
+    # Each cell's score is its popped queue key, equal to sum() of its steps bit for bit.
+    assert all(trace.cumulative_score == sum(b.total for _, b in trace.steps) for trace, _ in cells)
 
     front = [trace.final_pair for trace, on_front in cells if on_front]
     assert front

@@ -536,7 +536,7 @@ def test_sweep_unreachable_exit_3_writes_no_file(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["compose", "sweep"])
 @pytest.mark.parametrize("domain_set", ["1,2,999", "1,2,0"])
 def test_out_of_range_domain_set_vertex_exit_2(tmp_path, capsys, command, domain_set):
-    # The sweep's signal covers only the graph's vertices, so it used to drop a bad one.
+    # Both commands hand the support to best_composition, which checks every vertex.
     gp = tmp_path / "ring6.json"
     make_ring(6).save(gp)
     _assert_exit_2_one_line([command, str(gp), "--src", "1", "--tgt", "3", "--domain-set", domain_set], capsys)
@@ -546,6 +546,18 @@ def test_sweep_source_outside_the_domain_set_exit_2(tmp_path, capsys):
     gp = tmp_path / "ring.json"
     make_ring(5).save(gp)
     _assert_exit_2_one_line(["sweep", str(gp), "--src", "1", "--tgt", "3", "--domain-set", "3,4"], capsys)
+
+
+@pytest.mark.parametrize("command", ["compose", "sweep"])
+def test_disconnected_domain_set_writes_nothing_to_stderr(tmp_path, command):
+    # {1, 3} is two fragments of the 5-ring; a whole process shows any warning text.
+    gp = tmp_path / "ring.json"
+    make_ring(5).save(gp)
+    proc = subprocess.run(
+        [sys.executable, "-m", "graph_shift.cli", command, str(gp), "--src", "1", "--tgt", "3", "--domain-set", "1,3"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_graph_order_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):

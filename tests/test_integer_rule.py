@@ -38,51 +38,54 @@ def _pair(v, w):
     `apply_to_signal` is the one to see a bad vertex."""
     return Mapping._trusted(frozenset({v}), frozenset({w}), {v: w})
 
-#: (name in the message, call(x) returning the integer x became or one derived
-#: from it, a valid x, an out-of-range x or None where no range applies)
+#: (test id, name in the message, call(x) returning the integer x became or one
+#: derived from it, a valid x, an out-of-range x or None where no range applies).
+#: Each id is written out, not taken from the row's position, so that removing a
+#: row renames no other test.
 ENTRIES = [
-    ("n", lambda x: Graph(x, []).n, 3, -1),
-    ("edge vertex", lambda x: max(next(iter(Graph(3, [(1, x)]).edges))), 3, 4),
-    ("vertex", lambda x: next(iter(RING.neighborhood(x, 0))), 2, 6),
-    ("vertex", lambda x: RING.geodesic(1, x), 3, 0),
-    ("h", lambda x: min(RING.neighborhood(1, x)), 2, -1),
-    ("n", lambda x: make_complete(x).n, 3, 0),
-    ("n", lambda x: make_ring(x).n, 4, 2),
-    ("n", lambda x: make_random_geometric(x, 0.5, 1).n, 3, 0),
-    ("dimension", lambda x: make_grid([x]).coords[-1][0], 3, 0),
-    ("dimension", lambda x: make_torus([x]).coords[-1][0], 3, 2),
-    ("coordinate", lambda x: coord_to_index([x], [3]), 2, 4),
-    ("domain vertex", lambda x: next(iter(Mapping([x], [1], {x: 1}).domain)), 2, None),
-    ("codomain vertex", lambda x: next(iter(Mapping([1], [x], {1: x}).codomain)), 2, None),
-    ("image vertex", lambda x: Mapping([1], [3], {1: x})(1), 3, None),
-    ("k_block", lambda x: ScoreParams(k_block=x).k_block, 2, 0),
-    ("max_loss", lambda x: EnumerationFilter(max_loss=x)._options(RING)[1], 1, 6),
-    ("n", lambda x: Graph.from_json_dict({"n": x, "edges": []}).n, 3, -1),
-    ("n", lambda x: Graph(x, []).n, 3, graph_module._MAX_ORDER + 1),
-    ("upper", lambda x: min_loss(RING, x), 5, 6),
-    ("hops", lambda x: len(expand_support(RING, {1}, x)), 1, -1),
-    ("hops", lambda x: len(best_composition(RING, {1, 2}, 1, 3, ScoreParams(), hops=x).steps), 1, -1),
-    ("vertex", lambda x: best_composition(RING, {1, 2}, x, 3, ScoreParams()).v_src, 1, 6),
-    ("d", lambda x: len(dirac(x, 1)), 2, 0),
-    ("axis", lambda x: dirac(3, x).index(1) + 1, 2, 4),
-    ("axis", lambda x: len(grid_slice([3, 4], x, 1)), 2, 3),
-    ("axis", lambda x: dirac_shift_loss([2, 3, 5], x), 2, 0),
-    ("slice index", lambda x: grid_slice([3, 4], 2, x)[0], 2, 5),
-    ("sign", lambda x: sum(dirac(2, 1, x)), -1, 0),
-    ("index", lambda x: index_to_coord(x, [3, 3])[0], 4, 0),
-    ("delta entry", lambda x: euclidean_on_grid([4], (x,))(1), 2, None),
-    ("delta entry", lambda x: euclidean_on_torus([4], (x,))(1), 2, None),
-    ("signal vertex", lambda x: apply_to_signal(_pair(x, 1), [1, 2, 3])[0], 2, 0),
-    ("signal vertex", lambda x: apply_to_signal(_pair(1, x), [7, 0, 0]).index(7) + 1, 2, 4),
-    ("dimension", lambda x: index_to_coord(3, [3, x])[1], 2, 0),
-    ("dimension", lambda x: coord_to_index([2, 1], [3, x]), 2, 0),
-    ("seed", lambda x: len(make_random_geometric(6, 0.5, x).edges), 3, -1),
+    ("0-n", "n", lambda x: Graph(x, []).n, 3, -1),
+    ("1-edge vertex", "edge vertex", lambda x: max(next(iter(Graph(3, [(1, x)]).edges))), 3, 4),
+    ("2-vertex", "vertex", lambda x: next(iter(RING.neighborhood(x, 0))), 2, 6),
+    ("3-vertex", "vertex", lambda x: RING.geodesic(1, x), 3, 0),
+    ("4-h", "h", lambda x: min(RING.neighborhood(1, x)), 2, -1),
+    ("5-n", "n", lambda x: make_complete(x).n, 3, 0),
+    ("6-n", "n", lambda x: make_ring(x).n, 4, 2),
+    ("7-n", "n", lambda x: make_random_geometric(x, 0.5, 1).n, 3, 0),
+    ("8-dimension", "dimension", lambda x: make_grid([x]).coords[-1][0], 3, 0),
+    ("9-dimension", "dimension", lambda x: make_torus([x]).coords[-1][0], 3, 2),
+    ("10-coordinate", "coordinate", lambda x: coord_to_index([x], [3]), 2, 4),
+    ("11-domain vertex", "domain vertex", lambda x: next(iter(Mapping([x], [1], {x: 1}).domain)), 2, None),
+    ("12-codomain vertex", "codomain vertex", lambda x: next(iter(Mapping([1], [x], {1: x}).codomain)), 2, None),
+    ("13-image vertex", "image vertex", lambda x: Mapping([1], [3], {1: x})(1), 3, None),
+    ("14-k_block", "k_block", lambda x: ScoreParams(k_block=x).k_block, 2, 0),
+    ("15-max_loss", "max_loss", lambda x: EnumerationFilter(max_loss=x)._options(RING)[1], 1, 6),
+    ("16-n", "n", lambda x: Graph.from_json_dict({"n": x, "edges": []}).n, 3, -1),
+    ("17-n", "n", lambda x: Graph(x, []).n, 3, graph_module._MAX_ORDER + 1),
+    ("18-upper", "upper", lambda x: min_loss(RING, x), 5, 6),
+    ("19-hops", "hops", lambda x: len(expand_support(RING, {1}, x)), 1, -1),
+    ("20-hops", "hops", lambda x: len(best_composition(RING, {1, 2}, 1, 3, ScoreParams(), hops=x).steps), 1, -1),
+    ("21-vertex", "vertex", lambda x: best_composition(RING, {1, 2}, x, 3, ScoreParams()).v_src, 1, 6),
+    ("22-d", "d", lambda x: len(dirac(x, 1)), 2, 0),
+    ("23-axis", "axis", lambda x: dirac(3, x).index(1) + 1, 2, 4),
+    ("24-axis", "axis", lambda x: len(grid_slice([3, 4], x, 1)), 2, 3),
+    ("25-axis", "axis", lambda x: dirac_shift_loss([2, 3, 5], x), 2, 0),
+    ("26-slice index", "slice index", lambda x: grid_slice([3, 4], 2, x)[0], 2, 5),
+    ("27-sign", "sign", lambda x: sum(dirac(2, 1, x)), -1, 0),
+    ("28-index", "index", lambda x: index_to_coord(x, [3, 3])[0], 4, 0),
+    ("29-delta entry", "delta entry", lambda x: euclidean_on_grid([4], (x,))(1), 2, None),
+    ("30-delta entry", "delta entry", lambda x: euclidean_on_torus([4], (x,))(1), 2, None),
+    ("31-signal vertex", "signal vertex", lambda x: apply_to_signal(_pair(x, 1), [1, 2, 3])[0], 2, 0),
+    ("32-signal vertex", "signal vertex", lambda x: apply_to_signal(_pair(1, x), [7, 0, 0]).index(7) + 1, 2, 4),
+    ("33-dimension", "dimension", lambda x: index_to_coord(3, [3, x])[1], 2, 0),
+    ("34-dimension", "dimension", lambda x: coord_to_index([2, 1], [3, x]), 2, 0),
+    ("35-seed", "seed", lambda x: len(make_random_geometric(6, 0.5, x).edges), 3, -1),
 ]
 
 
-@pytest.mark.parametrize(
-    "name, call, good, out_of_range", ENTRIES, ids=[f"{i}-{e[0]}" for i, e in enumerate(ENTRIES)]
-)
+assert len({e[0] for e in ENTRIES}) == len(ENTRIES), "test ids must be unique"
+
+
+@pytest.mark.parametrize("name, call, good, out_of_range", [e[1:] for e in ENTRIES], ids=[e[0] for e in ENTRIES])
 def test_every_integer_entry_applies_one_rule(name, call, good, out_of_range):
     for bad in (1.5, 2.0, True, "3", out_of_range):
         if bad is None:

@@ -7,7 +7,6 @@ from graph_shift.graph import Graph, make_complete, make_ring
 from graph_shift.mapping import BOTTOM, Mapping, full_mapping, property_report
 from graph_shift.relax import (
     ScoreParams,
-    composition_score,
     evaluation_pair,
     pareto_front,
     score,
@@ -96,28 +95,6 @@ def test_snp_violations_on_a_restricted_domain():
     g = make_ring(4)
     m = restricted(g, {1, 2}, {1: 1, 2: 3})
     assert property_report(g, m).snp_violations == 1
-
-
-def test_composition_score_monotone():
-    g = make_ring(5)
-    rot = full_mapping(g, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1})
-    lossy = full_mapping(g, {1: 2, 2: 3, 3: 4, 4: 5, 5: BOTTOM})
-    breakdowns = [score(g, m, P) for m in (rot, lossy, rot)]
-    assert composition_score([]) == 0
-    assert composition_score(breakdowns[:1]) == breakdowns[0].total
-    prefix = [composition_score(breakdowns[: i + 1]) for i in range(3)]
-    assert prefix == sorted(prefix)
-
-
-def test_inverse_pair_composition_overestimates():
-    # a rotation followed by its inverse nets out to the identity, yet the
-    # summed score stays positive when either step is imperfect
-    g = make_ring(5)
-    lossy = full_mapping(g, {1: 2, 2: 3, 3: 4, 4: 5, 5: BOTTOM})
-    from graph_shift.mapping import compose, inverse
-
-    total = composition_score([score(g, lossy, P), score(g, inverse(lossy), P)])
-    assert total > 0
 
 
 def test_evaluation_pair_examples():

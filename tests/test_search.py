@@ -295,6 +295,21 @@ def test_trace_scores_are_prefix_monotone_and_consistent():
     assert 9 in composed.image_set  # target reached by the replay
 
 
+def test_cumulative_score_is_the_popped_queue_key():
+    # The key starts from the int 0 and adds the step totals in chain order,
+    # as sum() does, so the two agree bit for bit; a chain without steps keeps the int.
+    geo = make_random_geometric(100, 0.15, 3)  # test_golden.py's pinned compose instance
+    grid, small = make_grid([3, 3]), make_random_geometric(14, 0.4, 26)
+    cases = [(geo, 82, 8, ScoreParams(1.0, 0.1, 0.5, k)) for k in (1, 2, 3)]
+    cases += [(grid, 1, 9, P), (grid, 1, 9, ScoreParams(0.1, 1.0, 0.5, 2)), (small, 13, 8, P)]
+    for g, src, tgt, p in cases:
+        tr = best_composition(g, expand_support(g, {src}, 1), src, tgt, p)
+        assert tr.steps and tr.cumulative_score == sum(b.total for _, b in tr.steps)
+    for g, src, _, p in cases:
+        tr = best_composition(g, expand_support(g, {src}, 1), src, src, p)
+        assert tr.found and tr.steps == [] and type(tr.cumulative_score) is int
+
+
 def _chain_oracle(g, V1, v_src, v_tgt, p, max_steps=4):
     """Cheapest chain of at most max_steps best_composition steps, revisits allowed.
 
@@ -423,8 +438,6 @@ def test_localized_sets_rejects_a_signal_of_the_wrong_length(x):
     g = make_ring(5)
     with pytest.raises(ValueError, match="entries for 5 vertices"):
         localized_sets(g, x)
-    with pytest.raises(ValueError, match="entries for 5 vertices"):
-        parameter_sweep(g, x, 1, 3, grid=[(1.0, 0.1, 0.5, 1)])
 
 
 def test_expand_support_rejects_out_of_range_vertices():
@@ -458,8 +471,7 @@ def test_expand_support_stops_at_an_empty_frontier():
 
 def test_parameter_sweep_single_cell():
     g = make_grid([3, 3])
-    x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
-    cells = parameter_sweep(g, x, 1, 9, grid=[(1.0, 0.1, 0.5, 1)])
+    cells = parameter_sweep(g, expand_support(g, {1}, 1), 1, 9, grid=[(1.0, 0.1, 0.5, 1)])
     assert len(cells) == 1
     trace, on_front = cells[0]
     assert trace.found and on_front
@@ -467,9 +479,8 @@ def test_parameter_sweep_single_cell():
 
 def test_parameter_sweep_rejects_zero_weights():
     g = make_grid([3, 3])
-    x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
     with pytest.raises(ValueError):
-        parameter_sweep(g, x, 1, 9, grid=[(0.0, 0.0, 0.0, 1)])
+        parameter_sweep(g, expand_support(g, {1}, 1), 1, 9, grid=[(0.0, 0.0, 0.0, 1)])
 
 
 def test_best_composition_rejects_negative_hops_at_target():
@@ -484,9 +495,8 @@ def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
     Returns the sweep's stats.
     """
     support = expand_support(g, {src}, 1)
-    x = [1.0 if v in support else 0.0 for v in g.vertices]
     swept, alone = SearchStats(), SearchStats()
-    cells = parameter_sweep(g, x, src, tgt, grid=grid, stats=swept)
+    cells = parameter_sweep(g, support, src, tgt, grid=grid, stats=swept)
     params = [trace.params for trace, _ in cells]
     assert [(p.alpha, p.beta, p.gamma, p.k_block) for p in params] == list(grid)
     for (trace, _), cell in zip(cells, grid):
@@ -502,13 +512,12 @@ def test_parameter_sweep_calls_the_kernel_once_per_expanded_anchor(monkeypatch):
     # Every settled anchor but a found target is expanded by one kernel call,
     # however many chains its rounds slice.
     g = make_random_geometric(24, 0.35, 11)
-    x = [1.0 if v in expand_support(g, {1}, 1) else 0.0 for v in g.vertices]
     grid = [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 3), (0.5, 1.0, 0.1, 3)]
     kernel = search_module._minimize_batch
     calls = []
     monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
     stats = SearchStats()
-    cells = parameter_sweep(g, x, 1, 20, grid=grid, stats=stats)
+    cells = parameter_sweep(g, expand_support(g, {1}, 1), 1, 20, grid=grid, stats=stats)
     assert len(calls) == stats.settled - sum(trace.found for trace, _ in cells)
     # Some expansion's k=3 rounds held more dense rows than one slice.
     dense = [len(v2s) * (len(V2.union(v2s)) + 1) ** 3 for _, v2s, _, _, V2, *_ in calls]
