@@ -4,12 +4,18 @@ Two layers: a greedy K-block assignment heuristic that builds one
 approximate translation between anchor vertices (`minimize_s`), and a
 Dijkstra-style search over anchors that chains such steps from a source
 to a target vertex (`best_composition`), keyed by accumulated score.
-Each anchor-queue entry carries its chain of (mapping, breakdown) steps, so
-the chain found is neither walked back nor scored again.
+Each anchor-queue entry carries its chain's (mapping, breakdown) steps up
+to its last anchor and the kernel's record of its last step (score, picks
+and raw sums), built into a step only when the entry settles its anchor;
+so the chain found is neither walked back nor scored again, and a chain
+that is never popped costs no mapping.
 
 One kernel, `_minimize_batch`, builds every greedy step. Expanding an
 anchor builds one chain per unvisited v2, and the chains share the
 support, its order and the targets, so one kernel call builds them all.
+Each chain brings its own weights: chains that share one ScoreParams are
+weighed by its scalars, mixed ones by per-chain weight arrays, whose
+elementwise float64 products give the same bits.
 A round assigns a block of L sources; its rows are the flat product of L
 option axes over the sorted targets, then ⊥, built for a slice of the
 chains at a time (`_BATCH_CELLS`). Raw sums broadcast three integer
@@ -22,12 +28,16 @@ picks the first minimizer of its own candidates, whatever its slice.
 `relax._weigh`, the expression behind `relax.score`, weighs rows and
 steps, so the numbers agree.
 
-A parameter sweep shares rounds across its weight cells: a round's raw
-sums depend on the chain's committed assignment, the block and the
-targets, and the weights enter only through the argmin. So
-`parameter_sweep` hands the kernel a round cache keyed per chain by those.
-An entry keeps each distinct (raw_loss, raw_ec, raw_def) triple of the
-round's candidates with its first row, in first-row order
+A parameter sweep runs the cells of one block size in lockstep
+(`_best_compositions`): on each tick every live cell settles one anchor,
+and the cells that expand the same anchor with the same support, hence
+the same targets, hand all their chains to one kernel call. The cells
+also share rounds: a round's raw sums depend on the chain's committed
+assignment, the block and the targets, and the weights enter only through
+the argmin. So `parameter_sweep` hands the kernel a round cache keyed per
+chain by those, and the chains of one call that share a key fill its
+entry once. An entry keeps each distinct (raw_loss, raw_ec, raw_def)
+triple of the round's candidates with its first row, in first-row order
 (`_distinct_rows`). A row's total is a function of its triple, so for any
 weights the first minimum over the entry sits at the first minimum over
 all rows: outputs stay bit-identical. The chains that miss are scored to
@@ -46,6 +56,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import types
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,6 +135,9 @@ class SearchStats:
     sources; their rows count as considered, not computed). `pushes`,
     `stale_pops` and `settled` count best_composition's queue entries
     pushed, popped for an anchor already settled, and anchors settled.
+    `kernel_calls` counts the calls of the greedy kernel, however many
+    slices it splits its chains into: one per expanded anchor in a lone
+    search, one per shared expansion in a sweep.
     """
 
     evaluations: int = 0
@@ -133,32 +147,39 @@ class SearchStats:
     pushes: int = 0
     stale_pops: int = 0
     settled: int = 0
+    kernel_calls: int = 0
 
 
 #: Cells a round's rows may take at once: it builds them for slices of
 #: _BATCH_CELLS // (targets + 1)^L chains. A kernel call splits its chains
 #: only if their deformation tables, sources × (targets + 1) each, exceed it.
-#: Each cell holds about ten 8-byte temporaries; the bound keeps a sweep's peak RSS.
-_BATCH_CELLS = 1 << 15
+#: Each cell holds about ten 8-byte temporaries; the bound keeps a sweep's peak
+#: RSS, whose lockstep calls fill whole slices (2^15 cost it 11%, 2^14 6%).
+_BATCH_CELLS = 1 << 14
 #: Rounds of at least this many sources go through a sweep's round cache.
 _CACHED_BLOCK = 3
 
 
-def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None, rounds=None):
-    """minimize_s for each v2 in v2s: a list of (mapping, breakdown).
+def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None, rounds=None):
+    """minimize_s for each v2 in v2s, weighed by its own ScoreParams in ps: a list of (total, row, raw).
 
     Every chain pins v1 -> v2 and then assigns the other support vertices
-    in ascending order, up to p.k_block per round, each block to the first
+    in ascending order, up to k_block per round, each block to the first
     minimizer over arrangements of its unused targets (V2 and its own v2)
-    and ⊥ (module docstring); each equals a lone minimize_s call. The
-    caller guarantees valid vertices: V1 is the sorted support and holds
-    v1, V2 is the target set, and v2s are vertices of g. `rounds` is a
-    sweep's round cache: a dict from a chain's round (anchor, block,
-    targets, committed sources, pin, picks and used targets, as bytes) to
-    `_distinct_rows` of its candidates, by flat product index. The result
-    is the same without it. A round builds rows only for the chains that
-    miss it, sliced within `_BATCH_CELLS`, so an expansion is one call.
+    and ⊥ (module docstring); each equals a lone minimize_s call. `row`
+    holds the images of V1's other vertices in order (0 for ⊥), `raw` the
+    (loss, ec, def) sums, and `total` the score, bit for bit that of the
+    step `_step` builds from them. The caller guarantees valid vertices: V1
+    is the sorted support and holds v1, V2 is the target set, v2s are
+    vertices of g, and ps share one k_block. `rounds` is a sweep's round
+    cache: a dict from a chain's round (anchor, block, targets, committed
+    sources, pin, picks and used targets, as bytes) to `_distinct_rows` of
+    its candidates, by flat product index. The result is the same without
+    it. A round builds rows only for the chains that miss it, once per key,
+    sliced within `_BATCH_CELLS`, so an expansion is one call.
     """
+    if stats is not None:
+        stats.kernel_calls += 1
     if not v2s:
         return []
     rest = [v for v in V1 if v != v1]
@@ -166,8 +187,20 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     nt, nc = len(T), len(v2s)
     step = max(1, _BATCH_CELLS // ((nt + 1) * max(1, len(rest))))
     if nc > step:
-        chunks = (v2s[lo : lo + step] for lo in range(0, nc, step))
-        return [out for chunk in chunks for out in _minimize_batch(v1, chunk, g, V1, V2, p, stats, rounds)]
+        chunks = range(0, nc, step)
+        out = []
+        for lo in chunks:
+            out += _minimize_batch(v1, v2s[lo : lo + step], g, V1, V2, ps[lo : lo + step], stats, rounds)
+        if stats is not None:
+            stats.kernel_calls -= len(chunks)  # the chunks are parts of this call
+        return out
+
+    p, W = ps[0], None
+    if any(q is not p for q in ps):
+        W = np.array([(q.alpha, q.beta, q.gamma) for q in ps]).T
+
+    def weights(at):  # for _weigh: p's scalars, or the weights of the chains at `at`, shaped like it
+        return p if W is None else types.SimpleNamespace(alpha=W[0][at], beta=W[1][at], gamma=W[2][at])
 
     dist = g.distance_matrix()
     tg, rs, pins = (np.array(vs, dtype=np.intp) for vs in (T, rest, v2s))
@@ -199,8 +232,11 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
             head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
             state = np.vstack((pins, picks[:start])).T.astype(np.int32)
             keys = [head + s.tobytes() + u.tobytes() for s, u in zip(state, used)]
-            entries = [rounds.get(key) for key in keys]
-            todo = np.flatnonzero([entry is None for entry in entries])
+            missed = {}
+            for c, key in enumerate(keys):
+                if key not in rounds:
+                    missed.setdefault(key, c)
+            todo = np.array(list(missed.values()), dtype=np.intp)
         if stats is not None:
             # A chain's candidates: j of the L sources on distinct free targets, the rest on ⊥.
             free = nt - np.count_nonzero(used, axis=1)
@@ -235,11 +271,9 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
             if cached:
                 for i, c in enumerate(part):
                     flat = np.flatnonzero(~bad[i])
-                    entries[c] = rounds[keys[c]] = _distinct_rows(
-                        raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat], flat
-                    )
+                    rounds[keys[c]] = _distinct_rows(raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat], flat)
             else:
-                total = _weigh(p, n1, raw_loss, raw_ec, raw_def)[-1]
+                total = _weigh(weights((part, None)), n1, raw_loss, raw_ec, raw_def)[-1]
                 total[bad] = np.inf
                 pick = total.argmin(axis=1)
                 at = chains[: len(pick)], pick
@@ -251,10 +285,11 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
         else:
             # Every chain's entry, weighed at once as one pool of segments;
             # each chain takes the first pool index holding its segment's minimum.
+            entries = [rounds[key] for key in keys]
             sizes = np.array([entry.shape[1] for entry in entries])
             starts = np.cumsum(sizes) - sizes
             pool = np.concatenate(entries, axis=1)
-            total = _weigh(p, n1, *pool[:3])[-1]
+            total = _weigh(weights(np.repeat(chains, sizes)), n1, *pool[:3])[-1]
             hits = np.flatnonzero(total == np.repeat(np.minimum.reduceat(total, starts), sizes))
             first = hits[np.searchsorted(hits, starts)]
             best = pool[3, first]
@@ -271,15 +306,22 @@ def _minimize_batch(v1, v2s, g, V1, V2, p: ScoreParams, stats: Optional[SearchSt
     if stats is not None:
         stats.calls += nc
 
-    domain, V2, options = frozenset(V1), frozenset(V2), T + [BOTTOM]
-    out = []
-    for v2, row, *raw in zip(v2s, picks.T.tolist(), loss.tolist(), ec_sum.tolist(), def_sum.tolist()):
-        image = {v1: v2}
-        image.update(zip(rest, map(options.__getitem__, row)))
-        codomain = V2 if v2 in V2 else V2 | {v2}
-        m = Mapping._trusted(domain, codomain, image)
-        out.append((m, ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)))
-    return out
+    totals = _weigh(weights(chains), len(V1), loss, ec_sum, def_sum)[-1]
+    rows = np.append(tg, 0)[picks].T.tolist()
+    return list(zip(totals.tolist(), rows, zip(loss.tolist(), ec_sum.tolist(), def_sum.tolist())))
+
+
+def _step(v1, v2, V1, V2, row, raw, p):
+    """The (mapping, breakdown) of a `_minimize_batch` chain v1 -> v2 from its row and raw sums.
+
+    V1 is the sorted support the kernel took and V2 the frozenset of targets.
+    The breakdown is `_weigh` over the raw sums as Python ints, equal in
+    every field to `relax.score` of the mapping.
+    """
+    image = {v1: v2}
+    image.update(zip((v for v in V1 if v != v1), (w or BOTTOM for w in row)))
+    codomain = V2 if v2 in V2 else V2 | {v2}
+    return Mapping._trusted(frozenset(V1), codomain, image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
 
 
 def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):
@@ -297,11 +339,13 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     (mapping, breakdown): the breakdown is `_weigh` over the final raw sums
     as Python ints, equal in every field to `relax.score` of the mapping.
     """
-    V1, V2 = ({g._check_vertex(v) for v in vs} for vs in (V1, V2))
+    V1, V2 = (frozenset(g._check_vertex(v) for v in vs) for vs in (V1, V2))
     v1, v2 = g._check_vertex(v1), g._check_vertex(v2)
     if v1 not in V1:
         raise ValueError("anchor source must belong to the support")
-    return _minimize_batch(v1, [v2], g, sorted(V1), V2, p, stats)[0]
+    V1 = sorted(V1)
+    _, row, raw = _minimize_batch(v1, [v2], g, V1, V2, [p], stats)[0]
+    return _step(v1, v2, V1, V2, row, raw, p)
 
 
 @dataclass
@@ -383,14 +427,7 @@ def localized_sets(g, x):
 
 
 def best_composition(
-    g,
-    V1_init,
-    v_src,
-    v_tgt,
-    p: ScoreParams,
-    hops=1,
-    stats: Optional[SearchStats] = None,
-    _rounds=None,
+    g, V1_init, v_src, v_tgt, p: ScoreParams, hops=1, stats: Optional[SearchStats] = None
 ) -> TranslationTrace:
     """Chain approximate translations from v_src to v_tgt at a low total score.
 
@@ -398,15 +435,29 @@ def best_composition(
     settles each anchor vertex once, with the support its first chain
     carries, and expands it to the unvisited vertices of that support's
     hop-frontier; one call of the greedy kernel `_minimize_batch` builds
-    the steps to all of them, at every k_block. Each queue entry carries its
-    chain as the (mapping, breakdown) steps so far; the support is the last
-    step's image set, or V1_init for the empty chain. A step's cost depends
-    on the carried support, so the chain found need not be the cheapest one
-    (a brute-force chain oracle in the tests pins such a gap). Ties in the
-    queue break on (score, vertex index, insertion order). `stats`, if
-    given, also counts the queue's pushes, stale pops and settled anchors.
-    `_rounds` is a sweep's private round cache, handed to every kernel
-    call.
+    the steps to all of them, at every k_block. A queue entry carries the
+    steps of its chain up to its last anchor and the kernel's record of its
+    last step, which becomes a (mapping, breakdown) step only when the
+    entry settles its anchor; the support is the last step's image set, or
+    V1_init for the empty chain. A step's cost depends on the carried
+    support, so the chain found need not be the cheapest one (a brute-force
+    chain oracle in the tests pins such a gap). Ties in the queue break on
+    (score, vertex index, insertion order). `stats`, if given, also counts
+    the queue's pushes, stale pops and settled anchors.
+    """
+    return _best_compositions(g, V1_init, v_src, v_tgt, [p], hops, stats)[0]
+
+
+def _best_compositions(g, V1_init, v_src, v_tgt, params, hops, stats, rounds=None):
+    """best_composition for each of `params`, which share one k_block, run in lockstep: their traces.
+
+    Each cell keeps its own queue, settled set and insertion counter, so
+    its trace is that of a lone call. On each tick every live cell pops
+    until it settles a fresh anchor or its target, or its queue runs dry.
+    The cells' pending expansions are then grouped by (anchor, support),
+    which fix the target set, and each group's chains, over all its cells,
+    go to one kernel call with each chain's weights. `rounds` is a sweep's
+    round cache, handed to every kernel call.
     """
     V1_init = frozenset(V1_init)
     hops = _check_int(hops, "hops", 0)
@@ -414,36 +465,55 @@ def best_composition(
     if v_src not in V1_init:
         raise ValueError("v_src must belong to the initial support")
 
-    visited = set()
-    counter = itertools.count()
-    # The int 0, as sum() starts from: a chain's key is the sum of its step totals, bit for bit.
-    queue = [(0, v_src, next(counter), ())]
+    # An entry is (key, anchor, count, steps, last), `last` the arguments of
+    # `_step` but p for its last step, None for the empty chain. The key
+    # starts from the int 0, as sum() does: it is the step totals' sum, bit for bit.
+    queues = [[(0, v_src, 0, (), None)] for _ in params]
+    visited = [set() for _ in params]
+    counters = [itertools.count(1) for _ in params]
+    traces = [None] * len(params)
     if stats is not None:
-        stats.pushes += 1
-    while queue:
-        total, v1, _, steps = heapq.heappop(queue)
-        if v1 in visited:
+        stats.pushes += len(params)
+    live = range(len(params))
+    while live:
+        groups = {}
+        for c in live:
+            queue, p = queues[c], params[c]
+            while queue:
+                total, v1, _, steps, last = heapq.heappop(queue)
+                if v1 not in visited[c]:
+                    break
+                if stats is not None:
+                    stats.stale_pops += 1
+            else:
+                traces[c] = TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt)
+                continue
+            visited[c].add(v1)
             if stats is not None:
-                stats.stale_pops += 1
-            continue
-        visited.add(v1)
-        if stats is not None:
-            stats.settled += 1
-        if v1 == v_tgt:
-            trace = TranslationTrace(True, list(steps), total, None, p, v_src, v_tgt)
-            composed = trace.composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
-            trace.final_pair = evaluation_pair(g, composed)
-            return trace
-        support = sorted(steps[-1][0].image_set if steps else V1_init)
-        V2 = expand_support(g, support, hops)  # validates the support for the kernel
-        v2s = [v2 for v2 in sorted(V2 - {v1}) if v2 not in visited]
-        found = _minimize_batch(v1, v2s, g, support, V2, p, stats, _rounds)
-        for v2, (m, b) in zip(v2s, found):
-            heapq.heappush(queue, (total + b.total, v2, next(counter), steps + ((m, b),)))
-        if stats is not None:
-            stats.pushes += len(v2s)
+                stats.settled += 1
+            if last is not None:
+                steps += (_step(*last, p),)
+            if v1 == v_tgt:
+                traces[c] = TranslationTrace(True, list(steps), total, None, p, v_src, v_tgt)
+                composed = traces[c].composed() or Mapping(V1_init, V1_init, {v: v for v in V1_init})
+                traces[c].final_pair = evaluation_pair(g, composed)
+                continue
+            support = tuple(sorted(steps[-1][0].image_set if steps else V1_init))
+            groups.setdefault((v1, support), []).append((c, total, steps))
+        live = [c for c in live if traces[c] is None]
 
-    return TranslationTrace(False, [], math.inf, None, p, v_src, v_tgt)
+        for (v1, support), cells in groups.items():
+            V2 = frozenset(expand_support(g, support, hops))  # validates the support for the kernel
+            targets = sorted(V2 - {v1})
+            chains = [(c, total, steps, v2) for c, total, steps in cells for v2 in targets if v2 not in visited[c]]
+            v2s, ps = [v2 for *_, v2 in chains], [params[c] for c, *_ in chains]
+            found = _minimize_batch(v1, v2s, g, support, V2, ps, stats, rounds)
+            for (c, total, steps, v2), (step_total, row, raw) in zip(chains, found):
+                last = v1, v2, support, V2, row, raw
+                heapq.heappush(queues[c], (total + step_total, v2, next(counters[c]), steps, last))
+            if stats is not None:
+                stats.pushes += len(chains)
+    return traces
 
 
 DEFAULT_WEIGHTS = (0.1, 0.5, 1.0)
@@ -456,23 +526,24 @@ def parameter_sweep(g, support, v_src, v_tgt, grid=None, hops=1, stats: Optional
     Returns one (trace, on_front) pair per cell, in grid order; on_front
     says that the trace found a chain whose final (loss ratio, snp ratio)
     pair no other cell's pair dominates. The default grid is the 81 cells
-    of DEFAULT_WEIGHTS cubed by DEFAULT_BLOCKS, k varying fastest. Cells
-    run grouped by block size k, in order of first appearance and in grid
-    order within a group, and each group shares one round cache (module
-    docstring), dropped when the group ends: its cells differ only in their
-    weights, which a greedy round reads only through its argmin. Every
-    trace equals that of a lone best_composition call: its cumulative score
-    is the queue key, its step totals summed, or the int 0 if v_src == v_tgt.
-    `stats`, if given, accumulates over every cell.
+    of DEFAULT_WEIGHTS cubed by DEFAULT_BLOCKS, k varying fastest. The
+    cells of one block size k run as one lockstep search, so cells that
+    expand the same anchor with the same support share one kernel call,
+    and share one round cache (module docstring), dropped when the search
+    ends: its cells differ only in their weights, which a greedy round
+    reads only through its argmin. Every trace equals that of a lone
+    best_composition call: its cumulative score is the queue key, its step
+    totals summed, or the int 0 if v_src == v_tgt. `stats`, if given,
+    accumulates over every cell.
     """
     grid = list(itertools.product(*[DEFAULT_WEIGHTS] * 3, DEFAULT_BLOCKS) if grid is None else grid)
     params = [ScoreParams(a, b, c, k) for a, b, c, k in grid]
     traces = [None] * len(grid)
     for k in dict.fromkeys(p.k_block for p in params):
-        rounds = {}
-        for i, p in enumerate(params):
-            if p.k_block == k:
-                traces[i] = best_composition(g, support, v_src, v_tgt, p, hops=hops, stats=stats, _rounds=rounds)
+        cells = [i for i, p in enumerate(params) if p.k_block == k]
+        found = _best_compositions(g, support, v_src, v_tgt, [params[i] for i in cells], hops, stats, {})
+        for i, trace in zip(cells, found):
+            traces[i] = trace
 
     front = pareto_front([(*tr.final_pair, i) for i, tr in enumerate(traces) if tr.found])
     on_front = {i for _, _, i in front}

@@ -20,6 +20,7 @@ from graph_shift.search import (
     _distinct_rows,
     _minimize_batch,
     _product_masks,
+    _step,
     best_composition,
     expand_support,
     localized_sets,
@@ -99,17 +100,19 @@ def test_minimize_batch_matches_scalar_greedy_property():
         support = sorted(V1)
 
         stats = SearchStats()
-        batch = _minimize_batch(v1, v2s, g, support, V2, p, stats)
+        batch = _minimize_batch(v1, v2s, g, support, V2, [p] * len(v2s), stats)
         rows = 0
-        for v2, (m, b) in zip(v2s, batch, strict=True):
+        for v2, (total, row, raw) in zip(v2s, batch, strict=True):
+            m, b = _step(v1, v2, support, frozenset(V2), row, raw, p)
             ref_m, ref_b, ref_rows = greedy_reference(g, v1, v2, V1, V2, p)
             assert (m, b) == (ref_m, ref_b)
+            assert total.hex() == b.total.hex()  # the queue key adds the kernel's total
             assert m(v1) == v2 and v2 in m.codomain  # a v2 outside V2 is added
             rows += ref_rows
         assert (stats.calls, stats.evaluations, stats.rows_computed) == (len(v2s), rows, rows)
-        assert stats.round_hits == 0
+        assert (stats.round_hits, stats.kernel_calls) == (0, 1)
         # Chains do not see each other's used targets.
-        assert [_minimize_batch(v1, [v2], g, support, V2, p)[0] for v2 in v2s] == batch
+        assert [_minimize_batch(v1, [v2], g, support, V2, [p])[0] for v2 in v2s] == batch
 
         # A sweep's round cache, filled under p (every round misses), read
         # again under p (every round of _CACHED_BLOCK or more sources hits)
@@ -123,13 +126,78 @@ def test_minimize_batch_matches_scalar_greedy_property():
         rounds = {}
         for q, hits in ((p, {0}), (p, {cached}), (reweighed, range(first, cached + 1))):
             plain, reused = SearchStats(), SearchStats()
-            expected = _minimize_batch(v1, v2s, g, support, V2, q, plain)
-            assert _minimize_batch(v1, v2s, g, support, V2, q, reused, rounds) == expected
+            expected = _minimize_batch(v1, v2s, g, support, V2, [q] * len(v2s), plain)
+            assert _minimize_batch(v1, v2s, g, support, V2, [q] * len(v2s), reused, rounds) == expected
             assert (reused.calls, reused.evaluations) == (plain.calls, plain.evaluations)
             assert reused.round_hits in hits
             assert (reused.rows_computed < plain.rows_computed) == bool(reused.round_hits)
 
     check()
+
+
+def test_minimize_batch_with_mixed_weights_equals_one_call_per_weight_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    weight = st.sampled_from((0.0,) + DEFAULT_WEIGHTS)
+    weights = st.tuples(weight, weight, weight).filter(any)
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        k = data.draw(st.sampled_from(DEFAULT_BLOCKS), label="k_block")
+        n = data.draw(st.integers(6, 11 if k == 1 else 9), label="n")
+        g = make_random_geometric(n, data.draw(st.sampled_from([0.35, 0.5])), data.draw(st.integers(0, 10**6)))
+        V1 = data.draw(st.sets(st.sampled_from(list(g.vertices)), min_size=1, max_size=6), label="V1")
+        v1 = data.draw(st.sampled_from(sorted(V1)), label="v1")
+        V2, support = frozenset(expand_support(g, V1, 1)), sorted(V1)
+        # Cells may repeat weights; a chain may repeat another's v2 under other weights.
+        cells = [ScoreParams(*w, k) for w in data.draw(st.lists(weights, min_size=2, max_size=4), label="cells")]
+        chains = data.draw(
+            st.lists(st.tuples(st.sampled_from(sorted(V2)), st.integers(0, len(cells) - 1)), min_size=1, max_size=8),
+            label="chains",
+        )
+        cache = data.draw(st.booleans(), label="cache")
+        v2s, ps = [v2 for v2, _ in chains], [cells[c] for _, c in chains]
+
+        mixed = SearchStats()
+        out = _minimize_batch(v1, v2s, g, support, V2, ps, mixed, {} if cache else None)
+        apart, rounds, expected = SearchStats(), {} if cache else None, [None] * len(chains)
+        for c, p in enumerate(cells):
+            at = [i for i, (_, cell) in enumerate(chains) if cell == c]
+            alone = _minimize_batch(v1, [v2s[i] for i in at], g, support, V2, [p] * len(at), apart, rounds)
+            for i, chain in zip(at, alone):
+                expected[i] = chain
+        for (total, row, raw), (ref_total, ref_row, ref_raw), v2, p in zip(out, expected, v2s, ps):
+            assert (total.hex(), row, raw) == (ref_total.hex(), ref_row, ref_raw)
+            assert _step(v1, v2, support, V2, row, raw, p) == _step(v1, v2, support, V2, ref_row, ref_raw, p)
+        assert (mixed.kernel_calls, apart.kernel_calls) == (1, len(cells))
+        assert dataclasses.replace(mixed, kernel_calls=0) == dataclasses.replace(apart, kernel_calls=0)
+
+    check()
+
+
+def test_chains_that_share_a_round_cache_key_build_its_rows_once():
+    g = make_random_geometric(16, 0.35, 2)
+    V1 = sorted(expand_support(g, {5}, 1))
+    V2 = expand_support(g, V1, 1)
+    v2 = min(V2 - {5})
+    p, q = ScoreParams(1.0, 0.1, 0.5, _CACHED_BLOCK), ScoreParams(0.1, 0.5, 1.0, _CACHED_BLOCK)
+    once, alone = SearchStats(), {}
+    chain = _minimize_batch(5, [v2], g, V1, V2, [p], once, alone)
+    assert len(alone) == (len(V1) - 1) // _CACHED_BLOCK >= 2
+    # Run again on its filled cache, the chain builds only its uncached rounds' rows.
+    again = SearchStats()
+    assert _minimize_batch(5, [v2], g, V1, V2, [p], again, alone) == chain
+    assert again.round_hits == len(alone)
+    # The same chain twice in one call: the second reads every entry the first filled.
+    twice, shared = SearchStats(), {}
+    assert _minimize_batch(5, [v2, v2], g, V1, V2, [p, p], twice, shared) == chain * 2
+    assert shared.keys() == alone.keys()
+    assert (twice.rows_computed, twice.round_hits) == (once.rows_computed + again.rows_computed, len(alone))
+    # Under other weights the chains' first cached rounds still share a key.
+    mixed, rounds = SearchStats(), {}
+    _minimize_batch(5, [v2, v2], g, V1, V2, [p, q], mixed, rounds)
+    assert mixed.round_hits >= 1 and len(rounds) == 2 * len(alone) - mixed.round_hits
 
 
 def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(monkeypatch):
@@ -147,9 +215,9 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
         # mixes hits with misses, and the misses are sliced.
         filled = {}
         if cache:
-            kernel(1, v2s[::2], g, V1, V2, p, None, filled)
+            kernel(1, v2s[::2], g, V1, V2, [p] * len(v2s[::2]), None, filled)
         whole_rounds, whole = dict(filled), SearchStats()
-        expected = kernel(1, v2s, g, V1, V2, p, whole, whole_rounds if cache else None)
+        expected = kernel(1, v2s, g, V1, V2, [p] * nc, whole, whole_rounds if cache else None)
         dense = (nt + 1) ** min(k, nrest)  # one chain's rows in its widest round
         table = nrest * (nt + 1)  # one chain's deformation table
         for chains in (1, 2):
@@ -159,8 +227,8 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
             monkeypatch.setattr(search_module, "_BATCH_CELLS", budget)
             monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
             split_rounds, split = dict(filled), SearchStats()
-            assert kernel(1, v2s, g, V1, V2, p, split, split_rounds if cache else None) == expected
-            assert split == whole
+            assert kernel(1, v2s, g, V1, V2, [p] * nc, split, split_rounds if cache else None) == expected
+            assert split == whole  # kernel_calls too: the chunks count as one call
             if cache and k >= _CACHED_BLOCK:
                 assert 0 < split.round_hits < split.calls * (nrest // _CACHED_BLOCK)
             assert split_rounds.keys() == whole_rounds.keys()
@@ -260,12 +328,14 @@ def test_best_composition_counts_its_queue():
     stats = SearchStats()
     best_composition(path(3), {1}, 1, 3, P, stats=stats)
     # The start entry, then 1 pushes 2 and 2 pushes 3 (1 is visited); all settle.
-    assert (stats.pushes, stats.settled, stats.stale_pops, stats.calls) == (3, 3, 0, 2)
+    # The target is not expanded, so two kernel calls built the two chains.
+    assert (stats.pushes, stats.settled, stats.stale_pops, stats.calls, stats.kernel_calls) == (3, 3, 0, 2, 2)
     g = make_grid([3, 3])
     stats = SearchStats()
     tr = best_composition(g, {1, 2, 4}, 1, 9, P, stats=stats)
     assert tr == best_composition(g, {1, 2, 4}, 1, 9, P)
     assert stats.pushes == stats.calls + 1 and stats.stale_pops > 0
+    assert stats.kernel_calls == stats.settled - 1
     assert stats.settled + stats.stale_pops <= stats.pushes
 
 
@@ -490,38 +560,83 @@ def test_best_composition_rejects_negative_hops_at_target():
 
 
 def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
-    """parameter_sweep, with its round cache, against one cache-free call per cell.
+    """parameter_sweep, lockstep with its round cache, against one cache-free call per cell.
 
-    Returns the sweep's stats.
+    Returns the sweep's stats and the lone calls' stats, one per cell.
     """
     support = expand_support(g, {src}, 1)
-    swept, alone = SearchStats(), SearchStats()
+    swept, alone = SearchStats(), []
     cells = parameter_sweep(g, support, src, tgt, grid=grid, stats=swept)
     params = [trace.params for trace, _ in cells]
     assert [(p.alpha, p.beta, p.gamma, p.k_block) for p in params] == list(grid)
     for (trace, _), cell in zip(cells, grid):
-        tr = best_composition(g, support, src, tgt, ScoreParams(*cell), stats=alone)
+        alone.append(SearchStats())
+        tr = best_composition(g, support, src, tgt, ScoreParams(*cell), stats=alone[-1])
         assert trace == tr
         assert trace.to_json_dict() == tr.to_json_dict()
-    assert (swept.evaluations, swept.calls) == (alone.evaluations, alone.calls)
-    assert (alone.rows_computed, alone.round_hits) == (alone.evaluations, 0)
-    return swept
+        assert alone[-1].kernel_calls == alone[-1].settled - tr.found  # one call per expanded anchor
+    total = SearchStats(*map(sum, zip(*(dataclasses.astuple(s) for s in alone))))
+    same = ("evaluations", "calls", "pushes", "stale_pops", "settled")
+    assert [getattr(swept, f) for f in same] == [getattr(total, f) for f in same]
+    assert (total.rows_computed, total.round_hits) == (total.evaluations, 0)
+    assert swept.kernel_calls <= total.kernel_calls
+    return swept, alone
 
 
-def test_parameter_sweep_calls_the_kernel_once_per_expanded_anchor(monkeypatch):
+def test_best_composition_calls_the_kernel_once_per_expanded_anchor(monkeypatch):
     # Every settled anchor but a found target is expanded by one kernel call,
     # however many chains its rounds slice.
     g = make_random_geometric(24, 0.35, 11)
-    grid = [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 3), (0.5, 1.0, 0.1, 3)]
+    support = expand_support(g, {1}, 1)
     kernel = search_module._minimize_batch
     calls = []
     monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
+    for cell in [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 3), (0.5, 1.0, 0.1, 3)]:
+        stats = SearchStats()
+        trace = best_composition(g, support, 1, 20, ScoreParams(*cell), stats=stats)
+        assert len(calls) == stats.kernel_calls == stats.settled - trace.found
+        # Some expansion's k=3 rounds held more dense rows than one slice.
+        dense = [len(v2s) * (len(V2.union(v2s)) + 1) ** 3 for _, v2s, _, _, V2, *_ in calls]
+        assert max(dense) > search_module._BATCH_CELLS
+        calls.clear()
+
+
+def test_parameter_sweep_calls_the_kernel_fewer_times_than_it_expands():
+    # The bench sweep instance: cells that expand the same anchor with the
+    # same support share a kernel call, the source's first expansion at least.
+    g = make_random_geometric(24, 0.35, 11)
     stats = SearchStats()
-    cells = parameter_sweep(g, expand_support(g, {1}, 1), 1, 20, grid=grid, stats=stats)
-    assert len(calls) == stats.settled - sum(trace.found for trace, _ in cells)
-    # Some expansion's k=3 rounds held more dense rows than one slice.
-    dense = [len(v2s) * (len(V2.union(v2s)) + 1) ** 3 for _, v2s, _, _, V2, *_ in calls]
-    assert max(dense) > search_module._BATCH_CELLS
+    cells = parameter_sweep(g, expand_support(g, {1}, 1), 1, 20, stats=stats)
+    expansions = stats.settled - sum(trace.found for trace, _ in cells)
+    assert 0 < stats.kernel_calls < expansions
+
+
+def test_sweep_matches_lone_cells_at_the_source_when_unreachable_and_with_duplicates():
+    g = make_random_geometric(14, 0.45, 3)
+    grid = [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 1), (1.0, 0.1, 0.5, 3), (0.5, 0.5, 0.5, 3), (0.1, 0.5, 1.0, 1)]
+    # v_src == v_tgt: every cell settles its source and stops; nothing is expanded.
+    swept, _ = _assert_sweep_matches_lone_cells(g, 1, 1, grid)
+    assert (swept.settled, swept.kernel_calls) == (len(grid), 0)
+    # Duplicate cells share every expansion, so they add no kernel call.
+    swept, alone = _assert_sweep_matches_lone_cells(g, 1, 8, grid)
+    assert swept.kernel_calls < sum(s.kernel_calls for s in alone)
+    assert swept.round_hits > 0
+    # An unreachable target: every queue runs dry, after different numbers of ticks.
+    two = Graph(9, [(1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (6, 7), (7, 8), (8, 9)])
+    grid = [(1.0, 0.1, 0.5, 1), (0.1, 1.0, 0.1, 1), (1.0, 0.1, 0.5, 2), (0.5, 0.1, 1.0, 2)]
+    swept, alone = _assert_sweep_matches_lone_cells(two, 1, 9, grid)
+    assert swept.settled == sum(s.settled for s in alone) == len(grid) * 5
+
+
+def test_sweep_cells_that_finish_on_different_ticks_match_lone_cells():
+    # A cell settles one anchor per tick, so differing settled counts mean
+    # that some cells stop while others still expand.
+    g = make_random_geometric(16, 0.4, 4)
+    weights = [(1.0, 0.1, 0.5), (0.1, 1.0, 0.1), (0.1, 0.1, 1.0), (0.0, 0.0, 1.0)]
+    grid = [(*w, k) for k in (1, 3) for w in weights]
+    _, alone = _assert_sweep_matches_lone_cells(g, 1, 12, grid)
+    for k in (0, 4):  # the k=1 cells, then the k=3 cells
+        assert len({s.settled for s in alone[k : k + 4]}) > 1
 
 
 def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
@@ -534,7 +649,7 @@ def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
         (0.1, 0.1, 0.1, 2),
         (0.1, 1.0, 1.0, 3),
     ]
-    stats = _assert_sweep_matches_lone_cells(g, 1, 8, grid)
+    stats, _ = _assert_sweep_matches_lone_cells(g, 1, 8, grid)
     assert stats.round_hits > 0
     assert stats.rows_computed < stats.evaluations
 
@@ -551,7 +666,7 @@ def test_sweep_round_cache_matches_lone_cells_with_zero_weights():
         (1.0, 0.0, 0.0, 3),
         (0.0, 0.5, 0.0, 2),
     ]
-    stats = _assert_sweep_matches_lone_cells(g, 1, 11, grid)
+    stats, _ = _assert_sweep_matches_lone_cells(g, 1, 11, grid)
     assert stats.round_hits > 0
 
 
@@ -617,9 +732,10 @@ def test_minimize_batch_mixes_cached_and_missed_chains_in_one_round():
     for weights in ((1.0, 0.1, 0.5), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
         p = ScoreParams(*weights, _CACHED_BLOCK)
         rounds = {}
-        _minimize_batch(5, subset, g, V1, V2, p, None, rounds)
+        _minimize_batch(5, subset, g, V1, V2, [p] * len(subset), None, rounds)
         filled = len(rounds)
         assert filled == len(subset) * ((len(V1) - 1) // _CACHED_BLOCK)
         stats = SearchStats()
-        assert _minimize_batch(5, v2s, g, V1, V2, p, stats, rounds) == _minimize_batch(5, v2s, g, V1, V2, p)
+        ps = [p] * len(v2s)
+        assert _minimize_batch(5, v2s, g, V1, V2, ps, stats, rounds) == _minimize_batch(5, v2s, g, V1, V2, ps)
         assert stats.round_hits == filled
