@@ -34,8 +34,8 @@ and the cells that expand the same anchor with the same support, hence
 the same targets, hand all their chains to one kernel call. The cells
 also share rounds: a round's raw sums depend on the chain's committed
 assignment, the block and the targets, and the weights enter only through
-the argmin. So `parameter_sweep` hands the kernel a round cache keyed per
-chain by those, and the chains of one call that share a key fill its
+the argmin. So a lockstep of two or more cells keeps a round cache, keyed
+per chain by those, and the chains of one call that share a key fill its
 entry once. An entry keeps each distinct (raw_loss, raw_ec, raw_def)
 triple of the round's candidates with its first row, in first-row order
 (`_distinct_rows`). A row's total is a function of its triple, so for any
@@ -45,7 +45,7 @@ fill their entries, and then every chain of the round, hit or miss, is
 weighed from its entry in one `_weigh` call over the entries laid end to
 end; each chain takes the first index of its own segment that holds the
 segment's minimum (`np.minimum.reduceat`), so no sort is needed. The cache
-lives for one block size of the sweep (`parameter_sweep`). Only rounds of
+lives for one lockstep search, one block size of the sweep. Only rounds of
 `_CACHED_BLOCK` (three) or more sources use it: a one-vertex round has
 |targets| + 1 rows, nearly all distinct, and a two-vertex round is weighed
 densely faster than it is cached; from three the dense rows outgrow that.
@@ -135,9 +135,10 @@ class SearchStats:
     sources; their rows count as considered, not computed). `pushes`,
     `stale_pops` and `settled` count best_composition's queue entries
     pushed, popped for an anchor already settled, and anchors settled.
-    `kernel_calls` counts the calls of the greedy kernel, however many
-    slices it splits its chains into: one per expanded anchor in a lone
-    search, one per shared expansion in a sweep.
+    `kernel_calls` counts the anchor search's calls of the greedy kernel,
+    however many slices it splits its chains into: one per expanded anchor
+    in a lone search, one per shared expansion in a sweep; minimize_s
+    counts none.
     """
 
     evaluations: int = 0
@@ -156,7 +157,7 @@ class SearchStats:
 #: Each cell holds about ten 8-byte temporaries; the bound keeps a sweep's peak
 #: RSS, whose lockstep calls fill whole slices (2^15 cost it 11%, 2^14 6%).
 _BATCH_CELLS = 1 << 14
-#: Rounds of at least this many sources go through a sweep's round cache.
+#: Rounds of at least this many sources go through a lockstep's round cache.
 _CACHED_BLOCK = 3
 
 
@@ -165,34 +166,30 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
 
     Every chain pins v1 -> v2 and then assigns the other support vertices
     in ascending order, up to k_block per round, each block to the first
-    minimizer over arrangements of its unused targets (V2 and its own v2)
-    and ⊥ (module docstring); each equals a lone minimize_s call. `row`
-    holds the images of V1's other vertices in order (0 for ⊥), `raw` the
-    (loss, ec, def) sums, and `total` the score, bit for bit that of the
-    step `_step` builds from them. The caller guarantees valid vertices: V1
-    is the sorted support and holds v1, V2 is the target set, v2s are
-    vertices of g, and ps share one k_block. `rounds` is a sweep's round
+    minimizer over arrangements of its unused targets and ⊥ (module
+    docstring); each equals a lone minimize_s call. `row` holds the images
+    of V1's other vertices in order (0 for ⊥), `raw` the (loss, ec, def)
+    sums, and `total` the score, bit for bit that of the step `_step`
+    builds from them. The caller guarantees valid vertices: V1 is the
+    sorted support and holds v1, V2 is the target set, every pin in v2s is
+    a target, and ps share one k_block. `rounds` is a lockstep's round
     cache: a dict from a chain's round (anchor, block, targets, committed
-    sources, pin, picks and used targets, as bytes) to `_distinct_rows` of
-    its candidates, by flat product index. The result is the same without
-    it. A round builds rows only for the chains that miss it, once per key,
-    sliced within `_BATCH_CELLS`, so an expansion is one call.
+    sources, pin and picks, as bytes; the pin and picks fix the used
+    targets) to `_distinct_rows` of its candidates, by flat product index.
+    The result is the same without it. A round builds rows only for the
+    chains that miss it, once per key, sliced within `_BATCH_CELLS`, so an
+    expansion is one call.
     """
-    if stats is not None:
-        stats.kernel_calls += 1
     if not v2s:
         return []
     rest = [v for v in V1 if v != v1]
-    T = sorted(V2.union(v2s))
+    T = sorted(V2)
     nt, nc = len(T), len(v2s)
     step = max(1, _BATCH_CELLS // ((nt + 1) * max(1, len(rest))))
     if nc > step:
-        chunks = range(0, nc, step)
         out = []
-        for lo in chunks:
+        for lo in range(0, nc, step):
             out += _minimize_batch(v1, v2s[lo : lo + step], g, V1, V2, ps[lo : lo + step], stats, rounds)
-        if stats is not None:
-            stats.kernel_calls -= len(chunks)  # the chunks are parts of this call
         return out
 
     p, W = ps[0], None
@@ -214,9 +211,8 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
     d_rest = dist[rs[:, None], rs]
     deform = np.zeros((len(rest), nc, nt + 1), dtype=np.int64)
     deform[:, :, :nt] = _gaps(dist[rs, v1][:, None, None], dist[pins[:, None], tg], g.n)
-    # A chain may take each target of V2 but its own v2 once; ⊥ always stays open.
+    # A chain may take each target but its own v2 once; ⊥ always stays open.
     used = np.zeros((nc, nt + 1), dtype=bool)
-    used[:, :nt] = [t not in V2 for t in T]
     used[chains, np.searchsorted(tg, pins)] = True
 
     loss = np.zeros(nc, dtype=np.int64)
@@ -231,7 +227,7 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
         if cached:
             head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
             state = np.vstack((pins, picks[:start])).T.astype(np.int32)
-            keys = [head + s.tobytes() + u.tobytes() for s, u in zip(state, used)]
+            keys = [head + s.tobytes() for s in state]
             missed = {}
             for c, key in enumerate(keys):
                 if key not in rounds:
@@ -314,14 +310,13 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
 def _step(v1, v2, V1, V2, row, raw, p):
     """The (mapping, breakdown) of a `_minimize_batch` chain v1 -> v2 from its row and raw sums.
 
-    V1 is the sorted support the kernel took and V2 the frozenset of targets.
+    V1 is the sorted support the kernel took and V2 the frozenset of targets, v2 among them.
     The breakdown is `_weigh` over the raw sums as Python ints, equal in
     every field to `relax.score` of the mapping.
     """
     image = {v1: v2}
     image.update(zip((v for v in V1 if v != v1), (w or BOTTOM for w in row)))
-    codomain = V2 if v2 in V2 else V2 | {v2}
-    return Mapping._trusted(frozenset(V1), codomain, image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
+    return Mapping._trusted(frozenset(V1), V2, image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
 
 
 def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):
@@ -331,9 +326,9 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     p.k_block, smallest vertex indices first; each round exhaustively tries
     every arrangement of unused targets (⊥ allowed) for the block and keeps
     the first score minimizer over the assigned-so-far set. With k_block ≥
-    |V1| − 1 the single round is an exhaustive search. Raises ValueError
-    if v1 is not in V1, or if v2 or a vertex of V1 or V2 is not an integer
-    in 1..n.
+    |V1| − 1 the single round is an exhaustive search. v2 joins the
+    targets V2 if it is not among them. Raises ValueError if v1 is not in
+    V1, or if v2 or a vertex of V1 or V2 is not an integer in 1..n.
 
     This is the greedy kernel `_minimize_batch` on one chain. Returns
     (mapping, breakdown): the breakdown is `_weigh` over the final raw sums
@@ -343,7 +338,7 @@ def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] =
     v1, v2 = g._check_vertex(v1), g._check_vertex(v2)
     if v1 not in V1:
         raise ValueError("anchor source must belong to the support")
-    V1 = sorted(V1)
+    V1, V2 = sorted(V1), V2 | {v2}
     _, row, raw = _minimize_batch(v1, [v2], g, V1, V2, [p], stats)[0]
     return _step(v1, v2, V1, V2, row, raw, p)
 
@@ -448,18 +443,19 @@ def best_composition(
     return _best_compositions(g, V1_init, v_src, v_tgt, [p], hops, stats)[0]
 
 
-def _best_compositions(g, V1_init, v_src, v_tgt, params, hops, stats, rounds=None):
+def _best_compositions(g, V1_init, v_src, v_tgt, params, hops, stats):
     """best_composition for each of `params`, which share one k_block, run in lockstep: their traces.
 
-    Each cell keeps its own queue, settled set and insertion counter, so
-    its trace is that of a lone call. On each tick every live cell pops
-    until it settles a fresh anchor or its target, or its queue runs dry.
-    The cells' pending expansions are then grouped by (anchor, support),
-    which fix the target set, and each group's chains, over all its cells,
-    go to one kernel call with each chain's weights. `rounds` is a sweep's
-    round cache, handed to every kernel call.
+    Each cell keeps its own queue and settled set, so each trace is that of
+    a lone call. On each tick every live cell pops until it settles a fresh
+    anchor or its target, or its queue runs dry. The pending expansions are
+    then grouped by (anchor, support), which fix the target set, and each
+    group's chains, over all its cells, go to one kernel call with each
+    chain's weights. Two or more cells share a round cache; a lone cell
+    would never read one, as it expands each anchor once with distinct pins.
+    The support, v_src, v_tgt and hops are checked here, once.
     """
-    V1_init = frozenset(V1_init)
+    V1_init = frozenset(g._check_vertex(v) for v in V1_init)
     hops = _check_int(hops, "hops", 0)
     v_src, v_tgt = g._check_vertex(v_src), g._check_vertex(v_tgt)
     if v_src not in V1_init:
@@ -468,9 +464,11 @@ def _best_compositions(g, V1_init, v_src, v_tgt, params, hops, stats, rounds=Non
     # An entry is (key, anchor, count, steps, last), `last` the arguments of
     # `_step` but p for its last step, None for the empty chain. The key
     # starts from the int 0, as sum() does: it is the step totals' sum, bit for bit.
+    # `count`, the anchors its cell had settled at the push, rises with each
+    # expansion, whose entries have distinct anchors: it breaks ties in push order.
     queues = [[(0, v_src, 0, (), None)] for _ in params]
     visited = [set() for _ in params]
-    counters = [itertools.count(1) for _ in params]
+    rounds = {} if len(params) > 1 else None
     traces = [None] * len(params)
     if stats is not None:
         stats.pushes += len(params)
@@ -503,16 +501,17 @@ def _best_compositions(g, V1_init, v_src, v_tgt, params, hops, stats, rounds=Non
         live = [c for c in live if traces[c] is None]
 
         for (v1, support), cells in groups.items():
-            V2 = frozenset(expand_support(g, support, hops))  # validates the support for the kernel
+            V2 = frozenset(_walk(g, support, hops)[0])
             targets = sorted(V2 - {v1})
             chains = [(c, total, steps, v2) for c, total, steps in cells for v2 in targets if v2 not in visited[c]]
             v2s, ps = [v2 for *_, v2 in chains], [params[c] for c, *_ in chains]
             found = _minimize_batch(v1, v2s, g, support, V2, ps, stats, rounds)
             for (c, total, steps, v2), (step_total, row, raw) in zip(chains, found):
                 last = v1, v2, support, V2, row, raw
-                heapq.heappush(queues[c], (total + step_total, v2, next(counters[c]), steps, last))
+                heapq.heappush(queues[c], (total + step_total, v2, len(visited[c]), steps, last))
             if stats is not None:
                 stats.pushes += len(chains)
+                stats.kernel_calls += 1
     return traces
 
 
@@ -541,7 +540,7 @@ def parameter_sweep(g, support, v_src, v_tgt, grid=None, hops=1, stats: Optional
     traces = [None] * len(grid)
     for k in dict.fromkeys(p.k_block for p in params):
         cells = [i for i, p in enumerate(params) if p.k_block == k]
-        found = _best_compositions(g, support, v_src, v_tgt, [params[i] for i in cells], hops, stats, {})
+        found = _best_compositions(g, support, v_src, v_tgt, [params[i] for i in cells], hops, stats)
         for i, trace in zip(cells, found):
             traces[i] = trace
 

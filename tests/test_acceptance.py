@@ -6,6 +6,7 @@ tori and grids, invariants of the score/search machinery, the shape of the
 random-geometric sweep experiment, and byte-level CLI determinism.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +356,6 @@ def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
     c = _run_cli(sweep_args, tmp_path / "s1.csv")
     d = _run_cli(sweep_args, tmp_path / "s2.csv")
     assert c == d
+    # The bench sweep instance, whose k=3 cells read the round cache, pinned across builds.
+    golden = json.loads(Path(__file__).with_name("golden_search.json").read_text())
+    assert hashlib.sha256(c).hexdigest() == golden["bench_sweep_csv_sha256"]

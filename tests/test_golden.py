@@ -2,7 +2,9 @@
 
 The pinned file holds the sha256 of a `graph-shift sweep` CSV on a small
 geometric graph and the JSON traces of `best_composition` on the acceptance
-instance (n=100, r=0.15, seed 3, 82 -> 8) at K = 1, 2 and 3. A change to
+instance (n=100, r=0.15, seed 3, 82 -> 8) at K = 1, 2 and 3, and the
+sha256 of the benchmark's sweep CSV (n=24), which
+`test_cli_outputs_are_byte_identical_across_runs` checks. A change to
 the search kernel that alters any score bit, tie-break or chosen row
 shows up here.
 """

@@ -18,6 +18,7 @@ from graph_shift.euclid import dirac, dirac_shift_loss, euclidean_on_grid, eucli
 from graph_shift.graph import (
     Graph,
     _atomic_write,
+    _dumps,
     coord_to_index,
     index_to_coord,
     make_complete,
@@ -28,7 +29,7 @@ from graph_shift.graph import (
 )
 from graph_shift.mapping import Mapping, apply_to_signal
 from graph_shift.relax import ScoreParams
-from graph_shift.search import best_composition, expand_support
+from graph_shift.search import best_composition, expand_support, parameter_sweep
 
 RING = make_ring(5)
 
@@ -79,6 +80,10 @@ ENTRIES = [
     ("33-dimension", "dimension", lambda x: index_to_coord(3, [3, x])[1], 2, 0),
     ("34-dimension", "dimension", lambda x: coord_to_index([2, 1], [3, x]), 2, 0),
     ("35-seed", "seed", lambda x: len(make_random_geometric(6, 0.5, x).edges), 3, -1),
+    # Supports are lists: a set literal would fold True into 1.
+    ("36-vertex", "vertex", lambda x: max(best_composition(RING, [1, x], 1, 3, ScoreParams()).steps[0][0].domain), 2, 6),
+    ("37-vertex", "vertex",
+     lambda x: max(parameter_sweep(RING, [1, x], 1, 3, grid=[(1.0, 0.1, 0.5, 1)])[0][0].steps[0][0].domain), 2, 6),
 ]
 
 
@@ -94,6 +99,18 @@ def test_every_integer_entry_applies_one_rule(name, call, good, out_of_range):
             call(bad)
     got = call(np.int64(good))
     assert got == call(good) and type(got) is int
+
+
+def test_a_numpy_int_support_gives_traces_that_serialise():
+    # Each step's mapping is keyed by support vertices; numpy ints there made json.dumps raise.
+    support = [np.int64(1), np.int64(2)]
+    traces = [best_composition(RING, support, 1, 3, ScoreParams())]
+    cells = parameter_sweep(RING, support, 1, 3, grid=[(1.0, 0.1, 0.5, 1), (0.1, 0.5, 1.0, 1)])
+    for trace in traces + [trace for trace, _ in cells]:
+        assert trace.found and trace.steps
+        assert all(type(v) is int for m, _ in trace.steps for v in m.domain | m.codomain | m.image_set)
+        expected = best_composition(RING, [1, 2], 1, 3, trace.params)
+        assert _dumps(trace.to_json_dict()) == _dumps(expected.to_json_dict())
 
 
 def test_graph_order_is_capped_where_the_distance_table_stays_int16(monkeypatch):

@@ -98,21 +98,26 @@ def test_minimize_batch_matches_scalar_greedy_property():
         )
         p = ScoreParams(*data.draw(weights, label="weights"), k)
         support = sorted(V1)
+        # Every pin of a batch is a target; a v2 outside V2 goes through minimize_s.
+        targets = frozenset(V2).union(v2s)
 
         stats = SearchStats()
-        batch = _minimize_batch(v1, v2s, g, support, V2, [p] * len(v2s), stats)
+        batch = _minimize_batch(v1, v2s, g, support, targets, [p] * len(v2s), stats)
         rows = 0
         for v2, (total, row, raw) in zip(v2s, batch, strict=True):
-            m, b = _step(v1, v2, support, frozenset(V2), row, raw, p)
-            ref_m, ref_b, ref_rows = greedy_reference(g, v1, v2, V1, V2, p)
+            m, b = _step(v1, v2, support, targets, row, raw, p)
+            ref_m, ref_b, ref_rows = greedy_reference(g, v1, v2, V1, targets, p)
             assert (m, b) == (ref_m, ref_b)
             assert total.hex() == b.total.hex()  # the queue key adds the kernel's total
-            assert m(v1) == v2 and v2 in m.codomain  # a v2 outside V2 is added
             rows += ref_rows
+            if v2 not in V2:  # minimize_s adds it to the targets
+                m, b = minimize_s(v1, v2, g, V1, V2, p)
+                assert (m, b) == greedy_reference(g, v1, v2, V1, V2, p)[:2]
+                assert m(v1) == v2 and v2 in m.codomain
         assert (stats.calls, stats.evaluations, stats.rows_computed) == (len(v2s), rows, rows)
-        assert (stats.round_hits, stats.kernel_calls) == (0, 1)
+        assert (stats.round_hits, stats.kernel_calls) == (0, 0)
         # Chains do not see each other's used targets.
-        assert [_minimize_batch(v1, [v2], g, support, V2, [p])[0] for v2 in v2s] == batch
+        assert [_minimize_batch(v1, [v2], g, support, targets, [p])[0] for v2 in v2s] == batch
 
         # A sweep's round cache, filled under p (every round misses), read
         # again under p (every round of _CACHED_BLOCK or more sources hits)
@@ -126,8 +131,8 @@ def test_minimize_batch_matches_scalar_greedy_property():
         rounds = {}
         for q, hits in ((p, {0}), (p, {cached}), (reweighed, range(first, cached + 1))):
             plain, reused = SearchStats(), SearchStats()
-            expected = _minimize_batch(v1, v2s, g, support, V2, [q] * len(v2s), plain)
-            assert _minimize_batch(v1, v2s, g, support, V2, [q] * len(v2s), reused, rounds) == expected
+            expected = _minimize_batch(v1, v2s, g, support, targets, [q] * len(v2s), plain)
+            assert _minimize_batch(v1, v2s, g, support, targets, [q] * len(v2s), reused, rounds) == expected
             assert (reused.calls, reused.evaluations) == (plain.calls, plain.evaluations)
             assert reused.round_hits in hits
             assert (reused.rows_computed < plain.rows_computed) == bool(reused.round_hits)
@@ -170,8 +175,7 @@ def test_minimize_batch_with_mixed_weights_equals_one_call_per_weight_property()
         for (total, row, raw), (ref_total, ref_row, ref_raw), v2, p in zip(out, expected, v2s, ps):
             assert (total.hex(), row, raw) == (ref_total.hex(), ref_row, ref_raw)
             assert _step(v1, v2, support, V2, row, raw, p) == _step(v1, v2, support, V2, ref_row, ref_raw, p)
-        assert (mixed.kernel_calls, apart.kernel_calls) == (1, len(cells))
-        assert dataclasses.replace(mixed, kernel_calls=0) == dataclasses.replace(apart, kernel_calls=0)
+        assert mixed == apart
 
     check()
 
@@ -637,6 +641,21 @@ def test_sweep_cells_that_finish_on_different_ticks_match_lone_cells():
     _, alone = _assert_sweep_matches_lone_cells(g, 1, 12, grid)
     for k in (0, 4):  # the k=1 cells, then the k=3 cells
         assert len({s.settled for s in alone[k : k + 4]}) > 1
+
+
+def test_a_one_cell_search_fills_no_round_cache(monkeypatch):
+    # A lone cell expands each anchor once, with distinct pins, so it would
+    # never read a round cache; two cells of one block size share one.
+    g = make_random_geometric(24, 0.35, 11)  # the bench sweep instance
+    support = expand_support(g, {1}, 1)
+    grid = [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 3)]
+    distinct, entries = search_module._distinct_rows, []
+    monkeypatch.setattr(search_module, "_distinct_rows", lambda *a: entries.append(1) or distinct(*a))
+    lone = [best_composition(g, support, 1, 20, ScoreParams(*cell)) for cell in grid]
+    assert [parameter_sweep(g, support, 1, 20, grid=[cell])[0][0] for cell in grid] == lone
+    assert entries == []
+    assert [trace for trace, _ in parameter_sweep(g, support, 1, 20, grid=grid)] == lone
+    assert entries
 
 
 def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
