@@ -11,8 +11,9 @@ dimensions as `make_grid` does, without its order cap.
 from __future__ import annotations
 
 import math
+from itertools import product
 
-from .graph import _MAX_ORDER, _check_dims, _check_int, _shifted, make_torus
+from .graph import _MAX_ORDER, _check_dims, _check_int, _shifted, coord_to_index, make_torus
 from .mapping import BOTTOM, Mapping
 
 
@@ -85,8 +86,8 @@ def grid_slice(dims, i, j):
     dims = _check_dims(dims)
     i = _check_int(i, "axis", 1, len(dims))
     j = _check_int(j, "slice index", 1, dims[i - 1])
-    stride = math.prod(dims[i:])  # index step of axis i in row-major order
-    return [v for v in range(1, math.prod(dims) + 1) if (v - 1) // stride % dims[i - 1] == j - 1]
+    axes = [(j,) if k == i else range(1, d + 1) for k, d in enumerate(dims, start=1)]
+    return [coord_to_index(c, dims) for c in product(*axes)]  # row-major, so ascending
 
 
 def dirac_shift_loss(dims, i):

@@ -232,7 +232,9 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
             monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
             split_rounds, split = dict(filled), SearchStats()
             assert kernel(1, v2s, g, V1, V2, [p] * nc, split, split_rounds if cache else None) == expected
-            assert split == whole  # kernel_calls too: the chunks count as one call
+            # Every counter the kernel keeps matches the unsplit call's; kernel_calls
+            # is 0 in both, because only the anchor search counts kernel calls.
+            assert split == whole
             if cache and k >= _CACHED_BLOCK:
                 assert 0 < split.round_hits < split.calls * (nrest // _CACHED_BLOCK)
             assert split_rounds.keys() == whole_rounds.keys()
@@ -291,20 +293,60 @@ def test_minimize_s_score_equals_scalar_score_property():
     check()
 
 
-def test_greedy_matches_exhaustive_at_zero_floor():
-    dims = [5, 5]
-    g = make_torus(dims)
-    shift = euclidean_on_torus(dims, dirac(2, 1))
-    v1 = 13
-    V1 = sorted({v1} | g.neighbors(v1))
-    V2 = expand_support(g, set(V1), 1)
-    v2 = shift(v1)
-    m1, b1 = minimize_s(v1, v2, g, V1, V2, P)
-    assert b1.total == 0
-    assert all(m1(v) == shift(v) for v in V1)
-    exhaustive = ScoreParams(P.alpha, P.beta, P.gamma, len(V1))
-    m2, b2 = minimize_s(v1, v2, g, V1, V2, exhaustive)
-    assert b2.total == 0
+# Anchors whose step total is above 0 at k = 1, 2, 3, 4, for +e1, -e1 and
+# +e2; -e2 gives the +e2 counts on every torus here.
+TORUS_POSITIVE_STEPS = {
+    (3, 3): ((6, 0, 3, 0), (6, 3, 3, 0), (3, 1, 1, 0)),
+    (4, 4): ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    (4, 6): ((0, 0, 0, 0), (0, 0, 0, 0), (4, 2, 1, 0)),
+    (5, 5): ((10, 10, 10, 0), (10, 10, 5, 0), (5, 3, 1, 0)),
+    (5, 7): ((14, 14, 14, 0), (14, 14, 7, 0), (5, 3, 1, 0)),
+    (6, 6): ((12, 12, 12, 0), (12, 12, 6, 0), (6, 4, 1, 0)),
+}
+
+
+def torus_steps(dims, delta, k):
+    """(anchor, mapping, breakdown) of `minimize_s` at every anchor v of the
+    torus: pin v ↦ v + delta, support N[v], targets the 1-hop ball of the
+    shifted support, default weights."""
+    g, shift = make_torus(dims), euclidean_on_torus(dims, delta)
+    for v in g.vertices:
+        V1 = expand_support(g, {v}, 1)
+        V2 = expand_support(g, {shift(u) for u in V1}, 1)
+        yield (v, *minimize_s(v, shift(v), g, V1, V2, ScoreParams(k_block=k)))
+
+
+@pytest.mark.parametrize("dims", list(TORUS_POSITIVE_STEPS), ids=lambda d: f"{d[0]}x{d[1]}")
+def test_relaxed_step_on_2d_tori_against_the_axis_shifts(dims):
+    # The paper: on a torus the translations are the axis shifts, each
+    # lossless and scoring 0. The run: one greedy step per anchor, counted
+    # where its total is above 0. Below the exhaustive round some tori have
+    # such anchors; at k = 4 = |N[v]| - 1, one exhaustive round, none does.
+    plus_e1, minus_e1, e2 = TORUS_POSITIVE_STEPS[dims]
+    for delta, expected in [((1, 0), plus_e1), ((-1, 0), minus_e1), ((0, 1), e2), ((0, -1), e2)]:
+        positive = tuple(sum(b.total > 0 for _, _, b in torus_steps(dims, delta, k)) for k in (1, 2, 3, 4))
+        assert positive == expected, delta
+
+
+def test_relaxed_step_on_torus_5x5_leaves_the_shift_only_on_the_wrap_rows():
+    # The paper's shift +e1 scores 0 at every anchor. The run at k = 1: the
+    # step totals above 0 sit at the anchors of rows 1 and 5, each with loss
+    # 0, deformation 0 and one or two edge-constraint violations.
+    steps = {v: (m, b) for v, m, b in torus_steps([5, 5], (1, 0), 1)}
+    assert {v for v, (_, b) in steps.items() if b.total > 0} == set(range(1, 6)) | set(range(21, 26))
+    assert [steps[v][1].total for v in range(1, 6)] == [0.02] * 5
+    assert [steps[v][1].total for v in range(21, 26)] == [0.04] * 5
+    for v in [*range(1, 6), *range(21, 26)]:
+        b = steps[v][1]
+        assert (b.raw_loss, b.raw_def, b.def_term) == (0, 0, 0.0) and b.raw_ec in (1, 2)
+    # Sources go in index order. At anchor 1 = (1, 1) the first source,
+    # 2 = (1, 2), has two images of cost 0, 1 and 7, and the lower one is taken.
+    assert steps[1][0](2) == 1
+    # At interior anchor 13 the first source is 13 - e1 = 8, with one image of
+    # cost 0, so the step is the shift.
+    shift = euclidean_on_torus([5, 5], dirac(2, 1))
+    m, b = steps[13]
+    assert b.total == 0 and all(w == shift(v) for v, w in m.items())
 
 
 def test_k1_evaluation_budget():
