@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .graph import _MAX_ORDER, _check_dims, _check_int, _shifted, coord_to_index, make_torus
+from .graph import _MAX_ORDER, _check_dims, _check_int, _row_major, _shifted, make_torus
 from .mapping import BOTTOM, Mapping
 
 
@@ -87,7 +87,7 @@ def grid_slice(dims, i, j):
     i = _check_int(i, "axis", 1, len(dims))
     j = _check_int(j, "slice index", 1, dims[i - 1])
     axes = [(j,) if k == i else range(1, d + 1) for k, d in enumerate(dims, start=1)]
-    return [coord_to_index(c, dims) for c in product(*axes)]  # row-major, so ascending
+    return [_row_major(c, dims) for c in product(*axes)]  # row-major, so ascending
 
 
 def dirac_shift_loss(dims, i):

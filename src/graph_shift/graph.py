@@ -241,9 +241,14 @@ def coord_to_index(coord, dims):
     dims = _check_dims(dims)
     if len(coord) != len(dims):
         raise ValueError(f"coord {tuple(coord)!r} has {len(coord)} entries for {len(dims)} dimensions")
+    return _row_major([_check_int(c, "coordinate", 1, d) for c, d in zip(coord, dims)], dims)
+
+
+def _row_major(coord, dims):
+    """coord_to_index without its checks: coord a point of the lattice dims, in Python ints."""
     idx = 0
     for c, d in zip(coord, dims):
-        idx = idx * d + (_check_int(c, "coordinate", 1, d) - 1)
+        idx = idx * d + c - 1
     return idx + 1
 
 

@@ -38,17 +38,20 @@ the argmin. So a lockstep of two or more cells keeps a round cache, keyed
 per chain by those, and the chains of one call that share a key fill its
 entry once. An entry keeps each distinct (raw_loss, raw_ec, raw_def)
 triple of the round's candidates with its first row, in first-row order
-(`_distinct_rows`). A row's total is a function of its triple, so for any
-weights the first minimum over the entry sits at the first minimum over
-all rows: outputs stay bit-identical. The chains that miss are scored to
-fill their entries, and then every chain of the round, hit or miss, is
-weighed from its entry in one `_weigh` call over the entries laid end to
-end; each chain takes the first index of its own segment that holds the
-segment's minimum (`np.minimum.reduceat`), so no sort is needed. The cache
-lives for one lockstep search, one block size of the sweep. Only rounds of
-`_CACHED_BLOCK` (three) or more sources use it: a one-vertex round has
-|targets| + 1 rows, nearly all distinct, and a two-vertex round is weighed
-densely faster than it is cached; from three the dense rows outgrow that.
+(`_distinct_rows`, which finds the first rows through a table indexed by
+the packed triple when its values are few, and sorts only those rows).
+A row's total is a function of its triple, so for any weights the first
+minimum over the entry sits at the first minimum over all rows: outputs
+stay bit-identical. The chains that miss are scored to fill their
+entries, and then every chain of the round, hit or miss, is weighed from
+its entry in one `_weigh` call over the entries laid end to end; each
+chain takes the first index of its own segment that holds the segment's
+minimum (`np.minimum.reduceat`), so no sort is needed. The cache lives
+for one lockstep search, one block size of the sweep. Rounds of
+`_CACHED_BLOCK` (two) or more sources use it: a two-vertex round has
+(|targets| + 1)^2 dense rows but a few dozen distinct triples, while a
+one-vertex round has |targets| + 1 rows, nearly all distinct, and is
+weighed densely.
 """
 
 from __future__ import annotations
@@ -102,24 +105,45 @@ def _outer(tables, op):
     return out
 
 
-def _distinct_rows(raw_loss, raw_ec, raw_def, rows):
-    """A round's distinct raw-sum triples, each with the first of `rows` that has it.
+#: `_distinct_rows` uses a table indexed by key when the keys span at most
+#: this many values per row, and a sort otherwise.
+_KEY_SPAN_PER_ROW = 4
 
-    Takes the raw sums (non-negative) of a round's candidate rows and their
-    row indices, ascending. Returns one array of shape (4, m): raw_loss,
-    raw_ec, raw_def and first row of each distinct triple, in first-row
+
+def _distinct_rows(raw_loss, raw_ec, raw_def, bad):
+    """A round's distinct raw-sum triples, each with the first candidate row that has it.
+
+    Takes the raw sums (non-negative) of one chain's rows of a round, dense
+    in product order, and the mask of its non-candidates; the all-⊥ row is
+    always a candidate. Returns one array of shape (4, m): raw_loss, raw_ec,
+    raw_def and first row of each distinct candidate triple, in first-row
     order, as int32 where the values fit (half the cache's memory).
-    Each triple is packed into one integer key, cast to the narrowest
-    unsigned dtype that holds the largest key before the stable sort
-    inside `np.unique`: keys of up to 16 bits, as on small graphs, sort by
-    radix in linear time, and wider keys by numpy's general stable sort.
+    Each triple is packed into one key, each sum less its minimum. When the
+    keys span few values per row, as on small graphs, a table indexed by
+    key keeps each key's first candidate (`np.minimum.at`) and only those
+    rows are sorted. Wider keys, as deformation sums grow with the graph,
+    go through `np.unique`'s stable sort, cast to the narrowest unsigned
+    dtype (a radix sort up to 16 bits).
     """
-    loss_base = int(raw_loss.max()) + 1
-    ec_base = int(raw_ec.max()) + 1
-    key = (raw_def * ec_base + raw_ec) * loss_base + raw_loss
-    _, first = np.unique(key.astype(np.min_scalar_type(key.max())), return_index=True)
-    first.sort()
-    out = np.stack((raw_loss[first], raw_ec[first], raw_def[first], rows[first]))
+    sums = raw_loss, raw_ec, raw_def
+    lows = [int(s.min()) for s in sums]
+    loss_base, ec_base, def_base = (int(s.max()) - low + 1 for s, low in zip(sums, lows))
+    span = loss_base * ec_base * def_base
+    key = raw_def * ec_base
+    key += raw_ec
+    key *= loss_base
+    key += raw_loss
+    key -= (lows[2] * ec_base + lows[1]) * loss_base + lows[0]
+    rows = np.flatnonzero(~bad)
+    key = key[rows]
+    if span <= _KEY_SPAN_PER_ROW * len(bad):
+        table = np.full(span, len(bad))
+        np.minimum.at(table, key, rows)
+        first = np.sort(table[table < len(bad)])
+    else:
+        _, at = np.unique(key.astype(np.min_scalar_type(span - 1)), return_index=True)
+        first = np.sort(rows[at])
+    out = np.array((raw_loss[first], raw_ec[first], raw_def[first], first))
     return out.astype(np.int32) if out.max() <= np.iinfo(np.int32).max else out
 
 
@@ -131,8 +155,8 @@ class SearchStats:
     `evaluations` the candidate rows their rounds considered (a chain's
     masked rows are not candidates), `rows_computed` the candidate rows
     whose raw sums were built, and `round_hits` the chains' rounds read
-    from a sweep's round cache instead (rounds of `_CACHED_BLOCK` or more
-    sources; their rows count as considered, not computed). `pushes`,
+    from a sweep's round cache instead (rounds of two or more sources;
+    their rows count as considered, not computed). `pushes`,
     `stale_pops` and `settled` count best_composition's queue entries
     pushed, popped for an anchor already settled, and anchors settled.
     `kernel_calls` counts the anchor search's calls of the greedy kernel,
@@ -158,7 +182,8 @@ class SearchStats:
 #: RSS, whose lockstep calls fill whole slices (2^15 cost it 11%, 2^14 6%).
 _BATCH_CELLS = 1 << 14
 #: Rounds of at least this many sources go through a lockstep's round cache.
-_CACHED_BLOCK = 3
+#: One source's rows are nearly all distinct, so they are weighed densely.
+_CACHED_BLOCK = 2
 
 
 def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None, rounds=None):
@@ -266,8 +291,7 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
             raw_loss = loss[part, None] + _product_masks(nt + 1, L)[0]
             if cached:
                 for i, c in enumerate(part):
-                    flat = np.flatnonzero(~bad[i])
-                    rounds[keys[c]] = _distinct_rows(raw_loss[i, flat], raw_ec[i, flat], raw_def[i, flat], flat)
+                    rounds[keys[c]] = _distinct_rows(raw_loss[i], raw_ec[i], raw_def[i], bad[i])
             else:
                 total = _weigh(weights((part, None)), n1, raw_loss, raw_ec, raw_def)[-1]
                 total[bad] = np.inf
@@ -498,6 +522,9 @@ def _best_compositions(g, V1_init, v_src, v_tgt, params, hops, stats):
                 continue
             support = tuple(sorted(steps[-1][0].image_set if steps else V1_init))
             groups.setdefault((v1, support), []).append((c, total, steps))
+        for c in live:
+            if traces[c] is not None:  # a finished cell frees its queue and settled set
+                queues[c] = visited[c] = None
         live = [c for c in live if traces[c] is None]
 
         for (v1, support), cells in groups.items():

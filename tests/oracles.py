@@ -135,3 +135,22 @@ def lattice_reference(dims, wrap):
             if step == 1 or wrap and step == dims[axes[0]] - 1:
                 edges.add((u, v))
     return points, edges
+
+
+def distinct_rows_reference(raw_loss, raw_ec, raw_def, bad):
+    """`search._distinct_rows` by a stable sort of every candidate's packed key.
+
+    Compresses the candidates (the rows not in `bad`), packs each raw-sum
+    triple into one key, and keeps the first candidate of each key by
+    `np.unique`, in first-row order: raw_loss, raw_ec, raw_def and row index
+    of each distinct triple, shape (4, m), as int32 where the values fit.
+    """
+    rows = np.flatnonzero(~bad)
+    raw_loss, raw_ec, raw_def = raw_loss[rows], raw_ec[rows], raw_def[rows]
+    loss_base = int(raw_loss.max()) + 1
+    ec_base = int(raw_ec.max()) + 1
+    key = (raw_def * ec_base + raw_ec) * loss_base + raw_loss
+    _, first = np.unique(key.astype(np.min_scalar_type(key.max())), return_index=True)
+    first.sort()
+    out = np.stack((raw_loss[first], raw_ec[first], raw_def[first], rows[first]))
+    return out.astype(np.int32) if out.max() <= np.iinfo(np.int32).max else out

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from graph_shift import euclid, graph
 from graph_shift.enumeration import EnumerationFilter, enumerate_translations
 from graph_shift.euclid import (
     contaminate_torus,
@@ -290,6 +291,15 @@ def test_grid_slice_equals_a_whole_grid_scan(dims):
     for i, d in enumerate(dims, start=1):
         for j in range(1, d + 1):
             assert grid_slice(dims, i, j) == scanned_slice(dims, i, j)
+
+
+def test_grid_slice_checks_its_dimensions_once(monkeypatch):
+    calls = []
+    for module in (euclid, graph):
+        check = module._check_dims
+        monkeypatch.setattr(module, "_check_dims", lambda *a, check=check: calls.append(a) or check(*a))
+    assert grid_slice([4, 5, 3], 2, 3) == scanned_slice([4, 5, 3], 2, 3)
+    assert len(calls) == 1
 
 
 def test_grid_slice_costs_the_slice_not_the_grid():

@@ -27,7 +27,7 @@ from graph_shift.search import (
     minimize_s,
     parameter_sweep,
 )
-from oracles import greedy_reference
+from oracles import distinct_rows_reference, greedy_reference
 
 P = ScoreParams(1.0, 0.1, 0.5, 1)
 
@@ -210,7 +210,7 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
     V2 = expand_support(g, V1, 1)
     v2s = sorted(V2 - {1})
     nc, nt, nrest = len(v2s), len(V2), len(V1) - 1
-    assert nrest >= 2 * _CACHED_BLOCK  # two cached rounds at k = 3
+    assert nrest >= 2 * max(DEFAULT_BLOCKS)  # two cached rounds at every cached k
     kernel = search_module._minimize_batch
     reentered = set()
     for k, cache in itertools.product(DEFAULT_BLOCKS, (False, True)):
@@ -236,7 +236,8 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
             # is 0 in both, because only the anchor search counts kernel calls.
             assert split == whole
             if cache and k >= _CACHED_BLOCK:
-                assert 0 < split.round_hits < split.calls * (nrest // _CACHED_BLOCK)
+                cached = sum(min(k, nrest - s) >= _CACHED_BLOCK for s in range(0, nrest, k))
+                assert 0 < split.round_hits < split.calls * cached
             assert split_rounds.keys() == whole_rounds.keys()
             assert all(np.array_equal(split_rounds[key], entry) for key, entry in whole_rounds.items())
             # Re-entered, one call per chunk of chains, only when the chains'
@@ -715,6 +716,14 @@ def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
     assert stats.rows_computed < stats.evaluations
 
 
+def test_sweep_round_cache_serves_two_source_rounds():
+    g = make_random_geometric(14, 0.45, 3)
+    grid = [(1.0, 0.1, 0.5, 2), (0.1, 0.5, 1.0, 2), (0.5, 1.0, 0.1, 2)]
+    stats, _ = _assert_sweep_matches_lone_cells(g, 1, 8, grid)
+    assert stats.round_hits > 0
+    assert stats.rows_computed < stats.evaluations
+
+
 def test_sweep_round_cache_matches_lone_cells_with_zero_weights():
     # A zero weight makes many rows tie, so the first-row order decides.
     g = make_random_geometric(14, 0.45, 8)
@@ -758,17 +767,23 @@ def test_distinct_rows_pick_the_first_minimum():
     for trial in range(300):
         size = int(rng.integers(1, 400))
         span = int(rng.integers(1, 4))
-        raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, size)
-        raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, size)
-        # raw_def below 40 keeps the packed keys in uint8 or uint16; the
-        # wider draws need uint32 and uint64 keys.
-        raw_def = rng.integers(0, int(rng.integers(1, (40, 1 << 10, 1 << 20, 1 << 31)[trial % 4])), size)
-        rows = np.sort(rng.choice(3 * size, size, replace=False))
-        kept = _distinct_rows(raw_loss, raw_ec, raw_def, rows)
+        # raw_def below 40 mostly keeps the packed keys within the table; the
+        # wider draws take the sort, on uint16, uint32 and uint64 keys.
+        high = int(rng.integers(1, (40, 1 << 10, 1 << 20, 1 << 31)[trial % 4]))
+        # One chain's dense rows: the candidates are `rows`, the others masked.
+        dense = 3 * size
+        raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, dense)
+        raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, dense)
+        raw_def = rng.integers(0, high, dense)
+        rows = np.sort(rng.choice(dense, size, replace=False))
+        bad = np.ones(dense, dtype=bool)
+        bad[rows] = False
+        kept = _distinct_rows(raw_loss, raw_ec, raw_def, bad)
         assert kept.dtype == np.int32
-        # Every triple once, at its first row, in first-row order.
+        raw_loss, raw_ec, raw_def = raw_loss[rows], raw_ec[rows], raw_def[rows]
+        # Every candidate triple once, at its first row, in first-row order.
         first = np.searchsorted(rows, kept[3])
-        assert (np.diff(first) > 0).all()
+        assert (rows[first] == kept[3]).all() and (np.diff(first) > 0).all()
         triples = list(zip(raw_loss.tolist(), raw_ec.tolist(), raw_def.tolist()))
         assert [triples.index(t) for t in dict.fromkeys(triples)] == first.tolist()
         assert (kept[:3] == np.stack((raw_loss, raw_ec, raw_def))[:, first]).all()
@@ -780,6 +795,46 @@ def test_distinct_rows_pick_the_first_minimum():
                 setattr(w, rng.choice(["alpha", "beta", "gamma"]), 0.0)
             every = np.argmin(_weigh(w, n1, raw_loss, raw_ec, raw_def)[-1])
             assert kept[3, np.argmin(_weigh(w, n1, *kept[:3])[-1])] == rows[every]
+
+
+def test_distinct_rows_equal_the_sorting_oracle_property(monkeypatch):
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    unique, sorts, ways = np.unique, [], set()
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        size = data.draw(st.integers(1, 300), label="rows")
+        sums = []
+        # A sum's offset and width: wide deformation sums span more keys than
+        # there are rows, and sums above 2^31 leave int32. The oracle packs
+        # the sums without their minimums, so large offsets on two sums would
+        # overflow its int64 keys: only raw_def, which grows with n, gets one.
+        for name, lows, widths in (
+            ("loss", (0, 3), (1, 4)),
+            ("ec", (0, 3), (1, 4, 40)),
+            ("def", (0, 3, 1 << 33), (1, 10, 1 << 12, 1 << 40)),
+        ):
+            low = data.draw(st.sampled_from(lows), label=f"{name} offset")
+            width = data.draw(st.sampled_from(widths), label=f"{name} width")
+            seed = data.draw(st.integers(0, 2**32 - 1), label=f"{name} seed")
+            sums.append(low + np.random.default_rng(seed).integers(0, width, size))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="mask seed")
+        share = data.draw(st.sampled_from((0.0, 0.5, 0.95)), label="masked share")
+        bad = np.random.default_rng(seed).random(size) < share
+        bad[data.draw(st.integers(0, size - 1), label="a candidate")] = False
+        sorts.clear()
+        got = _distinct_rows(*sums, bad)
+        ways.add(bool(sorts))
+        want = distinct_rows_reference(*sums, bad)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    check()
+    # Both ways to a key's first row ran: the table, and the sort.
+    assert ways == {False, True}
 
 
 def test_minimize_batch_mixes_cached_and_missed_chains_in_one_round():
