@@ -45,8 +45,13 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             norm.add((u, v) if u < v else (v, u))
         if coords is not None:
-            # numpy scalars become the Python numbers JSON encodes; other values stay as given.
-            coords = [tuple(x.item() if isinstance(x, np.generic) else x for x in c) for c in coords]
+            # numpy scalars become the Python numbers JSON encodes and each coordinate
+            # a tuple; other values stay as given. Tuples of Python numbers, as
+            # `_lattice` builds, are already that and are not walked value by value.
+            coords = list(coords)
+            values = chain.from_iterable(coords)
+            if not (set(map(type, coords)) <= {tuple} and set(map(type, values)) <= {int, float}):
+                coords = [tuple(x.item() if isinstance(x, np.generic) else x for x in c) for c in coords]
             if len(coords) != n:
                 raise ValueError("coords length must equal vertex count")
         self.n = n

@@ -23,6 +23,9 @@ class Mapping:
     it lies in 1..n is checked against a graph (`property_report`).
     """
 
+    # No per-instance __dict__: an enumeration can hold tens of thousands.
+    __slots__ = ("domain", "codomain", "_image")
+
     def __init__(self, domain, codomain, image):
         domain = frozenset(_check_int(v, "domain vertex") for v in domain)
         codomain = frozenset(_check_int(w, "codomain vertex") for w in codomain)

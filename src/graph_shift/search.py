@@ -17,8 +17,8 @@ Each chain brings its own weights: chains that share one ScoreParams are
 weighed by its scalars, mixed ones by per-chain weight arrays, whose
 elementwise float64 products give the same bits.
 A round assigns a block of L sources; its rows are the flat product of L
-option axes over the sorted targets, then ⊥, built for a slice of the
-chains at a time (`_BATCH_CELLS`). Raw sums broadcast three integer
+option axes over the sorted targets, then ⊥. An uncached round builds them
+for a slice of the chains at a time (`_BATCH_CELLS`). Raw sums broadcast three integer
 tables from the distance table: each position's edge constraint (shared
 by the chains), its deformation against the chain's committed pairs (per
 chain), and the deformation between two block positions (shared). Rows
@@ -37,13 +37,18 @@ assignment, the block and the targets, and the weights enter only through
 the argmin. So a lockstep of two or more cells keeps a round cache, keyed
 per chain by those, and the chains of one call that share a key fill its
 entry once. An entry keeps each distinct (raw_loss, raw_ec, raw_def)
-triple of the round's candidates with its first row, in first-row order
-(`_distinct_rows`, which finds the first rows through a table indexed by
-the packed triple when its values are few, and sorts only those rows).
+triple of the round's candidates with its first row, in first-row order.
+A row's triple, less the chain's committed sums, is packed into one int64
+key. Its ⊥ count, its edge-constraint sum and its deformation within the
+block are the same for every chain, so they are packed once per round
+(`_round_key`), with a sentinel above every real key at rows that repeat
+a target; each missed chain adds only its own deformation rows, with the
+sentinel at its used targets, and keeps the first row of each key below
+the sentinel (`_distinct_rows`, through a table indexed by key when the
+keys are few, and a sort otherwise). No dense raw sums are built.
 A row's total is a function of its triple, so for any weights the first
 minimum over the entry sits at the first minimum over all rows: outputs
-stay bit-identical. The chains that miss are scored to fill their
-entries, and then every chain of the round, hit or miss, is weighed from
+stay bit-identical. The chains that miss fill their entries, and then every chain of the round, hit or miss, is weighed from
 its entry in one `_weigh` call over the entries laid end to end; each
 chain takes the first index of its own segment that holds the segment's
 minimum (`np.minimum.reduceat`), so no sort is needed. The cache lives
@@ -105,46 +110,81 @@ def _outer(tables, op):
     return out
 
 
+def _round_key(ec, between, deform):
+    """The part of a cached round's row keys that every chain of the round shares.
+
+    `ec` holds the block's L edge-constraint rows over the options (the
+    targets, then ⊥), `between` the deformation within the block over their
+    product, and `deform` the chains' deformation rows, (L, chains,
+    options). A row's key packs its deformation d, its edge-constraint sum
+    e and its ⊥ count b ≤ L into d·M + (e − min e)·(L + 1) + b, with
+    M = (L + 1)·(range of e + 1); this part holds all of it but the chain's
+    own deformation. A row that repeats a target holds the sentinel
+    S = (top + max between + 1)·M, where top sums each position's largest
+    deformation, so S is above every real key. Returns (shared part, S, M,
+    min e).
+    """
+    L, nopt = ec.shape
+    top = int(deform.max(axis=(1, 2)).sum())
+    bottoms, repeat = _product_masks(nopt, L)
+    ec_block = _outer(ec, np.add)
+    low = int(ec_block.min())
+    m = (L + 1) * (int(ec_block.max()) - low + 1)
+    sentinel = (top + int(between.max()) + 1) * m
+    shared = between.ravel() * m
+    shared += (ec_block - low) * (L + 1)
+    shared += bottoms
+    shared[repeat] = sentinel
+    return shared, sentinel, m, low
+
+
 #: `_distinct_rows` uses a table indexed by key when the keys span at most
 #: this many values per row, and a sort otherwise.
 _KEY_SPAN_PER_ROW = 4
+_INT32_MAX = np.iinfo(np.int32).max
 
 
-def _distinct_rows(raw_loss, raw_ec, raw_def, bad):
-    """A round's distinct raw-sum triples, each with the first candidate row that has it.
+def _distinct_rows(round_key, deform, used, sums):
+    """A chain's cache entry: each distinct raw-sum triple of its round's candidates, with its first row.
 
-    Takes the raw sums (non-negative) of one chain's rows of a round, dense
-    in product order, and the mask of its non-candidates; the all-⊥ row is
-    always a candidate. Returns one array of shape (4, m): raw_loss, raw_ec,
-    raw_def and first row of each distinct candidate triple, in first-row
-    order, as int32 where the values fit (half the cache's memory).
-    Each triple is packed into one key, each sum less its minimum. When the
-    keys span few values per row, as on small graphs, a table indexed by
-    key keeps each key's first candidate (`np.minimum.at`) and only those
-    rows are sorted. Wider keys, as deformation sums grow with the graph,
-    go through `np.unique`'s stable sort, cast to the narrowest unsigned
-    dtype (a radix sort up to 16 bits).
+    `round_key` is the round's `_round_key`; `deform` holds the chain's L
+    deformation rows over the options, `used` its used options and `sums`
+    its committed (loss, ec, def) sums. A row's key adds the chain's
+    deformation times M at each position, or S at a used target, to the
+    shared part, and the candidates are the keys below S. A key sums L + 1
+    parts of at most S, far inside int64: a position's deformation is at
+    most n·|V1| < 2^28, and (targets + 1)^L rows must fit in memory. When
+    the candidates' keys span few values per row, as on small graphs, a
+    table indexed by key keeps each key's first candidate (`np.minimum.at`)
+    and only those rows are sorted; wider keys, as deformation grows with
+    the graph, go through `np.unique`'s stable sort in the narrowest
+    unsigned dtype (a radix sort up to 16 bits). Returns one array with a
+    column per distinct triple, in first-row order: raw_loss, raw_ec,
+    raw_def and first row, as int32 where the values fit (half the cache's
+    memory).
     """
-    sums = raw_loss, raw_ec, raw_def
-    lows = [int(s.min()) for s in sums]
-    loss_base, ec_base, def_base = (int(s.max()) - low + 1 for s, low in zip(sums, lows))
-    span = loss_base * ec_base * def_base
-    key = raw_def * ec_base
-    key += raw_ec
-    key *= loss_base
-    key += raw_loss
-    key -= (lows[2] * ec_base + lows[1]) * loss_base + lows[0]
-    rows = np.flatnonzero(~bad)
-    key = key[rows]
-    if span <= _KEY_SPAN_PER_ROW * len(bad):
-        table = np.full(span, len(bad))
-        np.minimum.at(table, key, rows)
-        first = np.sort(table[table < len(bad)])
+    shared, sentinel, m, low = round_key
+    parts = deform * m
+    parts[:, used] = sentinel
+    key = _outer(parts, np.add)
+    key += shared
+    rows = np.flatnonzero(key < sentinel)
+    cand = key[rows]
+    least = int(cand.min())
+    span = int(cand.max()) - least + 1
+    cand -= least
+    if span <= _KEY_SPAN_PER_ROW * len(key):
+        table = np.full(span, len(key))
+        np.minimum.at(table, cand, rows)
+        first = np.sort(table[table < len(key)])
     else:
-        _, at = np.unique(key.astype(np.min_scalar_type(span - 1)), return_index=True)
+        _, at = np.unique(cand.astype(np.min_scalar_type(span - 1)), return_index=True)
         first = np.sort(rows[at])
-    out = np.array((raw_loss[first], raw_ec[first], raw_def[first], first))
-    return out.astype(np.int32) if out.max() <= np.iinfo(np.int32).max else out
+    # Unpack each first row's key, then add the chain's committed sums.
+    rest, bottoms = np.divmod(key[first], len(deform) + 1)
+    deformation, ec = np.divmod(rest, m // (len(deform) + 1))
+    out = np.array((sums[0] + bottoms, sums[1] + low + ec, sums[2] + deformation, first))
+    return out.astype(np.int32) if out.max() <= _INT32_MAX else out
 
 
 @dataclass
@@ -201,8 +241,9 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
     cache: a dict from a chain's round (anchor, block, targets, committed
     sources, pin and picks, as bytes; the pin and picks fix the used
     targets) to `_distinct_rows` of its candidates, by flat product index.
-    The result is the same without it. A round builds rows only for the
-    chains that miss it, once per key, sliced within `_BATCH_CELLS`, so an
+    The result is the same without it. A cached round builds keys only for
+    the chains that miss it, once per cache key; an uncached one builds
+    dense rows for every chain, sliced within `_BATCH_CELLS`, so an
     expansion is one call.
     """
     if not v2s:
@@ -272,37 +313,13 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
                 pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
                 pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
                 between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
-        # The chains to score, sliced so that their dense rows fit _BATCH_CELLS;
-        # an uncached round slices by views, cheaper than index arrays at k = 1.
-        per, picked = max(1, _BATCH_CELLS // (nt + 1) ** L), []
-        for lo in range(0, len(todo), per):
-            part = todo[lo : lo + per] if cached else slice(lo, lo + per)
-            # Raw sums: a chain's committed sums plus, at L = 1, the source's
-            # own tables, else their product and the deformation within the block.
-            raw_ec = ec_sum[part, None] + ec[start]
-            raw_def = def_sum[part, None] + deform[start, part]
-            bad = used[part]
-            if L > 1:
-                raw_ec = _outer([raw_ec, *ec[start + 1 : start + L]], np.add)
-                raw_def = _outer([raw_def, *deform[start + 1 : start + L, part]], np.add)
-                raw_def += between.ravel()
-                bad = _outer([bad] * L, np.logical_or)
-                bad |= _product_masks(nt + 1, L)[1]
-            raw_loss = loss[part, None] + _product_masks(nt + 1, L)[0]
-            if cached:
-                for i, c in enumerate(part):
-                    rounds[keys[c]] = _distinct_rows(raw_loss[i], raw_ec[i], raw_def[i], bad[i])
-            else:
-                total = _weigh(weights((part, None)), n1, raw_loss, raw_ec, raw_def)[-1]
-                total[bad] = np.inf
-                pick = total.argmin(axis=1)
-                at = chains[: len(pick)], pick
-                picked.append((pick, raw_loss[at], raw_ec[at], raw_def[at]))
-
-        if not cached:
-            # One slice picks for the whole round; more are laid end to end.
-            best, loss, ec_sum, def_sum = picked[0] if len(picked) == 1 else map(np.concatenate, zip(*picked))
-        else:
+        if cached:
+            # Each missed chain adds its own deformation to the round's shared key.
+            if len(todo):
+                block = deform[start : start + L]
+                round_key = _round_key(ec[start : start + L], between, block)
+                for c in todo:
+                    rounds[keys[c]] = _distinct_rows(round_key, block[:, c], used[c], (loss[c], ec_sum[c], def_sum[c]))
             # Every chain's entry, weighed at once as one pool of segments;
             # each chain takes the first pool index holding its segment's minimum.
             entries = [rounds[key] for key in keys]
@@ -314,6 +331,30 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
             first = hits[np.searchsorted(hits, starts)]
             best = pool[3, first]
             loss[:], ec_sum[:], def_sum[:] = pool[:3, first]
+        else:
+            # The chains, sliced so that their dense rows fit _BATCH_CELLS.
+            per, picked = max(1, _BATCH_CELLS // (nt + 1) ** L), []
+            for lo in range(0, nc, per):
+                part = slice(lo, lo + per)
+                # Raw sums: a chain's committed sums plus, at L = 1, the source's
+                # own tables, else their product and the deformation within the block.
+                raw_ec = ec_sum[part, None] + ec[start]
+                raw_def = def_sum[part, None] + deform[start, part]
+                bad = used[part]
+                if L > 1:
+                    raw_ec = _outer([raw_ec, *ec[start + 1 : start + L]], np.add)
+                    raw_def = _outer([raw_def, *deform[start + 1 : start + L, part]], np.add)
+                    raw_def += between.ravel()
+                    bad = _outer([bad] * L, np.logical_or)
+                    bad |= _product_masks(nt + 1, L)[1]
+                raw_loss = loss[part, None] + _product_masks(nt + 1, L)[0]
+                total = _weigh(weights((part, None)), n1, raw_loss, raw_ec, raw_def)[-1]
+                total[bad] = np.inf
+                pick = total.argmin(axis=1)
+                at = chains[: len(pick)], pick
+                picked.append((pick, raw_loss[at], raw_ec[at], raw_def[at]))
+            # One slice picks for the whole round; more are laid end to end.
+            best, loss, ec_sum, def_sum = picked[0] if len(picked) == 1 else map(np.concatenate, zip(*picked))
 
         opts = np.unravel_index(best, shape) if L > 1 else (best,)
         for j, o in enumerate(opts, start):

@@ -228,6 +228,22 @@ def test_numpy_scalar_coords_save_and_load_back_equal(tmp_path):
     assert loaded == g and loaded.coords == g.coords
 
 
+def test_coords_become_tuples_of_python_numbers():
+    # Lists, as JSON loads them, become tuples.
+    g = Graph(2, [(1, 2)], coords=[[0, 1.5], [2, 3]])
+    assert g.coords == [(0, 1.5), (2, 3)] and all(type(c) is tuple for c in g.coords)
+    assert Graph.from_json_dict({"n": 2, "edges": [], "coords": [[1, 2], [3, 4]]}).coords == [(1, 2), (3, 4)]
+    # One numpy scalar after plain tuples is still converted.
+    g = Graph(3, [], coords=[(1, 2), (3, 4), (5, np.int64(6))])
+    assert g.coords == [(1, 2), (3, 4), (5, 6)] and type(g.coords[2][1]) is int
+    # Tuples of Python numbers, as the lattices build, are kept in a list of the graph's own.
+    given = [(1, 2.5), (3, 4)]
+    g = Graph(2, [], coords=given)
+    assert g.coords == given and g.coords is not given and g.coords[0] is given[0]
+    # Other values stay as given.
+    assert Graph(1, [], coords=[(True, "a")]).coords == [(True, "a")]
+
+
 def test_distance_matrix_symmetry():
     g = make_random_geometric(20, 0.4, seed=1)
     d = g.distance_matrix()

@@ -24,6 +24,18 @@ def path4():
     return Graph(4, [(1, 2), (2, 3), (3, 4)])
 
 
+def test_mappings_carry_no_instance_dict_and_compare_and_hash_equal():
+    checked = Mapping({1, 2}, {2, 3}, {1: 2, 2: BOTTOM})
+    trusted = Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 2, 2: BOTTOM})
+    for m in (checked, trusted):
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(AttributeError):
+            m.extra = 1
+    assert checked == trusted and hash(checked) == hash(trusted)
+    assert len({checked, trusted}) == 1
+    assert trusted != Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 3, 2: BOTTOM})
+
+
 def test_injectivity_rejected():
     with pytest.raises(ValueError):
         Mapping({1, 2}, {1, 2, 3}, {1: 3, 2: 3})

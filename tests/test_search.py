@@ -20,6 +20,7 @@ from graph_shift.search import (
     _distinct_rows,
     _minimize_batch,
     _product_masks,
+    _round_key,
     _step,
     best_composition,
     expand_support,
@@ -762,79 +763,111 @@ def test_sweep_round_cache_property():
     check()
 
 
+def _dense_round(ec, between, deform, used, sums):
+    """One chain's dense (raw_loss, raw_ec, raw_def, bad) over a round's option product.
+
+    The rows an uncached round weighs, from the inputs of `_round_key` and
+    `_distinct_rows`, written out per row position: ⊥ is the last option,
+    and a row is masked where it takes a used target or two positions take
+    the same target.
+    """
+    L, nopt = ec.shape
+    cols = np.indices((nopt,) * L).reshape(L, -1)
+    at = np.arange(L)[:, None], cols
+    bottom = cols == nopt - 1
+    raw_loss = sums[0] + bottom.sum(axis=0)
+    raw_ec = sums[1] + ec[at].sum(axis=0)
+    raw_def = sums[2] + deform[at].sum(axis=0) + between.ravel()
+    bad = used[cols].any(axis=0)
+    for i, j in itertools.combinations(range(L), 2):
+        bad |= (cols[i] == cols[j]) & ~bottom[i]
+    return raw_loss, raw_ec, raw_def, bad
+
+
+def _random_round(rng, L, nopt, high, chains):
+    """A round's (ec, between) and, per chain, (deform, used, sums); ⊥ is never used."""
+    ec = rng.integers(0, int(rng.integers(1, 4)), (L, nopt))
+    between = rng.integers(0, int(rng.integers(1, 6)), (nopt,) * L)
+    own = []
+    for _ in range(chains):
+        used = rng.random(nopt) < rng.choice([0.0, 0.3, 0.7])
+        used[-1] = False
+        sums = tuple(np.int64(rng.integers(0, 40)) for _ in range(3))
+        own.append((rng.integers(0, high, (L, nopt)), used, sums))
+    return ec, between, own
+
+
+def _fill(ec, between, own):
+    """Every chain's entry of one round through one shared `_round_key`, as the kernel fills them."""
+    key = _round_key(ec, between, np.stack([deform for deform, _, _ in own], axis=1))
+    return [_distinct_rows(key, deform, used, sums) for deform, used, sums in own]
+
+
 def test_distinct_rows_pick_the_first_minimum():
     rng = np.random.default_rng(5)
     for trial in range(300):
-        size = int(rng.integers(1, 400))
-        span = int(rng.integers(1, 4))
-        # raw_def below 40 mostly keeps the packed keys within the table; the
+        L = (2, 3, 4)[trial % 3]
+        nopt = int(rng.integers(2, (16, 9, 6)[trial % 3]))
+        # Deformation below 8 mostly keeps the packed keys within the table; the
         # wider draws take the sort, on uint16, uint32 and uint64 keys.
-        high = int(rng.integers(1, (40, 1 << 10, 1 << 20, 1 << 31)[trial % 4]))
-        # One chain's dense rows: the candidates are `rows`, the others masked.
-        dense = 3 * size
-        raw_loss = int(rng.integers(0, 3)) + rng.integers(0, span + 1, dense)
-        raw_ec = int(rng.integers(0, 3)) + rng.integers(0, span + 1, dense)
-        raw_def = rng.integers(0, high, dense)
-        rows = np.sort(rng.choice(dense, size, replace=False))
-        bad = np.ones(dense, dtype=bool)
-        bad[rows] = False
-        kept = _distinct_rows(raw_loss, raw_ec, raw_def, bad)
-        assert kept.dtype == np.int32
-        raw_loss, raw_ec, raw_def = raw_loss[rows], raw_ec[rows], raw_def[rows]
-        # Every candidate triple once, at its first row, in first-row order.
-        first = np.searchsorted(rows, kept[3])
-        assert (rows[first] == kept[3]).all() and (np.diff(first) > 0).all()
-        triples = list(zip(raw_loss.tolist(), raw_ec.tolist(), raw_def.tolist()))
-        assert [triples.index(t) for t in dict.fromkeys(triples)] == first.tolist()
-        assert (kept[:3] == np.stack((raw_loss, raw_ec, raw_def))[:, first]).all()
-        n1 = int(raw_loss.max()) + int(rng.integers(0, 3)) + 1
-        for _ in range(4):
-            # _weigh reads only the weights, so any real ones do, negative too.
-            w = types.SimpleNamespace(**dict(zip(("alpha", "beta", "gamma"), rng.normal(0, 1, 3))))
-            if rng.random() < 0.5:
-                setattr(w, rng.choice(["alpha", "beta", "gamma"]), 0.0)
-            every = np.argmin(_weigh(w, n1, raw_loss, raw_ec, raw_def)[-1])
-            assert kept[3, np.argmin(_weigh(w, n1, *kept[:3])[-1])] == rows[every]
+        high = int(rng.integers(1, (8, 1 << 10, 1 << 20, 1 << 26)[trial % 4]))
+        ec, between, own = _random_round(rng, L, nopt, high, 2)
+        for kept, (deform, used, sums) in zip(_fill(ec, between, own), own):
+            raw_loss, raw_ec, raw_def, bad = _dense_round(ec, between, deform, used, sums)
+            assert kept.dtype == np.int32
+            rows = np.flatnonzero(~bad)
+            raw_loss, raw_ec, raw_def = raw_loss[rows], raw_ec[rows], raw_def[rows]
+            # Every candidate triple once, at its first row, in first-row order.
+            first = np.searchsorted(rows, kept[3])
+            assert (rows[first] == kept[3]).all() and (np.diff(first) > 0).all()
+            triples = list(zip(raw_loss.tolist(), raw_ec.tolist(), raw_def.tolist()))
+            assert [triples.index(t) for t in dict.fromkeys(triples)] == first.tolist()
+            assert (kept[:3] == np.stack((raw_loss, raw_ec, raw_def))[:, first]).all()
+            n1 = int(raw_loss.max()) + int(rng.integers(0, 3)) + 1
+            for _ in range(4):
+                # _weigh reads only the weights, so any real ones do, negative too.
+                w = types.SimpleNamespace(**dict(zip(("alpha", "beta", "gamma"), rng.normal(0, 1, 3))))
+                if rng.random() < 0.5:
+                    setattr(w, rng.choice(["alpha", "beta", "gamma"]), 0.0)
+                every = np.argmin(_weigh(w, n1, raw_loss, raw_ec, raw_def)[-1])
+                assert kept[3, np.argmin(_weigh(w, n1, *kept[:3])[-1])] == rows[every]
 
 
 def test_distinct_rows_equal_the_sorting_oracle_property(monkeypatch):
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    unique, sorts, ways = np.unique, [], set()
+    unique, sorts, ways, seen = np.unique, [], set(), set()
     monkeypatch.setattr(np, "unique", lambda *a, **kw: sorts.append(1) or unique(*a, **kw))
 
     @hyp.settings(max_examples=200, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        size = data.draw(st.integers(1, 300), label="rows")
-        sums = []
-        # A sum's offset and width: wide deformation sums span more keys than
-        # there are rows, and sums above 2^31 leave int32. The oracle packs
-        # the sums without their minimums, so large offsets on two sums would
-        # overflow its int64 keys: only raw_def, which grows with n, gets one.
-        for name, lows, widths in (
-            ("loss", (0, 3), (1, 4)),
-            ("ec", (0, 3), (1, 4, 40)),
-            ("def", (0, 3, 1 << 33), (1, 10, 1 << 12, 1 << 40)),
-        ):
-            low = data.draw(st.sampled_from(lows), label=f"{name} offset")
-            width = data.draw(st.sampled_from(widths), label=f"{name} width")
-            seed = data.draw(st.integers(0, 2**32 - 1), label=f"{name} seed")
-            sums.append(low + np.random.default_rng(seed).integers(0, width, size))
-        seed = data.draw(st.integers(0, 2**32 - 1), label="mask seed")
-        share = data.draw(st.sampled_from((0.0, 0.5, 0.95)), label="masked share")
-        bad = np.random.default_rng(seed).random(size) < share
-        bad[data.draw(st.integers(0, size - 1), label="a candidate")] = False
+        L = data.draw(st.sampled_from((2, 3, 4)), label="L")
+        nopt = data.draw(st.integers(2, (16, 9, 6)[L - 2]), label="options")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # Wide deformation rows span more keys than there are rows; rows up to
+        # 2^40 and committed sums of 2^33 leave int32 and put keys near 2^54,
+        # the sentinel's (L + 1)·S bound well inside int64.
+        high = data.draw(st.sampled_from((1, 4, 1 << 12, 1 << 40)), label="deformation width")
+        ec, between, own = _random_round(rng, L, nopt, high, data.draw(st.integers(1, 3), label="chains"))
+        if data.draw(st.booleans(), label="def offset"):
+            own = [(deform, used, (*sums[:2], sums[2] + (1 << 33))) for deform, used, sums in own]
         sorts.clear()
-        got = _distinct_rows(*sums, bad)
+        got = _fill(ec, between, own)
         ways.add(bool(sorts))
-        want = distinct_rows_reference(*sums, bad)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        for entry, (deform, used, sums) in zip(got, own):
+            seen.add(entry.dtype)
+            want = distinct_rows_reference(*_dense_round(ec, between, deform, used, sums))
+            assert entry.dtype == want.dtype
+            assert np.array_equal(entry, want)
+            # At L >= 2 a used target is also taken by two positions in some rows.
+            if used.any():
+                seen.add("used and repeated")
 
     check()
-    # Both ways to a key's first row ran: the table, and the sort.
+    # Both ways to a key's first row ran: the table, and the sort; both dtypes came out.
     assert ways == {False, True}
+    assert seen == {np.dtype(np.int32), np.dtype(np.int64), "used and repeated"}
 
 
 def test_minimize_batch_mixes_cached_and_missed_chains_in_one_round():
