@@ -4,8 +4,8 @@ On a torus every coordinate shift is lossless; on a grid, vertices pushed
 out of range map to bottom. The contamination construction shows that on
 large-enough tori (every dimension at least 5) single-step axis shifts are
 the only lossless translations. Every axis, slice index, sign, dimension
-and delta entry passes `graph._check_int`; the closed-form helpers check
-dimensions as `make_grid` does, without its order cap.
+and delta entry passes `graph._check_int`; dimensions are checked as by
+the lattice builders, with their order cap only where a shift is built.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .graph import _MAX_ORDER, _check_dims, _check_int, _row_major, _shifted, make_torus
+from .graph import _check_dims, _check_int, _lattice_dims, _row_major, _shifted, make_torus
 from .mapping import BOTTOM, Mapping
 
 
@@ -31,8 +31,7 @@ def dirac(d, i, sign=1):
 
 def _shift(dims, delta, wrap):
     """Coordinate shift by delta on the torus (wrap) or the grid (bottom outside); builds no graph."""
-    dims = _check_dims(dims, 3 if wrap else 1)
-    n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
+    dims, n = _lattice_dims(dims, wrap)
     delta = [_check_int(s, "delta entry") for s in delta]
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")

@@ -277,6 +277,12 @@ def _check_dims(dims, low=1):
     return dims
 
 
+def _lattice_dims(dims, wrap):
+    """The checked dims of a lattice, each at least 3 if it wraps, and its order, at most _MAX_ORDER."""
+    dims = _check_dims(dims, 3 if wrap else 1)
+    return dims, _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
+
+
 def _shifted(dims, delta, wrap):
     """Row-major vertex of every point of the lattice dims moved by delta, in vertex
     order: wrapped round each axis if wrap, else 0 off the grid. Each delta entry is
@@ -292,8 +298,7 @@ def _shifted(dims, delta, wrap):
 def _lattice(dims, wrap):
     """Each point joined to its image under every unit shift +e_i, which wraps iff
     wrap, so a wrapped dimension must be at least 3 to keep the graph simple."""
-    dims = _check_dims(dims, 3 if wrap else 1)
-    n = _check_int(math.prod(dims), "grid order", 1, _MAX_ORDER)
+    dims, n = _lattice_dims(dims, wrap)
     coords = list(product(*(range(1, d + 1) for d in dims)))  # row-major, as index_to_coord
     # An axis of length 1 has no edge: its unit shift leaves the grid.
     units = ([int(k == i) for k in range(len(dims))] for i, d in enumerate(dims) if d > 1)

@@ -17,46 +17,43 @@ Each chain brings its own weights: chains that share one ScoreParams are
 weighed by its scalars, mixed ones by per-chain weight arrays, whose
 elementwise float64 products give the same bits.
 A round assigns a block of L sources; its rows are the flat product of L
-option axes over the sorted targets, then ⊥. An uncached round builds them
-for a slice of the chains at a time (`_BATCH_CELLS`). Raw sums broadcast three integer
-tables from the distance table: each position's edge constraint (shared
-by the chains), its deformation against the chain's committed pairs (per
-chain), and the deformation between two block positions (shared). Rows
-where a chain reuses a target, or two positions take the same one, are
-masked to +inf; masking keeps product order, so one `np.argmin` per chain
-picks the first minimizer of its own candidates, whatever its slice.
+option axes over the sorted targets, then ⊥. Rows where a chain reuses a
+target, or two positions take the same one, are not candidates, and each
+chain picks the first minimizer of its candidates in product order.
 `relax._weigh`, the expression behind `relax.score`, weighs rows and
-steps, so the numbers agree.
+steps, so the numbers agree. A one-source round has |targets| + 1 rows,
+nearly all distinct: it is weighed densely, with a chain's used targets
+masked to +inf, and one `np.argmin` per chain picks.
+
+A round of two or more sources has (|targets| + 1)^L rows but far fewer
+distinct raw-sum triples. Its raw sums depend on the chain's committed
+assignment, the block and the targets; the weights enter only through the
+argmin. So each chain's round is weighed from an entry that keeps each
+distinct (raw_loss, raw_ec, raw_def) triple of its candidates with its
+first row, in first-row order. A row's triple, less the chain's committed
+sums, is packed into one int64 key. Its ⊥ count, its edge-constraint sum
+and its deformation within the block are the same for every chain, so
+they are packed once per round (`_round_key`), with a sentinel above every
+real key at rows that repeat a target; each chain that fills an entry adds
+only its own deformation rows, with the sentinel at its used targets, and
+keeps the first row of each key below the sentinel (`_distinct_rows`,
+through a table indexed by key when the keys are few, and a sort
+otherwise). No dense raw sums are built. A row's total is a function of
+its triple, so for any weights the first minimum over the entry sits at
+the first minimum over all rows: outputs stay bit-identical. Every chain
+of the round is weighed from its entry in one `_weigh` call over the
+entries laid end to end; each chain takes the first index of its own
+segment that holds the segment's minimum (`np.minimum.reduceat`), so no
+sort is needed. A lone search keeps an entry for its round only.
 
 A parameter sweep runs the cells of one block size in lockstep
 (`_best_compositions`): on each tick every live cell settles one anchor,
 and the cells that expand the same anchor with the same support, hence
 the same targets, hand all their chains to one kernel call. The cells
-also share rounds: a round's raw sums depend on the chain's committed
-assignment, the block and the targets, and the weights enter only through
-the argmin. So a lockstep of two or more cells keeps a round cache, keyed
-per chain by those, and the chains of one call that share a key fill its
-entry once. An entry keeps each distinct (raw_loss, raw_ec, raw_def)
-triple of the round's candidates with its first row, in first-row order.
-A row's triple, less the chain's committed sums, is packed into one int64
-key. Its ⊥ count, its edge-constraint sum and its deformation within the
-block are the same for every chain, so they are packed once per round
-(`_round_key`), with a sentinel above every real key at rows that repeat
-a target; each missed chain adds only its own deformation rows, with the
-sentinel at its used targets, and keeps the first row of each key below
-the sentinel (`_distinct_rows`, through a table indexed by key when the
-keys are few, and a sort otherwise). No dense raw sums are built.
-A row's total is a function of its triple, so for any weights the first
-minimum over the entry sits at the first minimum over all rows: outputs
-stay bit-identical. The chains that miss fill their entries, and then every chain of the round, hit or miss, is weighed from
-its entry in one `_weigh` call over the entries laid end to end; each
-chain takes the first index of its own segment that holds the segment's
-minimum (`np.minimum.reduceat`), so no sort is needed. The cache lives
-for one lockstep search, one block size of the sweep. Rounds of
-`_CACHED_BLOCK` (two) or more sources use it: a two-vertex round has
-(|targets| + 1)^2 dense rows but a few dozen distinct triples, while a
-one-vertex round has |targets| + 1 rows, nearly all distinct, and is
-weighed densely.
+also share rounds: a lockstep of two or more cells keeps its entries in a
+round cache, keyed per chain by its committed assignment, block and
+targets, for the whole lockstep search, one block size of the sweep. The
+chains of one call that share a key fill its entry once.
 """
 
 from __future__ import annotations
@@ -194,13 +191,13 @@ class SearchStats:
     `calls` counts greedy chains built (one per v2 the kernel is given),
     `evaluations` the candidate rows their rounds considered (a chain's
     masked rows are not candidates), `rows_computed` the candidate rows
-    whose raw sums were built, and `round_hits` the chains' rounds read
-    from a sweep's round cache instead (rounds of two or more sources;
+    whose raw sums or keys were built, and `round_hits` the chains' rounds
+    read from a sweep's round cache instead (rounds of two or more sources;
     their rows count as considered, not computed). `pushes`,
     `stale_pops` and `settled` count best_composition's queue entries
     pushed, popped for an anchor already settled, and anchors settled.
     `kernel_calls` counts the anchor search's calls of the greedy kernel,
-    however many slices it splits its chains into: one per expanded anchor
+    however many chunks it splits its chains into: one per expanded anchor
     in a lone search, one per shared expansion in a sweep; minimize_s
     counts none.
     """
@@ -215,15 +212,10 @@ class SearchStats:
     kernel_calls: int = 0
 
 
-#: Cells a round's rows may take at once: it builds them for slices of
-#: _BATCH_CELLS // (targets + 1)^L chains. A kernel call splits its chains
-#: only if their deformation tables, sources × (targets + 1) each, exceed it.
-#: Each cell holds about ten 8-byte temporaries; the bound keeps a sweep's peak
-#: RSS, whose lockstep calls fill whole slices (2^15 cost it 11%, 2^14 6%).
+#: Cells a kernel call's deformation tables may take, sources × (targets + 1)
+#: per chain: a call whose chains exceed it splits them into chunks that fit,
+#: so a one-source round's dense rows, (targets + 1) per chain, fit it too.
 _BATCH_CELLS = 1 << 14
-#: Rounds of at least this many sources go through a lockstep's round cache.
-#: One source's rows are nearly all distinct, so they are weighed densely.
-_CACHED_BLOCK = 2
 
 
 def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None, rounds=None):
@@ -237,14 +229,13 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
     sums, and `total` the score, bit for bit that of the step `_step`
     builds from them. The caller guarantees valid vertices: V1 is the
     sorted support and holds v1, V2 is the target set, every pin in v2s is
-    a target, and ps share one k_block. `rounds` is a lockstep's round
-    cache: a dict from a chain's round (anchor, block, targets, committed
-    sources, pin and picks, as bytes; the pin and picks fix the used
-    targets) to `_distinct_rows` of its candidates, by flat product index.
-    The result is the same without it. A cached round builds keys only for
-    the chains that miss it, once per cache key; an uncached one builds
-    dense rows for every chain, sliced within `_BATCH_CELLS`, so an
-    expansion is one call.
+    a target, and ps share one k_block. A round of two or more sources
+    weighs each chain from its entry, `_distinct_rows` of its candidates by
+    flat product index, filled once per entry key. `rounds` is a lockstep's
+    round cache: a dict from a chain's round (anchor, block, targets,
+    committed sources, pin and picks, as bytes; the pin and picks fix the
+    used targets) to its entry. Without it, each chain fills its own entry,
+    kept for the round only. The result is the same either way.
     """
     if not v2s:
         return []
@@ -289,14 +280,17 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
         L = min(p.k_block, len(rest) - start)
         n1, shape = start + L + 1, (nt + 1,) * L
         todo = chains
-        cached = rounds is not None and L >= _CACHED_BLOCK
-        if cached:
-            head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
-            state = np.vstack((pins, picks[:start])).T.astype(np.int32)
-            keys = [head + s.tobytes() for s in state]
+        if L > 1:
+            # Each chain's entry: in the lockstep's cache under its round's key,
+            # else in a dict for this round only, under its index.
+            keys, entries = range(nc), {}
+            if rounds is not None:
+                head = np.array([v1, start, L, nt, *T, *rest[: start + L]], dtype=np.int32).tobytes()
+                state = np.vstack((pins, picks[:start])).T.astype(np.int32)
+                keys, entries = [head + s.tobytes() for s in state], rounds
             missed = {}
             for c, key in enumerate(keys):
-                if key not in rounds:
+                if key not in entries:
                     missed.setdefault(key, c)
             todo = np.array(list(missed.values()), dtype=np.intp)
         if stats is not None:
@@ -307,56 +301,40 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
             stats.round_hits += nc - len(todo)
             stats.rows_computed += int(rows[todo].sum())
 
-        if L > 1 and len(todo):
-            between = np.zeros(shape, dtype=np.int64)
-            for i, j in itertools.combinations(range(L), 2):
-                pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
-                pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
-                between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
-        if cached:
+        if L == 1:
+            # Dense raw sums: a chain's committed sums plus the source's own tables.
+            raw_loss = loss[:, None] + _product_masks(nt + 1, 1)[0]
+            raw_ec = ec_sum[:, None] + ec[start]
+            raw_def = def_sum[:, None] + deform[start]
+            total = _weigh(weights(chains[:, None]), n1, raw_loss, raw_ec, raw_def)[-1]
+            total[used] = np.inf
+            best = total.argmin(axis=1)
+            loss, ec_sum, def_sum = raw_loss[chains, best], raw_ec[chains, best], raw_def[chains, best]
+        else:
             # Each missed chain adds its own deformation to the round's shared key.
             if len(todo):
+                between = np.zeros(shape, dtype=np.int64)
+                for i, j in itertools.combinations(range(L), 2):
+                    pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
+                    pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
+                    between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
                 block = deform[start : start + L]
                 round_key = _round_key(ec[start : start + L], between, block)
                 for c in todo:
-                    rounds[keys[c]] = _distinct_rows(round_key, block[:, c], used[c], (loss[c], ec_sum[c], def_sum[c]))
+                    entries[keys[c]] = _distinct_rows(round_key, block[:, c], used[c], (loss[c], ec_sum[c], def_sum[c]))
             # Every chain's entry, weighed at once as one pool of segments;
             # each chain takes the first pool index holding its segment's minimum.
-            entries = [rounds[key] for key in keys]
-            sizes = np.array([entry.shape[1] for entry in entries])
+            pooled = [entries[key] for key in keys]
+            sizes = np.array([entry.shape[1] for entry in pooled])
             starts = np.cumsum(sizes) - sizes
-            pool = np.concatenate(entries, axis=1)
+            pool = np.concatenate(pooled, axis=1)
             total = _weigh(weights(np.repeat(chains, sizes)), n1, *pool[:3])[-1]
             hits = np.flatnonzero(total == np.repeat(np.minimum.reduceat(total, starts), sizes))
             first = hits[np.searchsorted(hits, starts)]
             best = pool[3, first]
             loss[:], ec_sum[:], def_sum[:] = pool[:3, first]
-        else:
-            # The chains, sliced so that their dense rows fit _BATCH_CELLS.
-            per, picked = max(1, _BATCH_CELLS // (nt + 1) ** L), []
-            for lo in range(0, nc, per):
-                part = slice(lo, lo + per)
-                # Raw sums: a chain's committed sums plus, at L = 1, the source's
-                # own tables, else their product and the deformation within the block.
-                raw_ec = ec_sum[part, None] + ec[start]
-                raw_def = def_sum[part, None] + deform[start, part]
-                bad = used[part]
-                if L > 1:
-                    raw_ec = _outer([raw_ec, *ec[start + 1 : start + L]], np.add)
-                    raw_def = _outer([raw_def, *deform[start + 1 : start + L, part]], np.add)
-                    raw_def += between.ravel()
-                    bad = _outer([bad] * L, np.logical_or)
-                    bad |= _product_masks(nt + 1, L)[1]
-                raw_loss = loss[part, None] + _product_masks(nt + 1, L)[0]
-                total = _weigh(weights((part, None)), n1, raw_loss, raw_ec, raw_def)[-1]
-                total[bad] = np.inf
-                pick = total.argmin(axis=1)
-                at = chains[: len(pick)], pick
-                picked.append((pick, raw_loss[at], raw_ec[at], raw_def[at]))
-            # One slice picks for the whole round; more are laid end to end.
-            best, loss, ec_sum, def_sum = picked[0] if len(picked) == 1 else map(np.concatenate, zip(*picked))
 
-        opts = np.unravel_index(best, shape) if L > 1 else (best,)
+        opts = np.unravel_index(best, shape)
         for j, o in enumerate(opts, start):
             picks[j] = o
             mapped = o < nt

@@ -2,7 +2,7 @@
 
 The pinned file holds the sha256 of a `graph-shift sweep` CSV on a small
 geometric graph and the JSON traces of `best_composition` on the acceptance
-instance (n=100, r=0.15, seed 3, 82 -> 8) at K = 1, 2 and 3, and the
+instance (n=100, r=0.15, seed 3, 82 -> 8) at K = 1, 2, 3 and 4, and the
 sha256 of the benchmark's sweep CSV (n=24), which
 `test_cli_outputs_are_byte_identical_across_runs` checks. A change to
 the search kernel that alters any score bit, tie-break or chosen row
@@ -32,7 +32,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["sweep_csv_sha256"]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_acceptance_composition_trace_is_pinned(k):
     g = make_random_geometric(100, 0.15, 3)
     V1 = expand_support(g, {82}, 1)

@@ -127,6 +127,8 @@ def test_graph_order_is_capped_where_the_distance_table_stays_int16(monkeypatch)
         lambda: make_ring(11),
         lambda: make_random_geometric(11, 0.5, 1),
         lambda: make_grid([4, 3]),
+        lambda: euclidean_on_grid([4, 3], (1, 0)),
+        lambda: euclidean_on_torus([4, 3], (1, 0)),
     ):
         with pytest.raises(ValueError, match=r" (11|12) out of range \d\.\.10$"):
             build()

@@ -4,6 +4,7 @@ import json
 import math
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from graph_shift.search import (
     DEFAULT_BLOCKS,
     DEFAULT_WEIGHTS,
     SearchStats,
-    _CACHED_BLOCK,
     _distinct_rows,
     _minimize_batch,
     _product_masks,
@@ -121,13 +121,13 @@ def test_minimize_batch_matches_scalar_greedy_property():
         assert [_minimize_batch(v1, [v2], g, support, targets, [p])[0] for v2 in v2s] == batch
 
         # A sweep's round cache, filled under p (every round misses), read
-        # again under p (every round of _CACHED_BLOCK or more sources hits)
+        # again under p (every round of two or more sources hits)
         # and under other weights (the first such round hits; later ones
         # hit where the picks before them agree). Each equals the kernel
         # without a cache.
         sources = len(V1) - 1
-        cached = len(v2s) * sum(min(k, sources - s) >= _CACHED_BLOCK for s in range(0, sources, k))
-        first = len(v2s) if min(k, sources) >= _CACHED_BLOCK else 0
+        cached = len(v2s) * sum(min(k, sources - s) >= 2 for s in range(0, sources, k))
+        first = len(v2s) if min(k, sources) >= 2 else 0
         reweighed = ScoreParams(*data.draw(weights, label="reweigh"), k)
         rounds = {}
         for q, hits in ((p, {0}), (p, {cached}), (reweighed, range(first, cached + 1))):
@@ -186,10 +186,10 @@ def test_chains_that_share_a_round_cache_key_build_its_rows_once():
     V1 = sorted(expand_support(g, {5}, 1))
     V2 = expand_support(g, V1, 1)
     v2 = min(V2 - {5})
-    p, q = ScoreParams(1.0, 0.1, 0.5, _CACHED_BLOCK), ScoreParams(0.1, 0.5, 1.0, _CACHED_BLOCK)
+    p, q = ScoreParams(1.0, 0.1, 0.5, 2), ScoreParams(0.1, 0.5, 1.0, 2)
     once, alone = SearchStats(), {}
     chain = _minimize_batch(5, [v2], g, V1, V2, [p], once, alone)
-    assert len(alone) == (len(V1) - 1) // _CACHED_BLOCK >= 2
+    assert len(alone) == (len(V1) - 1) // 2 >= 2
     # Run again on its filled cache, the chain builds only its uncached rounds' rows.
     again = SearchStats()
     assert _minimize_batch(5, [v2], g, V1, V2, [p], again, alone) == chain
@@ -205,7 +205,7 @@ def test_chains_that_share_a_round_cache_key_build_its_rows_once():
     assert mixed.round_hits >= 1 and len(rounds) == 2 * len(alone) - mixed.round_hits
 
 
-def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(monkeypatch):
+def test_minimize_batch_splits_only_the_deformation_table(monkeypatch):
     g = make_random_geometric(12, 0.4, 2)
     V1 = sorted(expand_support(g, {1}, 1))
     V2 = expand_support(g, V1, 1)
@@ -217,7 +217,7 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
     for k, cache in itertools.product(DEFAULT_BLOCKS, (False, True)):
         p = dataclasses.replace(P, k_block=k)
         # Half the chains' rounds are cached beforehand, so a cached round
-        # mixes hits with misses, and the misses are sliced.
+        # mixes hits with misses, in one call or across its chunks.
         filled = {}
         if cache:
             kernel(1, v2s[::2], g, V1, V2, [p] * len(v2s[::2]), None, filled)
@@ -227,7 +227,6 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
         table = nrest * (nt + 1)  # one chain's deformation table
         for chains in (1, 2):
             budget = chains * dense
-            assert nc * dense > budget
             calls = []
             monkeypatch.setattr(search_module, "_BATCH_CELLS", budget)
             monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: calls.append(a) or kernel(*a))
@@ -236,8 +235,8 @@ def test_minimize_batch_slices_dense_rows_and_splits_only_the_deformation_table(
             # Every counter the kernel keeps matches the unsplit call's; kernel_calls
             # is 0 in both, because only the anchor search counts kernel calls.
             assert split == whole
-            if cache and k >= _CACHED_BLOCK:
-                cached = sum(min(k, nrest - s) >= _CACHED_BLOCK for s in range(0, nrest, k))
+            if cache and k >= 2:
+                cached = sum(min(k, nrest - s) >= 2 for s in range(0, nrest, k))
                 assert 0 < split.round_hits < split.calls * cached
             assert split_rounds.keys() == whole_rounds.keys()
             assert all(np.array_equal(split_rounds[key], entry) for key, entry in whole_rounds.items())
@@ -632,8 +631,7 @@ def _assert_sweep_matches_lone_cells(g, src, tgt, grid):
 
 
 def test_best_composition_calls_the_kernel_once_per_expanded_anchor(monkeypatch):
-    # Every settled anchor but a found target is expanded by one kernel call,
-    # however many chains its rounds slice.
+    # Every settled anchor but a found target is expanded by one kernel call.
     g = make_random_geometric(24, 0.35, 11)
     support = expand_support(g, {1}, 1)
     kernel = search_module._minimize_batch
@@ -643,9 +641,6 @@ def test_best_composition_calls_the_kernel_once_per_expanded_anchor(monkeypatch)
         stats = SearchStats()
         trace = best_composition(g, support, 1, 20, ScoreParams(*cell), stats=stats)
         assert len(calls) == stats.kernel_calls == stats.settled - trace.found
-        # Some expansion's k=3 rounds held more dense rows than one slice.
-        dense = [len(v2s) * (len(V2.union(v2s)) + 1) ** 3 for _, v2s, _, _, V2, *_ in calls]
-        assert max(dense) > search_module._BATCH_CELLS
         calls.clear()
 
 
@@ -689,17 +684,28 @@ def test_sweep_cells_that_finish_on_different_ticks_match_lone_cells():
 
 def test_a_one_cell_search_fills_no_round_cache(monkeypatch):
     # A lone cell expands each anchor once, with distinct pins, so it would
-    # never read a round cache; two cells of one block size share one.
+    # never read a round cache: its kernel calls get none, and the entries
+    # they fill live for one round. Two cells of one block size share one cache.
     g = make_random_geometric(24, 0.35, 11)  # the bench sweep instance
     support = expand_support(g, {1}, 1)
     grid = [(1.0, 0.1, 0.5, 3), (0.1, 0.5, 1.0, 3)]
-    distinct, entries = search_module._distinct_rows, []
-    monkeypatch.setattr(search_module, "_distinct_rows", lambda *a: entries.append(1) or distinct(*a))
+    kernel, distinct = search_module._minimize_batch, search_module._distinct_rows
+    caches, entries = [], []
+
+    def fill(*a):
+        entry = distinct(*a)
+        entries.append(weakref.ref(entry))
+        return entry
+
+    monkeypatch.setattr(search_module, "_minimize_batch", lambda *a: caches.append(a[-1]) or kernel(*a))
+    monkeypatch.setattr(search_module, "_distinct_rows", fill)
     lone = [best_composition(g, support, 1, 20, ScoreParams(*cell)) for cell in grid]
     assert [parameter_sweep(g, support, 1, 20, grid=[cell])[0][0] for cell in grid] == lone
-    assert entries == []
+    assert caches and set(map(id, caches)) == {id(None)}
+    assert entries and all(entry() is None for entry in entries)
+    caches.clear()
     assert [trace for trace, _ in parameter_sweep(g, support, 1, 20, grid=grid)] == lone
-    assert entries
+    assert len(set(map(id, caches))) == 1 and caches[0]
 
 
 def test_sweep_round_cache_matches_lone_cells_with_blocks_out_of_order():
@@ -875,15 +881,15 @@ def test_minimize_batch_mixes_cached_and_missed_chains_in_one_round():
     V1 = sorted(expand_support(g, {5}, 1))
     V2 = expand_support(g, V1, 1)
     v2s = sorted(V2 - {5})
-    assert len(V1) - 1 >= 2 * _CACHED_BLOCK and len(v2s) >= 4  # two cached rounds per chain
+    assert len(V1) - 1 >= 4 and len(v2s) >= 4  # two cached rounds per chain
     subset = v2s[::2]
     # (1.0, 0.0, 0.0) weighs loss alone, so every chain's entry ties on many totals.
     for weights in ((1.0, 0.1, 0.5), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)):
-        p = ScoreParams(*weights, _CACHED_BLOCK)
+        p = ScoreParams(*weights, 2)
         rounds = {}
         _minimize_batch(5, subset, g, V1, V2, [p] * len(subset), None, rounds)
         filled = len(rounds)
-        assert filled == len(subset) * ((len(V1) - 1) // _CACHED_BLOCK)
+        assert filled == len(subset) * ((len(V1) - 1) // 2)
         stats = SearchStats()
         ps = [p] * len(v2s)
         assert _minimize_batch(5, v2s, g, V1, V2, ps, stats, rounds) == _minimize_batch(5, v2s, g, V1, V2, ps)
