@@ -27,24 +27,27 @@ masked to +inf, and one `np.argmin` per chain picks.
 
 A round of two or more sources has (|targets| + 1)^L rows but far fewer
 distinct raw-sum triples. Its raw sums depend on the chain's committed
-assignment, the block and the targets; the weights enter only through the
-argmin. So each chain's round is weighed from an entry that keeps each
-distinct (raw_loss, raw_ec, raw_def) triple of its candidates with its
-first row, in first-row order. A row's triple, less the chain's committed
-sums, is packed into one int64 key. Its ⊥ count, its edge-constraint sum
-and its deformation within the block are the same for every chain, so
-they are packed once per round (`_round_key`), with a sentinel above every
-real key at rows that repeat a target; each chain that fills an entry adds
-only its own deformation rows, with the sentinel at its used targets, and
-keeps the first row of each key below the sentinel (`_distinct_rows`,
-through a table indexed by key when the keys are few, and a sort
-otherwise). No dense raw sums are built. A row's total is a function of
-its triple, so for any weights the first minimum over the entry sits at
-the first minimum over all rows: outputs stay bit-identical. Every chain
-of the round is weighed from its entry in one `_weigh` call over the
-entries laid end to end; each chain takes the first index of its own
-segment that holds the segment's minimum (`np.minimum.reduceat`), so no
-sort is needed. A lone search keeps an entry for its round only.
+assignment, the block and the targets; the weights enter only through
+the argmin. So each chain's round is weighed from an entry that keeps
+each distinct (raw_loss, raw_ec, raw_def) triple of its candidates with
+its first row, in first-row order. A row's triple, less the chain's
+committed sums, is written as one int64 key in base L + 1: deformation,
+then edge-constraint sum, then ⊥ count. Its ⊥ count, its edge-constraint
+sum and its deformation within the block are the same for every chain,
+so they are packed once per round (`_round_key`); each chain that fills
+an entry adds only its own deformation rows (`_distinct_rows`). One rule
+drops the rows a chain cannot take: a key at or above a bound S is no
+candidate. A used target adds S, and two positions on one target add a
+pair term above every candidate's deformation, which puts the key at or
+above S. Each entry keeps the first row of each key below S, through a
+table indexed by key when the keys are few, and a sort otherwise. No
+dense raw sums are built. A row's total is a function of its triple, so
+for any weights the first minimum over the entry sits at the first
+minimum over all rows: outputs stay bit-identical. Every chain of the
+round is weighed from its entry in one `_weigh` call over the entries
+laid end to end; each chain takes the first index of its own segment
+that holds the segment's minimum (`np.minimum.reduceat`), so no sort is
+needed. A lone search keeps an entry for its round only.
 
 A parameter sweep runs the cells of one block size in lockstep
 (`_best_compositions`): on each tick every live cell settles one anchor,
@@ -64,7 +67,6 @@ import math
 import types
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -75,64 +77,31 @@ from .mapping import BOTTOM, Mapping, _gaps
 from .relax import ScoreBreakdown, ScoreParams, _weigh, evaluation_pair, pareto_front
 
 
-@lru_cache(maxsize=32)
-def _product_masks(nopt, length):
-    """⊥ count and repeated-target flag of each row of a round's option product.
-
-    Rows are the C-order product of `length` axes of `nopt` options, the
-    last of which is ⊥; a row repeats a target where two positions take the
-    same option other than ⊥. Returns both per row, flat, in the smallest
-    dtypes, read-only because every caller shares them.
-    """
-    cols = np.indices((nopt,) * length, dtype=np.min_scalar_type(nopt)).reshape(length, -1)
-    bottom = cols == nopt - 1
-    repeat = np.zeros(cols.shape[1], dtype=bool)
-    for i, j in itertools.combinations(range(length), 2):
-        repeat |= (cols[i] == cols[j]) & ~bottom[i]
-    bottoms = bottom.sum(axis=0, dtype=np.min_scalar_type(length))
-    bottoms.flags.writeable = repeat.flags.writeable = False
-    return bottoms, repeat
-
-
-def _outer(tables, op):
-    """`op` over the product of option axes, table j on axis j, flat in C order.
-
-    Each table is (..., options); the result broadcasts their leading axes
-    and has one column per row of the product.
-    """
+def _outer(tables):
+    """Sums over the product of option axes, table j on axis j, flat in C order."""
     out = tables[0]
     for t in tables[1:]:
-        out = op(out[..., :, None], t[..., None, :])
-        out = out.reshape(*out.shape[:-2], -1)
+        out = np.add.outer(out, t).ravel()
     return out
 
 
-def _round_key(ec, between, deform):
-    """The part of a cached round's row keys that every chain of the round shares.
+def _round_key(ec, between, top):
+    """The part of a cached round's row keys that every chain of the round shares, and the bound S.
 
-    `ec` holds the block's L edge-constraint rows over the options (the
-    targets, then ⊥), `between` the deformation within the block over their
-    product, and `deform` the chains' deformation rows, (L, chains,
-    options). A row's key packs its deformation d, its edge-constraint sum
-    e and its ⊥ count b ≤ L into d·M + (e − min e)·(L + 1) + b, with
-    M = (L + 1)·(range of e + 1); this part holds all of it but the chain's
-    own deformation. A row that repeats a target holds the sentinel
-    S = (top + max between + 1)·M, where top sums each position's largest
-    deformation, so S is above every real key. Returns (shared part, S, M,
-    min e).
+    `ec` holds the block's L edge-constraint flags, 0 or 1, over the options
+    (the targets, then ⊥, whose flag is 0); `between` holds the deformation
+    within the block over their product, plus `top` for each pair of
+    positions on one target, and `top` is above every candidate's
+    deformation. A row's key writes its deformation d, its edge-constraint
+    sum e ≤ L and its ⊥ count b ≤ L in base L + 1, d·(L + 1)² + e·(L + 1) + b;
+    this part holds all of it but the chain's own deformation. A key at or
+    above S = top·(L + 1)² is no candidate, so a row that repeats a target
+    is none. Returns (shared part, S).
     """
-    L, nopt = ec.shape
-    top = int(deform.max(axis=(1, 2)).sum())
-    bottoms, repeat = _product_masks(nopt, L)
-    ec_block = _outer(ec, np.add)
-    low = int(ec_block.min())
-    m = (L + 1) * (int(ec_block.max()) - low + 1)
-    sentinel = (top + int(between.max()) + 1) * m
-    shared = between.ravel() * m
-    shared += (ec_block - low) * (L + 1)
-    shared += bottoms
-    shared[repeat] = sentinel
-    return shared, sentinel, m, low
+    L = len(ec)
+    unary = ec * (L + 1)
+    unary[:, -1] = 1
+    return between.ravel() * (L + 1) ** 2 + _outer(unary), top * (L + 1) ** 2
 
 
 #: `_distinct_rows` uses a table indexed by key when the keys span at most
@@ -147,25 +116,27 @@ def _distinct_rows(round_key, deform, used, sums):
     `round_key` is the round's `_round_key`; `deform` holds the chain's L
     deformation rows over the options, `used` its used options and `sums`
     its committed (loss, ec, def) sums. A row's key adds the chain's
-    deformation times M at each position, or S at a used target, to the
-    shared part, and the candidates are the keys below S. A key sums L + 1
-    parts of at most S, far inside int64: a position's deformation is at
-    most n·|V1| < 2^28, and (targets + 1)^L rows must fit in memory. When
-    the candidates' keys span few values per row, as on small graphs, a
-    table indexed by key keeps each key's first candidate (`np.minimum.at`)
-    and only those rows are sorted; wider keys, as deformation grows with
-    the graph, go through `np.unique`'s stable sort in the narrowest
-    unsigned dtype (a radix sort up to 16 bits). Returns one array with a
-    column per distinct triple, in first-row order: raw_loss, raw_ec,
-    raw_def and first row, as int32 where the values fit (half the cache's
-    memory).
+    deformation times (L + 1)² at each position, or S at a used target, to
+    the shared part, and the candidates are the keys below S. The shared
+    part is below (C(L, 2) + 1)·S and each of the L others at most S, so a
+    key is below (C(L, 2) + L + 1)·S, far inside int64: top is at most
+    (L·|V1| + C(L, 2))·n + 1 with n < 2^14, and (targets + 1)^L rows must
+    fit in memory. When the candidates' keys span few values per row, as on
+    small graphs, a table indexed by key keeps each key's first candidate
+    (`np.minimum.at`) and only those rows are sorted; wider keys, as
+    deformation grows with the graph, go through `np.unique`'s stable sort
+    in the narrowest unsigned dtype (a radix sort up to 16 bits). Returns
+    one array with a column per distinct triple, in first-row order:
+    raw_loss, raw_ec, raw_def and first row, as int32 where the values fit
+    (half the cache's memory).
     """
-    shared, sentinel, m, low = round_key
-    parts = deform * m
-    parts[:, used] = sentinel
-    key = _outer(parts, np.add)
+    shared, bound = round_key
+    base = len(deform) + 1
+    parts = deform * base**2
+    parts[:, used] = bound
+    key = _outer(parts)
     key += shared
-    rows = np.flatnonzero(key < sentinel)
+    rows = np.flatnonzero(key < bound)
     cand = key[rows]
     least = int(cand.min())
     span = int(cand.max()) - least + 1
@@ -177,10 +148,10 @@ def _distinct_rows(round_key, deform, used, sums):
     else:
         _, at = np.unique(cand.astype(np.min_scalar_type(span - 1)), return_index=True)
         first = np.sort(rows[at])
-    # Unpack each first row's key, then add the chain's committed sums.
-    rest, bottoms = np.divmod(key[first], len(deform) + 1)
-    deformation, ec = np.divmod(rest, m // (len(deform) + 1))
-    out = np.array((sums[0] + bottoms, sums[1] + low + ec, sums[2] + deformation, first))
+    # Read each first row's key digits, then add the chain's committed sums.
+    rest, bottoms = np.divmod(key[first], base)
+    deformation, ec = np.divmod(rest, base)
+    out = np.array((sums[0] + bottoms, sums[1] + ec, sums[2] + deformation, first))
     return out.astype(np.int32) if out.max() <= _INT32_MAX else out
 
 
@@ -261,6 +232,7 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
     chains = np.arange(nc)
     # Option columns: the targets in sorted order, then ⊥ (column nt), which
     # costs nothing. d_opt's ⊥ row is never read unmasked.
+    bottom = np.arange(nt + 1) == nt
     ec = np.zeros((len(rest), nt + 1), dtype=np.int64)
     ec[:, :nt] = dist[rs[:, None], tg] != 1
     d_opt = np.zeros((nt + 1, nt), dtype=np.int64)
@@ -303,7 +275,7 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
 
         if L == 1:
             # Dense raw sums: a chain's committed sums plus the source's own tables.
-            raw_loss = loss[:, None] + _product_masks(nt + 1, 1)[0]
+            raw_loss = loss[:, None] + bottom
             raw_ec = ec_sum[:, None] + ec[start]
             raw_def = def_sum[:, None] + deform[start]
             total = _weigh(weights(chains[:, None]), n1, raw_loss, raw_ec, raw_def)[-1]
@@ -313,15 +285,19 @@ def _minimize_batch(v1, v2s, g, V1, V2, ps, stats: Optional[SearchStats] = None,
         else:
             # Each missed chain adds its own deformation to the round's shared key.
             if len(todo):
+                # A candidate's deformation sums at most len(rest) gaps per position and one
+                # per pair, each at most n, so it is below top, which a shared target adds.
+                top = (L * len(rest) + math.comb(L, 2)) * g.n + 1
+                diagonal = np.diag(np.where(bottom, 0, top))
                 between = np.zeros(shape, dtype=np.int64)
                 for i, j in itertools.combinations(range(L), 2):
-                    pair = np.zeros((nt + 1, nt + 1), dtype=np.int64)
-                    pair[:nt, :nt] = _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
+                    pair = diagonal.copy()
+                    pair[:nt, :nt] += _gaps(d_rest[start + i, start + j], d_opt[:nt], g.n)
                     between += pair.reshape([nt + 1 if x in (i, j) else 1 for x in range(L)])
-                block = deform[start : start + L]
-                round_key = _round_key(ec[start : start + L], between, block)
+                round_key = _round_key(ec[start : start + L], between, top)
                 for c in todo:
-                    entries[keys[c]] = _distinct_rows(round_key, block[:, c], used[c], (loss[c], ec_sum[c], def_sum[c]))
+                    own = deform[start : start + L, c]
+                    entries[keys[c]] = _distinct_rows(round_key, own, used[c], (loss[c], ec_sum[c], def_sum[c]))
             # Every chain's entry, weighed at once as one pool of segments;
             # each chain takes the first pool index holding its segment's minimum.
             pooled = [entries[key] for key in keys]

@@ -19,7 +19,6 @@ from graph_shift.search import (
     SearchStats,
     _distinct_rows,
     _minimize_batch,
-    _product_masks,
     _round_key,
     _step,
     best_composition,
@@ -251,20 +250,30 @@ def test_minimize_batch_splits_only_the_deformation_table(monkeypatch):
     assert reentered == {False, True}
 
 
+def _repeat_term(shape, top):
+    """`top` once for each pair of positions on one target, over a round's option product with ⊥ last."""
+    cols = np.indices(shape)
+    pairs = itertools.combinations(range(len(shape)), 2)
+    return top * sum((cols[i] == cols[j]) & (cols[i] < shape[0] - 1) for i, j in pairs)
+
+
 def test_candidate_rows_shape_and_order():
-    bottoms, repeat = _product_masks(3, 2)
+    # Options [4, 7, ⊥] for two sources with edge-constraint flags and no deformation.
+    ec = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
+    shared, S = _round_key(ec, _repeat_term((3, 3), 1), 1)
     rows = list(itertools.product(range(3), repeat=2))
-    # Options [4, 7, ⊥]: rows in product order with ⊥ (2) last; a concrete
-    # target may not repeat within a row, ⊥ may.
-    assert [row for row, bad in zip(rows, repeat) if not bad] == [
+    # Candidates, the keys below S, in product order with ⊥ (2) last; a
+    # concrete target may not repeat within a row, ⊥ may.
+    assert [row for row, key in zip(rows, shared) if key < S] == [
         row for row in rows if row[0] != row[1] or row[0] == 2
     ]
-    assert list(bottoms) == [row.count(2) for row in rows]
+    # Base-3 digits: the ⊥ count last, the edge-constraint sum before it.
+    assert (shared % 3).tolist() == [row.count(2) for row in rows]
+    assert (shared // 3 % 3).tolist() == [int(ec[0, a] + ec[1, b]) for a, b in rows]
     assert tuple(int(i) for i in np.unravel_index(5, (3, 3))) == rows[5]
-    assert (bottoms.dtype, repeat.dtype) == (np.uint8, np.bool_)
-    assert not bottoms.flags.writeable and not repeat.flags.writeable
     # Three sources over three targets: 1 + 3·3 + 3·6 + 6 rows keep their targets distinct.
-    assert np.count_nonzero(~_product_masks(4, 3)[1]) == 34
+    shared, S = _round_key(np.zeros((3, 4), dtype=np.int64), _repeat_term((4, 4, 4), 1), 1)
+    assert np.count_nonzero(shared < S) == 34
 
 
 def test_minimize_s_score_equals_scalar_score_property():
@@ -791,8 +800,9 @@ def _dense_round(ec, between, deform, used, sums):
 
 
 def _random_round(rng, L, nopt, high, chains):
-    """A round's (ec, between) and, per chain, (deform, used, sums); ⊥ is never used."""
-    ec = rng.integers(0, int(rng.integers(1, 4)), (L, nopt))
+    """A round's (ec, between) and, per chain, (deform, used, sums); ⊥ is never used and has ec flag 0."""
+    ec = rng.integers(0, 2, (L, nopt))
+    ec[:, -1] = 0
     between = rng.integers(0, int(rng.integers(1, 6)), (nopt,) * L)
     own = []
     for _ in range(chains):
@@ -804,8 +814,14 @@ def _random_round(rng, L, nopt, high, chains):
 
 
 def _fill(ec, between, own):
-    """Every chain's entry of one round through one shared `_round_key`, as the kernel fills them."""
-    key = _round_key(ec, between, np.stack([deform for deform, _, _ in own], axis=1))
+    """Every chain's entry of one round through one shared `_round_key`, as the kernel fills them.
+
+    `top` is above every candidate's deformation, and `between` gains it once
+    for each pair of positions on one target.
+    """
+    deforms = np.stack([deform for deform, _, _ in own], axis=1)
+    top = int(between.max()) + int(deforms.max(axis=(1, 2)).sum()) + 1
+    key = _round_key(ec, between + _repeat_term(between.shape, top), top)
     return [_distinct_rows(key, deform, used, sums) for deform, used, sums in own]
 
 
@@ -852,8 +868,8 @@ def test_distinct_rows_equal_the_sorting_oracle_property(monkeypatch):
         nopt = data.draw(st.integers(2, (16, 9, 6)[L - 2]), label="options")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # Wide deformation rows span more keys than there are rows; rows up to
-        # 2^40 and committed sums of 2^33 leave int32 and put keys near 2^54,
-        # the sentinel's (L + 1)·S bound well inside int64.
+        # 2^40 and committed sums of 2^33 leave int32 and put keys up to about 2^50,
+        # below the (C(L, 2) + L + 1)·S bound and well inside int64.
         high = data.draw(st.sampled_from((1, 4, 1 << 12, 1 << 40)), label="deformation width")
         ec, between, own = _random_round(rng, L, nopt, high, data.draw(st.integers(1, 3), label="chains"))
         if data.draw(st.booleans(), label="def offset"):
