@@ -56,19 +56,14 @@ def graph_to_dot(g, m=None):
     """DOT rendering: dotted base edges, solid arrows for a mapping,
     filled style for vertices whose image is bottom."""
     lines = ["digraph G {"]
-    lost = set()
-    if m is not None:
-        lost = {v for v in m.domain if m(v) is BOTTOM}
+    pairs = [] if m is None else list(m.items())
+    lost = {v for v, w in pairs if w is BOTTOM}
     for v in g.vertices:
         style = ' [style=filled, fillcolor=gray]' if v in lost else ""
         lines.append(f"  {v}{style};")
     for u, v in sorted(g.edges):
         lines.append(f"  {u} -> {v} [dir=none, style=dotted];")
-    if m is not None:
-        for v in sorted(m.domain):
-            w = m(v)
-            if w is not BOTTOM:
-                lines.append(f"  {v} -> {w};")
+    lines += [f"  {v} -> {w};" for v, w in pairs if w is not BOTTOM]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -6,7 +6,8 @@ built into per-vertex option lists and a bottom cap, and strong-neighborhood
 consistency is checked against every vertex mapped so far. The last vertex is
 the leaf level: each of its options that passes is yielded in place, as a
 translation built by `Mapping._trusted`, skipping the checks of `Mapping(...)`
-that the search has already proved.
+that the search has already proved. A leaf is a tuple of images over one
+position index that every leaf of the search shares, so no leaf copies a dict.
 """
 
 from __future__ import annotations
@@ -61,16 +62,17 @@ def _search(g, options, cap):
     the mapped vertices enforces both the edge constraint and the
     edge-iff-image-edge property. A vertex may take bottom only while the
     bottoms stay within cap. Vertex n is the leaf level: each of its options
-    that passes is written into the image and yielded in place, as a copy,
+    that passes is written into the image and yielded in place, as a tuple,
     so no level is pushed below it. Each leaf is built by
-    `Mapping._trusted`, sharing g.vertex_set as domain and codomain, since
-    the search has proved it a translation.
+    `Mapping._trusted`, sharing g.vertex_set as domain and codomain and one
+    position index, since the search has proved it a translation.
     """
     n, adj, V = g.n, g._adj, g.vertex_set
+    at = {v: v - 1 for v in g.vertices}
     if not n:  # the empty graph's one translation
-        yield Mapping._trusted(V, V, {})
+        yield Mapping._trusted(V, V, at, ())
         return
-    image = dict.fromkeys(g.vertices)
+    image = [BOTTOM] * n  # image[v - 1] is v's
     pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
     stack = [iter(options[1])]
     while stack:
@@ -91,10 +93,10 @@ def _search(g, options, cap):
                 if (u in nv) != (x in nw):
                     break
             else:
-                image[v] = w
+                image[v - 1] = w
                 if v < n:
                     break
-                yield Mapping._trusted(V, V, dict(image))  # vertex n: each option in place
+                yield Mapping._trusted(V, V, at, tuple(image))  # vertex n: each option in place
         else:
             stack.pop()
             continue

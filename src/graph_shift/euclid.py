@@ -36,9 +36,10 @@ def _shift(dims, delta, wrap):
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")
     # `_shifted` gives each vertex a distinct in-range image, or 0 for bottom.
-    V = frozenset(range(1, n + 1))
-    image = enumerate(_shifted(dims, delta, wrap).tolist(), start=1)
-    return Mapping._trusted(V, V, {v: w or BOTTOM for v, w in image})
+    at = {v: v - 1 for v in range(1, n + 1)}
+    V = frozenset(at)
+    image = tuple(w or BOTTOM for w in _shifted(dims, delta, wrap).tolist())
+    return Mapping._trusted(V, V, at, image)
 
 
 def euclidean_on_torus(dims, delta):

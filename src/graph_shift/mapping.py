@@ -20,11 +20,14 @@ class Mapping:
     """Injective partial map between two vertex subsets, with explicit bottom.
 
     Every vertex must be an integer and is stored as a Python int; whether
-    it lies in 1..n is checked against a graph (`property_report`).
+    it lies in 1..n is checked against a graph (`property_report`). The
+    images are one tuple, `_img`, over the domain in ascending order;
+    `_at` maps each domain vertex to its place there, and mappings over one
+    domain may share it: every leaf of one enumeration holds the same one.
     """
 
     # No per-instance __dict__: an enumeration can hold tens of thousands.
-    __slots__ = ("domain", "codomain", "_image")
+    __slots__ = ("domain", "codomain", "_at", "_img")
 
     def __init__(self, domain, codomain, image):
         domain = frozenset(_check_int(v, "domain vertex") for v in domain)
@@ -46,74 +49,70 @@ class Mapping:
             seen.add(w)
         self.domain = domain
         self.codomain = codomain
-        self._image = image
+        self._at = {v: i for i, v in enumerate(sorted(domain))}
+        self._img = tuple(image[v] for v in self._at)
 
     @classmethod
-    def _trusted(cls, domain, codomain, image):
+    def _trusted(cls, domain, codomain, at, img):
         """A mapping from parts already known to be valid, without the checks.
 
         The caller guarantees that domain and codomain are frozensets, that
-        image's keys are exactly the domain, and that its non-bottom values
-        are distinct vertices of the codomain. The image dict is kept, not
-        copied, so the caller must not change it afterwards.
+        `at` is the ascending position index of domain, {vertex: place},
+        and that img is a tuple of the images aligned with it, its
+        non-bottom entries distinct vertices of the codomain. `at` is kept,
+        not copied, so many mappings can share it.
         """
         m = cls.__new__(cls)
-        m.domain, m.codomain, m._image = domain, codomain, image
+        m.domain, m.codomain, m._at, m._img = domain, codomain, at, img
         return m
 
     def __call__(self, v):
         """Image of v; vertices outside the domain and bottom map to bottom."""
-        if v is BOTTOM or v not in self._image:
-            return BOTTOM
-        return self._image[v]
+        i = self._at.get(v)  # bottom is never a domain vertex
+        return BOTTOM if i is None else self._img[i]
 
     @property
     def mapped(self):
         """Domain vertices with a non-bottom image."""
-        return {v for v, w in self._image.items() if w is not BOTTOM}
+        return {v for v, w in self.items() if w is not BOTTOM}
 
     @property
     def image_set(self):
         """Set of non-bottom images."""
-        return {w for w in self._image.values() if w is not BOTTOM}
+        return {w for w in self._img if w is not BOTTOM}
 
     def items(self):
-        return self._image.items()
+        """Iterator of (vertex, image) pairs in ascending vertex order."""
+        return zip(self._at, self._img)
 
     def loss(self):
         """Number of domain vertices sent to bottom."""
-        return sum(1 for w in self._image.values() if w is BOTTOM)
+        return self._img.count(BOTTOM)
 
     def is_lossless(self):
         return self.loss() == 0
 
     def image_tuple(self):
         """Images ordered by domain vertex; canonical identity of the mapping."""
-        return tuple(self._image[v] for v in sorted(self.domain))
+        return self._img
 
     def __eq__(self, other):
         if not isinstance(other, Mapping):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self._image == other._image
-        )
+        return self.domain == other.domain and self.codomain == other.codomain and self._img == other._img
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, tuple(sorted(self._image.items(), key=lambda kv: kv[0]))))
+        return hash((self.domain, self.codomain, self._img))
 
     def __repr__(self):
-        pairs = ", ".join(
-            f"{v}->{'⊥' if w is BOTTOM else w}" for v, w in sorted(self._image.items())
-        )
+        pairs = ", ".join(f"{v}->{'⊥' if w is BOTTOM else w}" for v, w in self.items())
         return f"Mapping({pairs})"
 
     def to_json_dict(self):
         return {
             "domain": sorted(self.domain),
             "codomain": sorted(self.codomain),
-            "image": [[v, self._image[v]] for v in sorted(self.domain)],
+            "image": [[v, w] for v, w in self.items()],
         }
 
     @classmethod

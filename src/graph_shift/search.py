@@ -333,9 +333,10 @@ def _step(v1, v2, V1, V2, row, raw, p):
     The breakdown is `_weigh` over the raw sums as Python ints, equal in
     every field to `relax.score` of the mapping.
     """
-    image = {v1: v2}
-    image.update(zip((v for v in V1 if v != v1), (w or BOTTOM for w in row)))
-    return Mapping._trusted(frozenset(V1), V2, image), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
+    at = {v: i for i, v in enumerate(V1)}
+    image = [w or BOTTOM for w in row]
+    image.insert(at[v1], v2)
+    return Mapping._trusted(frozenset(V1), V2, at, tuple(image)), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
 
 
 def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):

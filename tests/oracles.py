@@ -7,8 +7,66 @@ from math import comb, factorial
 import numpy as np
 
 from graph_shift.enumeration import EnumerationFilter
+from graph_shift.graph import Graph
 from graph_shift.mapping import BOTTOM, Mapping, full_mapping
 from graph_shift.relax import score
+
+
+class MappingReference:
+    """`Mapping`'s accessors over a plain {vertex: image} dict, read one lookup at a time.
+
+    Built from a mapping's (vertex, image) pairs; each accessor sorts the
+    domain or scans the dict itself, so none of them reads the tuple
+    storage or its position index.
+    """
+
+    def __init__(self, m):
+        self.domain, self.codomain, self.image = m.domain, m.codomain, dict(m.items())
+
+    def __call__(self, v):
+        if v is BOTTOM or v not in self.image:
+            return BOTTOM
+        return self.image[v]
+
+    @property
+    def mapped(self):
+        return {v for v, w in self.image.items() if w is not BOTTOM}
+
+    @property
+    def image_set(self):
+        return {w for w in self.image.values() if w is not BOTTOM}
+
+    def loss(self):
+        return sum(1 for w in self.image.values() if w is BOTTOM)
+
+    def image_tuple(self):
+        return tuple(self.image[v] for v in sorted(self.domain))
+
+    def to_json_dict(self):
+        return {
+            "domain": sorted(self.domain),
+            "codomain": sorted(self.codomain),
+            "image": [[v, self.image[v]] for v in sorted(self.domain)],
+        }
+
+    def __repr__(self):
+        pairs = ", ".join(f"{v}->{'⊥' if w is BOTTOM else w}" for v, w in sorted(self.image.items()))
+        return f"Mapping({pairs})"
+
+
+def draw_graph_and_filter(data, st):
+    """A random graph on 1-6 vertices and a random filter over its vertices,
+    the empty required image set drawn on purpose."""
+    n = data.draw(st.integers(1, 6), label="n")
+    pairs = combinations(range(1, n + 1), 2)
+    g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
+    subset = st.frozensets(st.sampled_from(list(g.vertices)))
+    f = EnumerationFilter(
+        max_loss=data.draw(st.none() | st.integers(0, n), label="max_loss"),
+        restrict_domain=data.draw(st.none() | subset, label="domain"),
+        require_image_set=data.draw(st.none() | st.just(frozenset()) | subset, label="image set"),
+    )
+    return g, f
 
 
 def naive_oracle(g, f=None):

@@ -21,7 +21,7 @@ from graph_shift.graph import (
     make_torus,
 )
 from graph_shift.mapping import BOTTOM, Mapping, bottom_map, precedes, property_report
-from oracles import formula_term, naive_oracle
+from oracles import draw_graph_and_filter, formula_term, naive_oracle
 
 
 def all_graphs(n):
@@ -246,21 +246,6 @@ def test_census_counts(g, counts):
     assert got == counts
 
 
-def _draw_graph_and_filter(data, st):
-    """A random graph on 1-6 vertices and a random filter over its vertices,
-    the empty required image set drawn on purpose."""
-    n = data.draw(st.integers(1, 6), label="n")
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
-    subset = st.frozensets(st.sampled_from(list(g.vertices)))
-    f = EnumerationFilter(
-        max_loss=data.draw(st.none() | st.integers(0, n), label="max_loss"),
-        restrict_domain=data.draw(st.none() | subset, label="domain"),
-        require_image_set=data.draw(st.none() | st.just(frozenset()) | subset, label="image set"),
-    )
-    return g, f
-
-
 def _reference_scan(ts, inductive):
     """Minimal (or pseudo-minimal) translations by pairwise scalar `precedes`."""
     keep = {}
@@ -285,7 +270,7 @@ def test_minimality_scans_match_precedes_property():
     @hyp.settings(max_examples=60, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        g, f = _draw_graph_and_filter(data, st)
+        g, f = draw_graph_and_filter(data, st)
         ts = enumerate_translations(g, f)
         hyp.assume(len(ts) <= 600)
         _assert_scans_match_reference(g, ts)
@@ -382,7 +367,7 @@ def test_filtered_enumeration_matches_naive_oracle_in_order():
     @hyp.settings(max_examples=80, deadline=None)
     @hyp.given(st.data())
     def check(data):
-        g, f = _draw_graph_and_filter(data, st)
+        g, f = draw_graph_and_filter(data, st)
         ts = enumerate_translations(g, f)
         assert ts == naive_oracle(g, f)
         _assert_same_as_validated(ts)
@@ -464,8 +449,11 @@ def test_leaf_level_max_loss_used_up_before_the_last_vertex():
 
 
 def test_leaf_level_translations_do_not_share_an_image_dict():
+    # Each leaf holds its images in an immutable tuple, so no two leaves share
+    # mutable state; all leaves of one search share one position index.
     ts = enumerate_translations(make_complete(5))
-    assert len({id(m._image) for m in ts}) == len(ts)
+    assert all(type(m._img) is tuple for m in ts)
+    assert len({id(m._at) for m in ts}) == 1
 
 
 def test_search_is_lazy_on_the_5x5_torus():

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from graph_shift.graph import Graph, make_complete, make_ring
+from graph_shift.enumeration import EnumerationFilter, _search
+from graph_shift.euclid import euclidean_on_grid, euclidean_on_torus
+from graph_shift.graph import Graph, make_complete, make_random_geometric, make_ring
 from graph_shift.mapping import (
     BOTTOM,
     Mapping,
@@ -17,6 +19,9 @@ from graph_shift.mapping import (
     precedes,
     property_report,
 )
+from graph_shift.relax import ScoreParams
+from graph_shift.search import best_composition, minimize_s
+from oracles import MappingReference, draw_graph_and_filter
 
 
 @pytest.fixture
@@ -26,14 +31,14 @@ def path4():
 
 def test_mappings_carry_no_instance_dict_and_compare_and_hash_equal():
     checked = Mapping({1, 2}, {2, 3}, {1: 2, 2: BOTTOM})
-    trusted = Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 2, 2: BOTTOM})
+    trusted = Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 0, 2: 1}, (2, BOTTOM))
     for m in (checked, trusted):
         assert not hasattr(m, "__dict__")
         with pytest.raises(AttributeError):
             m.extra = 1
     assert checked == trusted and hash(checked) == hash(trusted)
     assert len({checked, trusted}) == 1
-    assert trusted != Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 3, 2: BOTTOM})
+    assert trusted != Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 0, 2: 1}, (3, BOTTOM))
 
 
 def test_injectivity_rejected():
@@ -302,3 +307,67 @@ class TestPrecedes:
         assert not precedes(psi1, psi3)
         # but the inverse of psi3 is comparable again
         assert precedes(psi1, inverse(psi3)) or precedes(psi2, inverse(psi3))
+
+
+def _assert_matches_reference(m):
+    """m passes every check of the constructor and reads as its dict-backed reference."""
+    ref = MappingReference(m)
+    checked = Mapping(m.domain, m.codomain, ref.image)
+    assert m == checked and hash(m) == hash(checked)
+    top = max(m.domain | m.codomain, default=0)
+    probes = [*sorted(m.domain), *sorted(m.codomain - m.domain), BOTTOM, 0, -1, top + 1, 10**30]
+    assert [m(v) for v in probes] == [ref(v) for v in probes]
+    assert m.mapped == ref.mapped and m.image_set == ref.image_set and m.loss() == ref.loss()
+    assert m.image_tuple() == ref.image_tuple()
+    assert m.to_json_dict() == ref.to_json_dict() and repr(m) == repr(ref)
+
+
+def test_trusted_builders_match_the_dict_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def leaves(data):
+        g, f = draw_graph_and_filter(data, st)
+        ts = list(_search(g, *f._options(g)))
+        assert len({id(m._at) for m in ts}) <= 1  # one position index per search
+        return ts[:: max(1, len(ts) // 40)]
+
+    def greedy_steps(data):
+        n = data.draw(st.integers(2, 10), label="n")
+        r = data.draw(st.sampled_from([0.3, 0.5, 0.8]), label="r")
+        g = make_random_geometric(n, r, data.draw(st.integers(0, 10**6), label="seed"))
+        vertices = list(g.vertices)
+        V1 = data.draw(st.sets(st.sampled_from(vertices), min_size=1, max_size=5), label="V1")
+        V2 = data.draw(st.sets(st.sampled_from(vertices), max_size=6), label="V2")
+        v1 = data.draw(st.sampled_from(sorted(V1)), label="v1")
+        v2, v_tgt = (data.draw(st.sampled_from(vertices), label=x) for x in ("v2", "v_tgt"))
+        p = ScoreParams(k_block=data.draw(st.integers(1, 3), label="k_block"))
+        trace = best_composition(g, V1, v1, v_tgt, p)
+        return [minimize_s(v1, v2, g, V1, V2, p)[0]] + [m for m, _ in trace.steps]
+
+    def shifts(data):
+        wrap = data.draw(st.booleans(), label="wrap")
+        dims = data.draw(st.lists(st.integers(3 if wrap else 1, 5), min_size=1, max_size=3), label="dims")
+        delta = data.draw(st.lists(st.integers(-6, 6), min_size=len(dims), max_size=len(dims)), label="delta")
+        return [(euclidean_on_torus if wrap else euclidean_on_grid)(dims, delta)]
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        source = data.draw(st.sampled_from([leaves, greedy_steps, shifts]), label="source")
+        for m in source(data):
+            _assert_matches_reference(m)
+
+    check()
+
+
+def test_trusted_builders_match_the_dict_reference_on_a_scattered_domain():
+    # A domain that is neither contiguous nor given in ascending order.
+    _assert_matches_reference(Mapping([10, 3, 7], {2, 3, 7, 12}, {10: 3, 3: BOTTOM, 7: 12}))
+    g = make_ring(12)
+    m, _ = minimize_s(7, 8, g, {10, 3, 7}, {2, 9, 11}, ScoreParams())
+    assert sorted(m.domain) == [3, 7, 10] and m(7) == 8
+    _assert_matches_reference(m)
+    for m, _ in best_composition(g, {10, 3, 7}, 3, 6, ScoreParams(k_block=2)).steps:
+        _assert_matches_reference(m)
+    _assert_matches_reference(next(_search(Graph(0, []), *EnumerationFilter()._options(Graph(0, [])))))
