@@ -52,11 +52,11 @@ def _parse_ints(raw):
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def graph_to_dot(g, m=None):
-    """DOT rendering: dotted base edges, solid arrows for a mapping,
+def graph_to_dot(g, m):
+    """DOT rendering: dotted base edges, solid arrows for the mapping m,
     filled style for vertices whose image is bottom."""
     lines = ["digraph G {"]
-    pairs = [] if m is None else list(m.items())
+    pairs = list(m.items())
     lost = {v for v, w in pairs if w is BOTTOM}
     for v in g.vertices:
         style = ' [style=filled, fillcolor=gray]' if v in lost else ""

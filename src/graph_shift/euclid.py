@@ -35,11 +35,9 @@ def _shift(dims, delta, wrap):
     delta = [_check_int(s, "delta entry") for s in delta]
     if len(delta) != len(dims):
         raise ValueError("delta length must match dims")
-    # `_shifted` gives each vertex a distinct in-range image, or 0 for bottom.
-    at = {v: v - 1 for v in range(1, n + 1)}
-    V = frozenset(at)
-    image = tuple(w or BOTTOM for w in _shifted(dims, delta, wrap).tolist())
-    return Mapping._trusted(V, V, at, image)
+    # `_shifted` gives each vertex its image in vertex order, or 0 for bottom.
+    V = range(1, n + 1)
+    return Mapping(V, V, zip(V, (w or BOTTOM for w in _shifted(dims, delta, wrap).tolist())))
 
 
 def euclidean_on_torus(dims, delta):

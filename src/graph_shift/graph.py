@@ -46,12 +46,8 @@ class Graph:
             norm.add((u, v) if u < v else (v, u))
         if coords is not None:
             # numpy scalars become the Python numbers JSON encodes and each coordinate
-            # a tuple; other values stay as given. Tuples of Python numbers, as
-            # `_lattice` builds, are already that and are not walked value by value.
-            coords = list(coords)
-            values = chain.from_iterable(coords)
-            if not (set(map(type, coords)) <= {tuple} and set(map(type, values)) <= {int, float}):
-                coords = [tuple(x.item() if isinstance(x, np.generic) else x for x in c) for c in coords]
+            # a tuple; other values stay as given.
+            coords = [tuple(x.item() if isinstance(x, np.generic) else x for x in c) for c in coords]
             if len(coords) != n:
                 raise ValueError("coords length must equal vertex count")
         self.n = n
@@ -85,8 +81,6 @@ class Graph:
 
     def _check_vertex(self, v):
         """v as a Python int; ValueError unless it is an integer in 1..n."""
-        if type(v) is int and 0 < v <= self.n:
-            return v
         return _check_int(v, "vertex", 1, self.n)
 
     def _distance_table(self):

@@ -215,7 +215,14 @@ def test_json_roundtrip(tmp_path):
     data = json.loads(p.read_text())
     assert set(data) == {"n", "edges", "coords"}
     assert all(u < v for u, v in data["edges"])
-    assert Graph.load(p) == g
+    loaded = Graph.load(p)
+    assert loaded == g and loaded is not g and len({g, loaded}) == 1
+
+
+def test_graph_repr_and_comparison_with_another_type():
+    g = make_grid([3, 3])
+    assert repr(g) == "Graph(n=9, m=12)"
+    assert g.__eq__(g.to_json_dict()) is NotImplemented and g != g.to_json_dict()
 
 
 def test_numpy_scalar_coords_save_and_load_back_equal(tmp_path):
@@ -236,10 +243,10 @@ def test_coords_become_tuples_of_python_numbers():
     # One numpy scalar after plain tuples is still converted.
     g = Graph(3, [], coords=[(1, 2), (3, 4), (5, np.int64(6))])
     assert g.coords == [(1, 2), (3, 4), (5, 6)] and type(g.coords[2][1]) is int
-    # Tuples of Python numbers, as the lattices build, are kept in a list of the graph's own.
+    # Tuples of Python numbers, as the lattices build, go into a list of the graph's own.
     given = [(1, 2.5), (3, 4)]
     g = Graph(2, [], coords=given)
-    assert g.coords == given and g.coords is not given and g.coords[0] is given[0]
+    assert g.coords == given and g.coords is not given
     # Other values stay as given.
     assert Graph(1, [], coords=[(True, "a")]).coords == [(True, "a")]
 

@@ -39,6 +39,8 @@ def test_mappings_carry_no_instance_dict_and_compare_and_hash_equal():
     assert checked == trusted and hash(checked) == hash(trusted)
     assert len({checked, trusted}) == 1
     assert trusted != Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 0, 2: 1}, (3, BOTTOM))
+    # Another type, even the image tuple itself, is not a mapping.
+    assert checked.__eq__((2, BOTTOM)) is NotImplemented and checked != (2, BOTTOM)
 
 
 def test_injectivity_rejected():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import graph_shift.search as search_module
-from graph_shift.euclid import dirac, euclidean_on_torus
+from graph_shift.euclid import dirac, euclidean_on_grid, euclidean_on_torus
 from graph_shift.graph import Graph, make_grid, make_random_geometric, make_ring, make_torus
+from graph_shift.mapping import BOTTOM, Mapping
 from graph_shift.relax import ScoreParams, _weigh, score
 from graph_shift.search import (
     DEFAULT_BLOCKS,
@@ -315,15 +316,17 @@ TORUS_POSITIVE_STEPS = {
 }
 
 
-def torus_steps(dims, delta, k):
+def lattice_steps(dims, delta, k, wrap):
     """(anchor, mapping, breakdown) of `minimize_s` at every anchor v of the
-    torus: pin v ↦ v + delta, support N[v], targets the 1-hop ball of the
-    shifted support, default weights."""
-    g, shift = make_torus(dims), euclidean_on_torus(dims, delta)
+    torus (wrap) or grid with v + delta on it: pin v ↦ v + delta, support
+    N[v], targets the 1-hop ball of the shifted support, default weights."""
+    g = (make_torus if wrap else make_grid)(dims)
+    shift = (euclidean_on_torus if wrap else euclidean_on_grid)(dims, delta)
     for v in g.vertices:
-        V1 = expand_support(g, {v}, 1)
-        V2 = expand_support(g, {shift(u) for u in V1}, 1)
-        yield (v, *minimize_s(v, shift(v), g, V1, V2, ScoreParams(k_block=k)))
+        if shift(v) is not BOTTOM:
+            V1 = expand_support(g, {v}, 1)
+            V2 = expand_support(g, {shift(u) for u in V1} - {BOTTOM}, 1)
+            yield (v, *minimize_s(v, shift(v), g, V1, V2, ScoreParams(k_block=k)))
 
 
 @pytest.mark.parametrize("dims", list(TORUS_POSITIVE_STEPS), ids=lambda d: f"{d[0]}x{d[1]}")
@@ -334,7 +337,7 @@ def test_relaxed_step_on_2d_tori_against_the_axis_shifts(dims):
     # such anchors; at k = 4 = |N[v]| - 1, one exhaustive round, none does.
     plus_e1, minus_e1, e2 = TORUS_POSITIVE_STEPS[dims]
     for delta, expected in [((1, 0), plus_e1), ((-1, 0), minus_e1), ((0, 1), e2), ((0, -1), e2)]:
-        positive = tuple(sum(b.total > 0 for _, _, b in torus_steps(dims, delta, k)) for k in (1, 2, 3, 4))
+        positive = tuple(sum(b.total > 0 for _, _, b in lattice_steps(dims, delta, k, True)) for k in (1, 2, 3, 4))
         assert positive == expected, delta
 
 
@@ -342,7 +345,7 @@ def test_relaxed_step_on_torus_5x5_leaves_the_shift_only_on_the_wrap_rows():
     # The paper's shift +e1 scores 0 at every anchor. The run at k = 1: the
     # step totals above 0 sit at the anchors of rows 1 and 5, each with loss
     # 0, deformation 0 and one or two edge-constraint violations.
-    steps = {v: (m, b) for v, m, b in torus_steps([5, 5], (1, 0), 1)}
+    steps = {v: (m, b) for v, m, b in lattice_steps([5, 5], (1, 0), 1, True)}
     assert {v for v, (_, b) in steps.items() if b.total > 0} == set(range(1, 6)) | set(range(21, 26))
     assert [steps[v][1].total for v in range(1, 6)] == [0.02] * 5
     assert [steps[v][1].total for v in range(21, 26)] == [0.04] * 5
@@ -357,6 +360,56 @@ def test_relaxed_step_on_torus_5x5_leaves_the_shift_only_on_the_wrap_rows():
     shift = euclidean_on_torus([5, 5], dirac(2, 1))
     m, b = steps[13]
     assert b.total == 0 and all(w == shift(v) for v, w in m.items())
+
+
+# Anchors, of those whose shifted anchor is on the grid, where the step total
+# is above the restricted shift's, at k = 1 and 2, for +e1, -e1, +e2, -e2,
+# then +e3, -e3 on a 3-D grid. Each value is (count, anchors).
+GRID_STEPS_ABOVE_SHIFT = {
+    (8, 3): (((0, 21), (0, 21), (0, 16), (7, 16)), ((0, 21), (0, 21), (0, 16), (0, 16))),
+    (6, 6): (((0, 30), (0, 30), (0, 30), (5, 30)), ((0, 30), (0, 30), (0, 30), (0, 30))),
+    (10, 5): (((0, 45), (0, 45), (0, 40), (9, 40)), ((0, 45), (0, 45), (0, 40), (0, 40))),
+    (5, 5, 3): (
+        ((0, 60), (0, 60), (0, 60), (12, 60), (16, 50), (24, 50)),
+        ((0, 60), (0, 60), (0, 60), (7, 60), (0, 50), (6, 50)),
+    ),
+}
+
+
+def grid_steps(dims, delta, k):
+    """`lattice_steps` on the grid, each with its reference: `score` of the
+    grid shift restricted to the support N[v], ⊥ off the grid."""
+    g, shift = make_grid(dims), euclidean_on_grid(dims, delta)
+    for v, m, b in lattice_steps(dims, delta, k, False):
+        restricted = Mapping(m.domain, g.vertex_set, {u: shift(u) for u in m.domain})
+        yield v, m, b, score(g, restricted, ScoreParams(k_block=k))
+
+
+@pytest.mark.parametrize("dims", list(GRID_STEPS_ABOVE_SHIFT), ids=lambda d: "x".join(map(str, d)))
+def test_relaxed_step_on_grids_against_the_axis_shifts(dims):
+    # The paper: on a grid the translations are the axis shifts, lossy only
+    # at the boundary. The run: one greedy step per anchor, counted where its
+    # total is above the shift's own on the support. On a 2-D grid only -e2
+    # has such anchors, and none at k = 2; on 5x5x3, -e2, +e3 and -e3 do.
+    deltas = [dirac(len(dims), i, s) for i in range(1, len(dims) + 1) for s in (1, -1)]
+    for k, expected in zip((1, 2), GRID_STEPS_ABOVE_SHIFT[dims]):
+        counts = []
+        for delta in deltas:
+            steps = list(grid_steps(dims, delta, k))
+            counts.append((sum(b.total > ref.total for _, _, b, ref in steps), len(steps)))
+        assert tuple(counts) == expected, k
+
+
+def test_relaxed_step_on_grid_8x3_fills_the_pinned_anchor_with_a_lost_source():
+    # Shift -e2, k = 1, anchor 5 = (2, 2) pinned to 4 = (2, 1). Sources go in
+    # ascending order: 2 takes its shifted image 1; 4 = (2, 1) has no image on
+    # the grid and takes 5, which the pin left free at no cost; so 6 = (2, 3)
+    # goes to 7 with one edge-constraint violation, and 8 finds its image 7
+    # taken. The restricted shift loses only 4.
+    m, b, ref = {v: rest for v, *rest in grid_steps([8, 3], (0, -1), 1)}[5]
+    assert [w for _, w in m.items()] == [1, 5, 4, 7, BOTTOM]
+    assert (b.raw_loss, b.raw_ec, b.raw_def) == (1, 1, 0) and b.total == 0.225
+    assert (ref.raw_loss, ref.raw_ec, ref.raw_def) == (1, 0, 0) and ref.total == 0.2
 
 
 def test_k1_evaluation_budget():
