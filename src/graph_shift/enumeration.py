@@ -5,9 +5,10 @@ stack over full-domain assignments. The edge constraint and the filter are
 built into per-vertex option lists and a bottom cap, and strong-neighborhood
 consistency is checked against every vertex mapped so far. The last vertex is
 the leaf level: each of its options that passes is yielded in place, as a
-translation built by `Mapping._trusted`, skipping the checks of `Mapping(...)`
-that the search has already proved. A leaf is a tuple of images over one
-position index that every leaf of the search shares, so no leaf copies a dict.
+translation built by one `Mapping._trusted` builder, skipping the checks of
+`Mapping(...)` that the search has already proved. A leaf is a tuple of images
+and the one frame (domain, codomain, position index) that every leaf of the
+search shares, so no leaf copies a dict.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ def _search(g, options, cap):
     edge-iff-image-edge property. A vertex may take bottom only while the
     bottoms stay within cap. Vertex n is the leaf level: each of its options
     that passes is written into the image and yielded in place, as a tuple,
-    so no level is pushed below it. Each leaf is built by
-    `Mapping._trusted`, sharing g.vertex_set as domain and codomain and one
-    position index, since the search has proved it a translation.
+    so no level is pushed below it. Each leaf comes from one
+    `Mapping._trusted` builder over g.vertex_set as domain and codomain,
+    since the search has proved it a translation.
     """
     n, adj, V = g.n, g._adj, g.vertex_set
-    at = {v: v - 1 for v in g.vertices}
+    leaf = Mapping._trusted(V, V, {v: v - 1 for v in g.vertices})
     if not n:  # the empty graph's one translation
-        yield Mapping._trusted(V, V, at, ())
+        yield leaf(())
         return
     image = [BOTTOM] * n  # image[v - 1] is v's
     pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
@@ -96,7 +97,7 @@ def _search(g, options, cap):
                 image[v - 1] = w
                 if v < n:
                     break
-                yield Mapping._trusted(V, V, at, tuple(image))  # vertex n: each option in place
+                yield leaf(tuple(image))  # vertex n: each option in place
         else:
             stack.pop()
             continue

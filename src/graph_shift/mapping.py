@@ -20,14 +20,16 @@ class Mapping:
     """Injective partial map between two vertex subsets, with explicit bottom.
 
     Every vertex must be an integer and is stored as a Python int; whether
-    it lies in 1..n is checked against a graph (`property_report`). The
-    images are one tuple, `_img`, over the domain in ascending order;
-    `_at` maps each domain vertex to its place there, and mappings over one
-    domain may share it: every leaf of one enumeration holds the same one.
+    it lies in 1..n is checked against a graph (`property_report`). A
+    mapping is two slots: `_img`, its images as one tuple over the domain
+    in ascending order, and `_frame`, the tuple (domain, codomain, at) with
+    `at` mapping each domain vertex to its place in `_img`. Mappings built
+    by one `_trusted` builder share one frame: every leaf of one
+    enumeration holds the same one. Domain and codomain are read-only.
     """
 
     # No per-instance __dict__: an enumeration can hold tens of thousands.
-    __slots__ = ("domain", "codomain", "_at", "_img")
+    __slots__ = ("_frame", "_img")
 
     def __init__(self, domain, codomain, image):
         domain = frozenset(_check_int(v, "domain vertex") for v in domain)
@@ -47,28 +49,35 @@ class Mapping:
             if w in seen:
                 raise ValueError(f"duplicate image {w}: mapping not injective")
             seen.add(w)
-        self.domain = domain
-        self.codomain = codomain
-        self._at = {v: i for i, v in enumerate(sorted(domain))}
-        self._img = tuple(image[v] for v in self._at)
+        at = {v: i for i, v in enumerate(sorted(domain))}
+        self._frame = (domain, codomain, at)
+        self._img = tuple(image[v] for v in at)
 
-    @classmethod
-    def _trusted(cls, domain, codomain, at, img):
-        """A mapping from parts already known to be valid, without the checks.
+    @staticmethod
+    def _trusted(domain, codomain, at):
+        """A builder `img -> Mapping` over one frame, without the checks.
 
         The caller guarantees that domain and codomain are frozensets, that
         `at` is the ascending position index of domain, {vertex: place},
-        and that img is a tuple of the images aligned with it, its
-        non-bottom entries distinct vertices of the codomain. `at` is kept,
-        not copied, so many mappings can share it.
+        and that each img is a tuple of the images aligned with it, its
+        non-bottom entries distinct vertices of the codomain. Every mapping
+        the builder returns holds the one frame (domain, codomain, at).
         """
-        m = cls.__new__(cls)
-        m.domain, m.codomain, m._at, m._img = domain, codomain, at, img
-        return m
+        frame, new = (domain, codomain, at), object.__new__
+
+        def build(img):
+            m = new(Mapping)
+            m._frame, m._img = frame, img
+            return m
+
+        return build
+
+    domain = property(lambda self: self._frame[0])
+    codomain = property(lambda self: self._frame[1])
 
     def __call__(self, v):
         """Image of v; vertices outside the domain and bottom map to bottom."""
-        i = self._at.get(v)  # bottom is never a domain vertex
+        i = self._frame[2].get(v)  # bottom is never a domain vertex
         return BOTTOM if i is None else self._img[i]
 
     @property
@@ -83,7 +92,7 @@ class Mapping:
 
     def items(self):
         """Iterator of (vertex, image) pairs in ascending vertex order."""
-        return zip(self._at, self._img)
+        return zip(self._frame[2], self._img)
 
     def loss(self):
         """Number of domain vertices sent to bottom."""
@@ -99,10 +108,10 @@ class Mapping:
     def __eq__(self, other):
         if not isinstance(other, Mapping):
             return NotImplemented
-        return self.domain == other.domain and self.codomain == other.codomain and self._img == other._img
+        return self._img == other._img and self._frame[:2] == other._frame[:2]
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self._img))
+        return hash((*self._frame[:2], self._img))
 
     def __repr__(self):
         pairs = ", ".join(f"{v}->{'⊥' if w is BOTTOM else w}" for v, w in self.items())

@@ -8,18 +8,30 @@ the net mapping but is monotone along a chain of steps.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mapping as mp
-from .graph import _check_int
+from .graph import _MAX_ORDER, _check_int
+
+#: The largest weight, 2**980 (about 1e295); `ScoreParams` derives it.
+_MAX_WEIGHT = 2.0 ** (1022 - 3 * _MAX_ORDER.bit_length())
 
 
 @dataclass(frozen=True)
 class ScoreParams:
+    """Three penalty weights, each a real number in 0.._MAX_WEIGHT, and the block size.
+
+    The cap keeps every float of a search finite. With N = _MAX_ORDER < 2**14
+    and W the cap, `_weigh` multiplies at most W * N (alpha * raw_loss, beta *
+    raw_ec) and 2W * raw_def <= W * N**3 (gaps of at most N over fewer than
+    N**2 / 2 pairs), and a step total is at most W * (N + 2). A chain visits
+    distinct anchors, so its fewer than N steps sum below W * N**3 < W * 2**42.
+    W = 2**(1022 - 42) keeps all of these below a quarter of the largest float.
+    """
+
     alpha: float = 1.0
     beta: float = 0.1
     gamma: float = 0.5
@@ -31,8 +43,8 @@ class ScoreParams:
             if isinstance(w, np.generic):  # numpy scalars become the Python numbers JSON encodes
                 w = w.item()
                 object.__setattr__(self, name, w)
-            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"weights must be finite and non-negative real numbers, not {w!r}")
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 <= w <= _MAX_WEIGHT:
+                raise ValueError(f"weights must be finite, non-negative real numbers up to {_MAX_WEIGHT:.4g}, not {w!r}")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "k_block", _check_int(self.k_block, "k_block", 1))

@@ -336,7 +336,7 @@ def _step(v1, v2, V1, V2, row, raw, p):
     at = {v: i for i, v in enumerate(V1)}
     image = [w or BOTTOM for w in row]
     image.insert(at[v1], v2)
-    return Mapping._trusted(frozenset(V1), V2, at, tuple(image)), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
+    return Mapping._trusted(frozenset(V1), V2, at)(tuple(image)), ScoreBreakdown(*_weigh(p, len(V1), *raw), *raw)
 
 
 def minimize_s(v1, v2, g, V1, V2, p: ScoreParams, stats: Optional[SearchStats] = None):

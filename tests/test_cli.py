@@ -420,6 +420,14 @@ def test_compose_non_finite_weight_exit_2(tmp_path, capsys, weights):
     _assert_exit_2_one_line(["compose", str(gp), "--src", "1", "--tgt", "3", *weights], capsys)
 
 
+def test_compose_weight_that_would_overflow_exit_2(tmp_path, capsys):
+    # gamma * 2.0 overflows to inf, and inf * 0 made the trace's scores NaN.
+    gp = tmp_path / "grid.json"
+    make_grid([3, 3]).save(gp)
+    argv = ["compose", str(gp), "--src", "1", "--tgt", "9", "--alpha", "1", "--beta", "0.1", "--gamma", "1e308"]
+    _assert_exit_2_one_line(argv, capsys)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -431,7 +439,7 @@ def test_cli_fuzz_exit_codes(tmp_path):
     gp = tmp_path / "ring.json"
     make_ring(5).save(gp)
     small = st.integers(-2, 7).map(str)
-    weight = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1"])
+    weight = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1", "1e308"])
 
     def flag(name, values):
         return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))

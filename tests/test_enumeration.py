@@ -450,10 +450,11 @@ def test_leaf_level_max_loss_used_up_before_the_last_vertex():
 
 def test_leaf_level_translations_do_not_share_an_image_dict():
     # Each leaf holds its images in an immutable tuple, so no two leaves share
-    # mutable state; all leaves of one search share one position index.
+    # mutable state; all leaves of one search share one frame, position index included.
     ts = enumerate_translations(make_complete(5))
     assert all(type(m._img) is tuple for m in ts)
-    assert len({id(m._at) for m in ts}) == 1
+    assert len({id(m._frame) for m in ts}) == 1
+    assert ts[0].domain is ts[0].codomain and type(ts[0]._frame[2]) is dict
 
 
 def test_search_is_lazy_on_the_5x5_torus():

@@ -37,7 +37,7 @@ RING = make_ring(5)
 def _pair(v, w):
     """The mapping v -> w without the constructor's integer check, so that
     `apply_to_signal` is the one to see a bad vertex."""
-    return Mapping._trusted(frozenset({v}), frozenset({w}), {v: 0}, (w,))
+    return Mapping._trusted(frozenset({v}), frozenset({w}), {v: 0})((w,))
 
 #: (test id, name in the message, call(x) returning the integer x became or one
 #: derived from it, a valid x, an out-of-range x or None where no range applies).

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -31,16 +33,46 @@ def path4():
 
 def test_mappings_carry_no_instance_dict_and_compare_and_hash_equal():
     checked = Mapping({1, 2}, {2, 3}, {1: 2, 2: BOTTOM})
-    trusted = Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 0, 2: 1}, (2, BOTTOM))
+    build = Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 0, 2: 1})
+    trusted = build((2, BOTTOM))
     for m in (checked, trusted):
         assert not hasattr(m, "__dict__")
         with pytest.raises(AttributeError):
             m.extra = 1
     assert checked == trusted and hash(checked) == hash(trusted)
     assert len({checked, trusted}) == 1
-    assert trusted != Mapping._trusted(frozenset({1, 2}), frozenset({2, 3}), {1: 0, 2: 1}, (3, BOTTOM))
+    assert trusted != build((3, BOTTOM)) and build((3, BOTTOM))._frame is trusted._frame
     # Another type, even the image tuple itself, is not a mapping.
     assert checked.__eq__((2, BOTTOM)) is NotImplemented and checked != (2, BOTTOM)
+
+
+def _one_of_each_producer():
+    """A checked mapping, an enumeration leaf and a greedy step."""
+    g = make_ring(6)
+    leaf = list(_search(g, *EnumerationFilter()._options(g)))[7]
+    step, _ = minimize_s(2, 3, g, {1, 2, 3}, {2, 3, 4}, ScoreParams())
+    return [Mapping({1, 2}, {2, 3}, {1: 2, 2: BOTTOM}), leaf, step]
+
+
+def test_mappings_keep_their_domain_and_codomain():
+    # Assigning either would change the hash and leave the position index stale.
+    for m in _one_of_each_producer():
+        before = (m.domain, m.codomain, hash(m), m.to_json_dict())
+        for name in ("domain", "codomain"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, frozenset({5, 6}))
+        assert (m.domain, m.codomain, hash(m), m.to_json_dict()) == before
+
+
+def test_mappings_survive_pickle_and_copy():
+    for m in _one_of_each_producer():
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert type(twin) is Mapping and twin == m and hash(twin) == hash(m)
+            assert list(twin.items()) == list(m.items()) and twin.to_json_dict() == m.to_json_dict()
+    # Leaves pickled together come back sharing one frame again.
+    g = make_complete(4)
+    leaves = pickle.loads(pickle.dumps(list(_search(g, *EnumerationFilter()._options(g)))))
+    assert len({id(m._frame) for m in leaves}) == 1
 
 
 def test_injectivity_rejected():
@@ -331,7 +363,7 @@ def test_trusted_builders_match_the_dict_reference_property():
     def leaves(data):
         g, f = draw_graph_and_filter(data, st)
         ts = list(_search(g, *f._options(g)))
-        assert len({id(m._at) for m in ts}) <= 1  # one position index per search
+        assert len({id(m._frame) for m in ts}) <= 1  # one frame per search
         return ts[:: max(1, len(ts) // 40)]
 
     def greedy_steps(data):

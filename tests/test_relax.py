@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from graph_shift.graph import Graph, make_complete, make_ring
+from graph_shift.graph import _MAX_ORDER, Graph, make_complete, make_ring
 from graph_shift.mapping import BOTTOM, Mapping, full_mapping, property_report
 from graph_shift.relax import (
+    _MAX_WEIGHT,
     ScoreParams,
+    _weigh,
     evaluation_pair,
     pareto_front,
     score,
@@ -144,3 +146,21 @@ def test_params_reject_non_finite_weights(weight):
         weights = {"alpha": 1.0, "beta": 0.1, "gamma": 0.5, field: weight}
         with pytest.raises(ValueError, match="finite"):
             ScoreParams(**weights, k_block=1)
+
+
+def test_params_cap_weights_where_no_score_or_chain_overflows():
+    for field in ("alpha", "beta", "gamma"):
+        with pytest.raises(ValueError, match="finite"):
+            ScoreParams(**{field: math.nextafter(_MAX_WEIGHT, math.inf)})
+        with pytest.raises(ValueError, match="finite"):
+            ScoreParams(**{field: 10**400})  # an int too large for a float
+    p = ScoreParams(_MAX_WEIGHT, _MAX_WEIGHT, _MAX_WEIGHT)
+    # The largest raw sums on a graph at the order cap: every source lost, or
+    # every source mapped with all its edges broken and every gap at the cap.
+    n = _MAX_ORDER
+    worst = [_weigh(p, n, n, 0, 0), _weigh(p, n, 0, n, n * (n * (n - 1) // 2)), _weigh(p, 2, 0, 2, n)]
+    for terms in worst:
+        assert all(math.isfinite(t) for t in terms)
+        # A chain has fewer than n steps.
+        assert math.isfinite(sum([terms[-1]] * (n - 1)))
+    assert math.isfinite(sum(max(t[-1] for t in worst) for _ in range(n - 1)))
