@@ -2,9 +2,12 @@
 
 The core, `_search`, is one depth-first backtracking loop on an explicit
 stack over full-domain assignments. The edge constraint and the filter are
-built into per-vertex option lists and a bottom cap, and strong-neighborhood
-consistency is checked against every vertex mapped so far. The last vertex is
-the leaf level: each of its options that passes is yielded in place, as a
+built into per-vertex option lists and a bottom cap. Strong-neighborhood
+consistency with the vertices mapped so far is one bitmask compare per
+option: the image's neighbours among the used images must be exactly the
+images of the vertex's mapped neighbours, which, as the mapped pairs are
+one-to-one, is the same as checking each mapped pair. The last vertex is the
+leaf level: each of its options that passes is yielded in place, as a
 translation built by one `Mapping._trusted` builder, skipping the checks of
 `Mapping(...)` that the search has already proved. A leaf is a tuple of images
 and the one frame (domain, codomain, position index) that every leaf of the
@@ -13,6 +16,7 @@ search shares, so no leaf copies a dict.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional
@@ -41,7 +45,7 @@ class EnumerationFilter:
             None if vs is None else frozenset(map(g._check_vertex, vs))
             for vs in (self.require_image_set, self.restrict_domain)
         )
-        # Before `_search` assigns vertex v, v - 1 - len(pairs) vertices hold bottom
+        # Before `_search` assigns vertex v, v - 1 - mapped vertices hold bottom
         # and each mapped one holds a distinct required image, so the rest of
         # image_set still fits in the unassigned vertices iff the bottoms stay
         # within n - |image_set|. Only a bottom can break that, or max_loss.
@@ -59,57 +63,88 @@ def _search(g, options, cap):
     One depth-first loop over an explicit stack of option iterators, one per
     assigned vertex. Vertices are assigned in index order, each trying its
     options in order, so with `EnumerationFilter._options` translations come
-    sorted by image tuple with bottom after every vertex. Consistency against
-    the mapped vertices enforces both the edge constraint and the
-    edge-iff-image-edge property. A vertex may take bottom only while the
-    bottoms stay within cap. Vertex n is the leaf level: each of its options
-    that passes is written into the image and yielded in place, as a tuple,
-    so no level is pushed below it. Each leaf comes from one
-    `Mapping._trusted` builder over g.vertex_set as domain and codomain,
-    since the search has proved it a translation.
+    sorted by image tuple with bottom after every vertex. A vertex may take
+    bottom only while the bottoms stay within cap.
+
+    Vertex w's bit is 1 << w. `used` holds the mapped images as bits,
+    nbr[w] holds w's neighbours, and want[u], for each unassigned u, the
+    images of u's mapped neighbours: mapping v to w XORs w's bit into
+    want[u] for each neighbour u > v, and unmapping XORs it back out. Image
+    w of v passes iff w is unused and nbr[w] & used == want[v]. The mapped
+    pairs are one-to-one, so this says exactly that every mapped pair
+    (u, x) has u adjacent to v iff x is adjacent to w: the
+    edge-iff-image-edge property. The options give the edge constraint.
+
+    Vertex n is the leaf level: each of its options that passes is written
+    into the image and yielded in place, as a tuple, so no level is pushed
+    below it. Each leaf comes from one `Mapping._trusted` builder over
+    g.vertex_set as domain and codomain, since the search has proved it a
+    translation.
     """
     n, adj, V = g.n, g._adj, g.vertex_set
     leaf = Mapping._trusted(V, V, {v: v - 1 for v in g.vertices})
     if not n:  # the empty graph's one translation
         yield leaf(())
         return
-    image = [BOTTOM] * n  # image[v - 1] is v's
-    pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
+    bit = [1 << w for w in range(n + 1)]
+    nbr = [0] * (n + 1)  # nbr[w] is w's neighbours as bits
+    later = [()] * (n + 1)  # later[v] is v's neighbours u > v
+    for v in g.vertices:
+        nbr[v] = sum(bit[u] for u in adj[v])
+        later[v] = [u for u in adj[v] if u > v]
+    want = [0] * (n + 1)
+    image = [BOTTOM] * n  # image[v - 1] is v's while v is on the stack, else bottom
+    used, mapped = 0, 0  # the mapped images as bits, and their count
     stack = [iter(options[1])]
     while stack:
         v = len(stack)
-        if pairs and pairs[-1][0] == v:
-            used.remove(pairs.pop()[1])
-        nv = adj[v]
+        w = image[v - 1]
+        if w is not BOTTOM:  # back from below: unmap v
+            b = bit[w]
+            used ^= b
+            mapped -= 1
+            for u in later[v]:
+                want[u] ^= b
+        need = want[v]
         for w in stack[-1]:
             if w is BOTTOM:
-                if v - 1 - len(pairs) >= cap:
+                if v - 1 - mapped >= cap:
                     continue
-                checks = ()  # a bottom has no pair to agree with
-            elif w in used:
+            elif used & bit[w] or nbr[w] & used != need:
                 continue
-            else:
-                nw, checks = adj[w], pairs
-            for u, x in checks:
-                if (u in nv) != (x in nw):
-                    break
-            else:
-                image[v - 1] = w
-                if v < n:
-                    break
-                yield leaf(tuple(image))  # vertex n: each option in place
+            image[v - 1] = w
+            if v < n:
+                break
+            yield leaf(tuple(image))  # vertex n: each option in place
         else:
             stack.pop()
+            image[v - 1] = BOTTOM
             continue
         if w is not BOTTOM:
-            pairs.append((v, w))
-            used.add(w)
+            b = bit[w]
+            used |= b
+            mapped += 1
+            for u in later[v]:
+                want[u] ^= b
         stack.append(iter(options[v + 1]))
 
 
 def enumerate_translations(g, f=None):
-    """All full-domain translations of g passing the filter, by image tuple, bottom last."""
-    return list(_search(g, *(f or EnumerationFilter())._options(g)))
+    """All full-domain translations of g passing the filter, by image tuple, bottom last.
+
+    Cyclic GC is paused while the list is built: the leaves form no
+    reference cycles, so a collection would rescan every leaf built so far
+    and free nothing. The previous GC state is restored afterwards, also
+    when the search raises; `_search` itself never pauses GC across a yield.
+    """
+    options, cap = (f or EnumerationFilter())._options(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(_search(g, options, cap))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def exists_translation_between(g, v1_set, v2_set):

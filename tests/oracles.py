@@ -54,10 +54,10 @@ class MappingReference:
         return f"Mapping({pairs})"
 
 
-def draw_graph_and_filter(data, st):
-    """A random graph on 1-6 vertices and a random filter over its vertices,
-    the empty required image set drawn on purpose."""
-    n = data.draw(st.integers(1, 6), label="n")
+def draw_graph_and_filter(data, st, max_n=6):
+    """A random graph on 1..max_n vertices and a random filter over its
+    vertices, the empty required image set drawn on purpose."""
+    n = data.draw(st.integers(1, max_n), label="n")
     pairs = combinations(range(1, n + 1), 2)
     g = Graph(n, [e for e in pairs if data.draw(st.booleans(), label=f"edge {e}")])
     subset = st.frozensets(st.sampled_from(list(g.vertices)))
@@ -100,6 +100,52 @@ def naive_oracle(g, f=None):
         found.append(full_mapping(g, m))
     big = g.n + 1
     return sorted(found, key=lambda m: tuple(big if w is BOTTOM else w for w in m.image_tuple()))
+
+
+def search_reference(g, options, cap):
+    """`enumeration._search` by its former pair scan: a generator of image tuples.
+
+    The same depth-first loop over the same compiled options and bottom cap,
+    but each option w of vertex v is checked against every mapped pair (u, x):
+    u must be adjacent to v iff x is adjacent to w. So it yields the same
+    image tuples in the same order, with no bitmask.
+    """
+    n, adj = g.n, g._adj
+    if not n:  # the empty graph's one translation
+        yield ()
+        return
+    image = [BOTTOM] * n  # image[v - 1] is v's
+    pairs, used = [], set()  # the mapped (vertex, image) pairs, and their images
+    stack = [iter(options[1])]
+    while stack:
+        v = len(stack)
+        if pairs and pairs[-1][0] == v:
+            used.remove(pairs.pop()[1])
+        nv = adj[v]
+        for w in stack[-1]:
+            if w is BOTTOM:
+                if v - 1 - len(pairs) >= cap:
+                    continue
+                checks = ()  # a bottom has no pair to agree with
+            elif w in used:
+                continue
+            else:
+                nw, checks = adj[w], pairs
+            for u, x in checks:
+                if (u in nv) != (x in nw):
+                    break
+            else:
+                image[v - 1] = w
+                if v < n:
+                    break
+                yield tuple(image)  # vertex n: each option in place
+        else:
+            stack.pop()
+            continue
+        if w is not BOTTOM:
+            pairs.append((v, w))
+            used.add(w)
+        stack.append(iter(options[v + 1]))
 
 
 def formula_term(n, k):

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import random
 
@@ -21,7 +23,7 @@ from graph_shift.graph import (
     make_torus,
 )
 from graph_shift.mapping import BOTTOM, Mapping, bottom_map, precedes, property_report
-from oracles import draw_graph_and_filter, formula_term, naive_oracle
+from oracles import draw_graph_and_filter, formula_term, naive_oracle, search_reference
 
 
 def all_graphs(n):
@@ -236,12 +238,16 @@ def test_grid33_minimal_loss_one():
 
 
 @pytest.mark.parametrize(
-    "g,counts",
-    [(make_grid([2, 4]), (1227, 1, 3)), (make_ring(8), (739, 2, 3))],
-    ids=["grid2x4", "ring8"],
+    "g,f,counts",
+    [
+        (make_grid([2, 4]), None, (1227, 1, 3)),
+        (make_ring(8), None, (739, 2, 3)),
+        (make_complete(8), EnumerationFilter(max_loss=1), (148329, 14833, 14833)),
+    ],
+    ids=["grid2x4", "ring8", "complete8-max-loss-1"],
 )
-def test_census_counts(g, counts):
-    ts = enumerate_translations(g)
+def test_census_counts(g, f, counts):
+    ts = enumerate_translations(g, f)
     got = (len(ts), len(minimal_translations(g, ts)), len(pseudo_minimal_translations(g, ts)))
     assert got == counts
 
@@ -463,3 +469,100 @@ def test_search_is_lazy_on_the_5x5_torus():
     m = next(_search(g, *EnumerationFilter()._options(g)))
     assert m.loss() == 13
     assert property_report(g, m).is_translation
+
+
+def _assert_search_matches_reference(g, options, cap, limit=None):
+    """`_search` yields the pair-scan reference's image tuples in its order,
+    over the first `limit` of them (all if None)."""
+    got = itertools.islice(_search(g, options, cap), limit)
+    want = itertools.islice(search_reference(g, options, cap), limit)
+    assert [m.image_tuple() for m in got] == list(want)
+
+
+def test_search_matches_the_pair_scan_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(st.data())
+    def check(data):
+        g, f = draw_graph_and_filter(data, st, max_n=9)
+        if data.draw(st.booleans(), label="lossless_only"):
+            f = dataclasses.replace(f, lossless_only=True, max_loss=None)
+        # A dense graph on 9 vertices has millions of translations: compare a prefix.
+        _assert_search_matches_reference(g, *f._options(g), limit=3000)
+
+    check()
+
+
+@pytest.mark.parametrize("dims", [[6, 6, 6], [20, 20]], ids=["torus6x6x6", "torus20x20"])
+def test_search_matches_the_reference_past_one_word(dims):
+    # 216 and 400 vertices: every mask spans several 64-bit words.
+    g = make_torus(dims)
+    _assert_search_matches_reference(g, *EnumerationFilter(lossless_only=True)._options(g))
+
+
+def test_min_loss_on_grid_8x3_matches_the_reference_at_each_cap():
+    g = make_grid([8, 3])
+    assert min_loss(g, upper=3) == 3
+    options, _ = EnumerationFilter()._options(g)
+    for cap in range(4):
+        _assert_search_matches_reference(g, options, cap, limit=200)
+        assert (next(_search(g, options, cap), None) is None) == (cap < 3)
+
+
+def test_enumeration_restores_the_gc_state():
+    assert gc.isenabled()
+    enumerate_translations(make_complete(4))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        enumerate_translations(make_complete(4))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_enumeration_reenables_gc_when_the_search_raises(monkeypatch):
+    trusted = Mapping._trusted
+
+    def failing(domain, codomain, at):
+        build, built = trusted(domain, codomain, at), [0]
+
+        def leaf(img):
+            built[0] += 1
+            if built[0] == 100:
+                raise RuntimeError("leaf 100")
+            return build(img)
+
+        return leaf
+
+    monkeypatch.setattr(Mapping, "_trusted", staticmethod(failing))
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="leaf 100"):
+        enumerate_translations(make_complete(5))
+    assert gc.isenabled()
+
+
+def test_a_half_consumed_search_leaves_gc_on():
+    g = make_complete(5)
+    search = _search(g, *EnumerationFilter()._options(g))
+    next(search)
+    assert gc.isenabled()
+    search.close()
+
+
+def test_no_gc_collection_while_enumerating_k7():
+    collections = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    g = make_complete(7)
+    gc.callbacks.append(on_gc)
+    try:
+        assert len(enumerate_translations(g)) == 63840
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert collections == []
